@@ -517,15 +517,23 @@ def find_equivalence_witness(
     return None
 
 
-def decide_equivalence(s1: PureState, s2: PureState, seed: int = 0) -> EquivalenceVerdict:
+def decide_equivalence(
+    s1: PureState | StateInvariants, s2: PureState | StateInvariants, seed: int = 0
+) -> EquivalenceVerdict:
     """Fixed pipeline: ranks, signature, pencil profile, partner multisets,
-    class labels; Equivalent verdicts carry an explicit verified witness."""
+    class labels; Equivalent verdicts carry an explicit verified witness.
+
+    Either side may be given as its :class:`StateInvariants` (for example an
+    entry of :func:`canonical_invariants`), whose cached keys are then reused.
+    """
+    inv1 = s1 if isinstance(s1, StateInvariants) else StateInvariants(s1)
+    inv2 = s2 if isinstance(s2, StateInvariants) else StateInvariants(s2)
+    s1, s2 = inv1.state, inv2.state
     if s1.dims == s2.dims and s1.equals_up_to_scalar(s2):
         return EquivalenceVerdict(
             kind="Equivalent", witness=OperatorTriple.identity(s1.dims),
             detail="states are equal up to a global scalar",
         )
-    inv1, inv2 = StateInvariants(s1), StateInvariants(s2)
     if inv1.ranks.as_tuple() != inv2.ranks.as_tuple():
         return EquivalenceVerdict(
             kind="Inequivalent", separating_invariant="local ranks",

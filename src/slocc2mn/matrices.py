@@ -693,9 +693,10 @@ class Pencil:
         return self._entry_polys[i][j]
 
     def minor_polynomials(self, k: int, limit: int | None = None):
-        """All k x k minors of A + t*B as polynomials (lazily, row-major order).
+        """List of the k x k minors of A + t*B as polynomials, row-major order.
 
-        ``limit`` caps how many minors are produced; None yields all of them.
+        The whole list is built before it is returned; ``limit`` caps its
+        length, and None keeps every minor.
         """
         rows, cols = self.shape()
         if k <= 0:

@@ -6,11 +6,16 @@ Three layers of checks live here:
   invertible local operator maps Theta4 to Theta5: for random admissible
   2x2 operator entries it solves the induced constraints on three rows of the
   (M+2)x(M+2) operator exactly and certifies, via a term-rank bound, that
-  every solution is singular.
+  every solution is singular.  The constraint system is built and solved on
+  Gaussian integers (the fraction-free kernel of :mod:`.matrices`); only the
+  support of its integer null vectors is read.
 * ``verify_theorem`` re-derives the published classification tables: family
   signatures, pairwise separation with the invariant that witnesses it, the
   coefficient-branch sweep for the 2x3x3 expressions, and random-state
-  censuses for the uniquely-classified shapes.
+  censuses for the uniquely-classified shapes.  Signature rows and pairs are
+  read from the classifier's canonical invariant table
+  (:func:`.classify.canonical_invariants`), so each canonical state's
+  invariants are computed once and shared with ``classify``.
 * ``random_full_rank_state`` samples states with maximal local ranks for the
   census checks.
 """
@@ -19,11 +24,10 @@ from __future__ import annotations
 
 import random
 
-from .scalars import GaussianRational, ZERO, ONE
-from .matrices import Matrix
+from .scalars import GaussianRational, ZERO
+from .matrices import Matrix, _eliminate, _int_row, _null_vectors
 from .states import PureState
 from .operators import random_scalar
-from .ranges import slocc_signature
 from .families import (
     ClassLabel,
     FamilyParams,
@@ -31,7 +35,7 @@ from .families import (
     make_expression,
     expression_branch_label,
 )
-from .classify import classify, decide_equivalence
+from .classify import canonical_invariants, classify, decide_equivalence
 
 
 # -- bipartite term rank ------------------------------------------------------
@@ -72,10 +76,15 @@ def _obstruction_system(m: int, w, x, y, z) -> Matrix:
     """Constraint matrix on rows m-1, m, m+1 of the middle-party operator.
 
     Unknown ordering: variable (r, i) -> r*(m+2)+i where r in {0,1,2} stands
-    for operator row m-1+r and i runs over the m+2 columns.
+    for operator row m-1+r and i runs over the m+2 columns.  Every equation
+    is linear in (w, x, y, z), so the rows are written on Gaussian integers
+    with the four entries scaled by their common denominator; the solution
+    space is unchanged.
     """
     width = m + 2
     nvars = 3 * width
+    (w, x, y, z), _ = _int_row([GaussianRational.coerce(v) for v in (w, x, y, z)])
+    neg_w, neg_x = (-w[0], -w[1]), (-x[0], -x[1])
 
     def var(r: int, i: int) -> int:
         return r * width + i
@@ -83,21 +92,38 @@ def _obstruction_system(m: int, w, x, y, z) -> Matrix:
     rows = []
 
     def eq(pairs):
-        row = [ZERO] * nvars
-        for coeff, r, i in pairs:
-            row[var(r, i)] = row[var(r, i)] + coeff
+        row = [(0, 0)] * nvars
+        for coeff, r, i in pairs:  # the unknowns of one equation are distinct
+            row[var(r, i)] = coeff
         rows.append(row)
 
     upper = list(range(1, m - 1)) + [m, m + 1]
     for i in upper:
-        eq([(y, 2, i), (-w, 1, i)])
-        eq([(y, 1, i), (-w, 0, i)])
+        eq([(y, 2, i), (neg_w, 1, i)])
+        eq([(y, 1, i), (neg_w, 0, i)])
     for i in range(m):
-        eq([(z, 2, i), (-x, 1, i)])
-        eq([(z, 1, i), (-x, 0, i)])
-    eq([(z, 2, m), (y, 2, m - 1), (-x, 1, m), (-w, 1, m - 1)])
-    eq([(z, 1, m), (y, 1, m - 1), (-x, 0, m), (-w, 0, m - 1)])
-    return Matrix(rows)
+        eq([(z, 2, i), (neg_x, 1, i)])
+        eq([(z, 1, i), (neg_x, 0, i)])
+    eq([(z, 2, m), (y, 2, m - 1), (neg_x, 1, m), (neg_w, 1, m - 1)])
+    eq([(z, 1, m), (y, 1, m - 1), (neg_x, 0, m), (neg_w, 0, m - 1)])
+    return Matrix._from_ints(rows, [1] * len(rows), nvars)
+
+
+def _solution_support(m: int, w, x, y, z) -> list:
+    """Which unknowns of the obstruction system are not forced to zero.
+
+    Entry [r][i] is True when some solution has a nonzero at operator row
+    m-1+r, column i; read from the system's Gaussian-integer null vectors.
+    """
+    system = _obstruction_system(m, w, x, y, z)
+    rows = list(system._int_form()[0])
+    pivots, _ = _eliminate(rows, system.cols, reduced=True)
+    _, basis = _null_vectors(rows, pivots, system.cols)
+    width = m + 2
+    return [
+        [any(vec[r * width + i] != (0, 0) for vec in basis) for i in range(width)]
+        for r in range(3)
+    ]
 
 
 def _nonzero_scalar(rng: random.Random) -> GaussianRational:
@@ -135,17 +161,17 @@ def verify_appendix_theta45(m: int, trials: int = 100, seed: int = 0) -> dict:
     is singular, case by case over the 2x2 entry patterns.
 
     For each draw the exact solution space of the constraint system is
-    computed; coordinates that vanish in every basis vector are forced zeros.
-    If the remaining support of the three constrained operator rows has term
-    rank at most two, those rows are dependent in every solution, so the
-    operator determinant vanishes: the draw is "forced singular".
+    computed as Gaussian-integer null vectors; coordinates that vanish in
+    every basis vector are forced zeros.  If the remaining support of the
+    three constrained operator rows has term rank at most two, those rows are
+    dependent in every solution, so the operator determinant vanishes: the
+    draw is "forced singular".
     """
     if m < 2:
         raise ValueError("the obstruction argument needs m >= 2")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
-    width = m + 2
     cases = {
         name: {"case": name, "draws": 0, "forced_singular": 0, "max_term_rank": 0}
         for name in _OBSTRUCTION_CASES
@@ -154,13 +180,7 @@ def verify_appendix_theta45(m: int, trials: int = 100, seed: int = 0) -> dict:
         rec = cases[case]
         for _ in range(trials):
             w, x, y, z = _draw_operator_entries(case, rng)
-            system = _obstruction_system(m, w, x, y, z)
-            basis = system.nullspace()
-            support = [
-                [any(not vec[r * width + i].is_zero() for vec in basis) for i in range(width)]
-                for r in range(3)
-            ]
-            tr = term_rank(support)
+            tr = term_rank(_solution_support(m, w, x, y, z))
             rec["draws"] += 1
             rec["max_term_rank"] = max(rec["max_term_rank"], tr)
             if tr <= 2:
@@ -226,13 +246,11 @@ _THEOREM3_SIGNATURES = {
 }
 
 
-def _pairwise_separation(labels) -> list:
+def _pairwise_separation(labels, table) -> list:
     out = []
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
-            s1 = make_canonical(labels[i])
-            s2 = make_canonical(labels[j])
-            verdict = decide_equivalence(s1, s2)
+            verdict = decide_equivalence(table[labels[i]], table[labels[j]])
             out.append(
                 {
                     "pair": [labels[i].render(), labels[j].render()],
@@ -317,6 +335,8 @@ def verify_theorem(
     theorem-specific sweeps (coefficient branches, random-state censuses, the
     singular-operator obstruction for Theta4/Theta5).
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     rng = random.Random(seed)
     which = str(which)
     if which == "2":
@@ -360,9 +380,10 @@ def verify_theorem(
     else:
         raise ValueError(f"unknown verification target {which!r}")
 
+    table = canonical_invariants(make_canonical(labels[0]).dims)
     families = []
     for lab in labels:
-        sig = slocc_signature(make_canonical(lab)).render()
+        sig = table[lab].signature.render()
         families.append(
             {
                 "label": lab.render(),
@@ -371,7 +392,7 @@ def verify_theorem(
                 "signature_matches": sig == expected[lab.family],
             }
         )
-    pairs = _pairwise_separation(labels)
+    pairs = _pairwise_separation(labels, table)
     report = {
         "which": which,
         "families": families,

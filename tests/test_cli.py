@@ -151,6 +151,15 @@ def test_verify_requires_m_for_appendix(capsys):
     assert "requires --m" in err
 
 
+@pytest.mark.parametrize(
+    "target", [["two_by_two_by_three"], ["2"], ["appendix", "--m", "2"]]
+)
+def test_verify_zero_trials_is_usage_error(capsys, target):
+    code, _, err = run_cli(capsys, "verify", "--theorem", *target, "--trials", "0")
+    assert code == EXIT_USAGE
+    assert "at least one trial" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "classify", "/nonexistent/state.json")
     assert code == EXIT_USAGE

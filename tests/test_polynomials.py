@@ -1,9 +1,11 @@
 """Univariate polynomials over the Gaussian rationals, with numpy oracles."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.polynomials import (
@@ -81,6 +83,25 @@ def test_gcd_of_constructed_common_factor():
         assert (g * b) % d == Poly()
         assert d % poly_gcd(g, d) == Poly()
         assert d.degree >= poly_gcd(g, a * b).degree
+
+
+_coeffs = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+)
+_polys = st.lists(_coeffs, max_size=5).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _polys)
+def test_gcd_of_common_multiples(f, g, h):
+    assume(not f.is_zero() and not (g.is_zero() and h.is_zero()))
+    a, b = f * g, f * h
+    d = poly_gcd(a, b)
+    assert d.leading() == ONE
+    assert a % d == Poly() and b % d == Poly()
+    assert d % f == Poly()
 
 
 def test_gcd_many():

@@ -4,13 +4,20 @@ import random
 
 import pytest
 
+from slocc2mn.classify import decide_equivalence
+from slocc2mn.families import ClassLabel, make_canonical
+from slocc2mn.matrices import Matrix
+from slocc2mn.ranges import slocc_signature
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.verify import (
     term_rank,
     verify_appendix_theta45,
     verify_theorem,
     random_full_rank_state,
+    _OBSTRUCTION_CASES,
+    _draw_operator_entries,
     _obstruction_system,
+    _solution_support,
 )
 
 
@@ -51,6 +58,47 @@ def test_obstruction_diagonal_operator_forces_zero_rows():
         for r in range(3)
     ]
     assert term_rank(support) <= 2
+
+
+def _rational_obstruction_system(m, w, x, y, z) -> Matrix:
+    """The obstruction constraints built from GaussianRational entries."""
+    width = m + 2
+    rows = []
+
+    def eq(terms):
+        row = [ZERO] * (3 * width)
+        for coeff, r, i in terms:
+            row[r * width + i] = row[r * width + i] + coeff
+        rows.append(row)
+
+    for i in list(range(1, m - 1)) + [m, m + 1]:
+        eq([(y, 2, i), (-w, 1, i)])
+        eq([(y, 1, i), (-w, 0, i)])
+    for i in range(m):
+        eq([(z, 2, i), (-x, 1, i)])
+        eq([(z, 1, i), (-x, 0, i)])
+    eq([(z, 2, m), (y, 2, m - 1), (-x, 1, m), (-w, 1, m - 1)])
+    eq([(z, 1, m), (y, 1, m - 1), (-x, 0, m), (-w, 0, m - 1)])
+    return Matrix(rows)
+
+
+def test_integer_obstruction_support_matches_rational_nullspace():
+    rng = random.Random(62)
+    for m in (2, 3, 4, 5):
+        width = m + 2
+        for case in _OBSTRUCTION_CASES:
+            for _ in range(6):
+                w, x, y, z = _draw_operator_entries(case, rng)
+                basis = _rational_obstruction_system(m, w, x, y, z).nullspace()
+                expected = [
+                    [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
+                    for r in range(3)
+                ]
+                assert _solution_support(m, w, x, y, z) == expected
+                assert (
+                    _obstruction_system(m, w, x, y, z).nullspace()
+                    == _rational_obstruction_system(m, w, x, y, z).nullspace()
+                )
 
 
 def test_appendix_report_structure_and_success():
@@ -119,6 +167,30 @@ def test_verify_theorem_rejects_bad_arguments():
         verify_theorem("upsilon0", m_parameter=1)
     with pytest.raises(ValueError):
         verify_theorem("nope")
+
+
+def test_verify_theorem_rejects_zero_trials():
+    for which, m in (("2", None), ("3", 2), ("two_by_two_by_three", None), ("upsilon0", 2)):
+        with pytest.raises(ValueError):
+            verify_theorem(which, m_parameter=m, trials=0)
+    with pytest.raises(ValueError):
+        verify_theorem("2", trials=-1)
+
+
+@pytest.mark.parametrize(
+    "which, m", [("2", None), ("3", 1), ("3", 2), ("3", 3), ("4", 2), ("4", 3)]
+)
+def test_theorem_tables_match_fresh_invariants(which, m):
+    """Rows read from the canonical invariant table equal a from-scratch run."""
+    rep = verify_theorem(which, m_parameter=m, trials=1, seed=0)
+    for fam in rep["families"]:
+        state = make_canonical(ClassLabel.parse(fam["label"]))
+        assert fam["signature"] == slocc_signature(state).render()
+    for pair in rep["pairs"]:
+        a, b = (make_canonical(ClassLabel.parse(x)) for x in pair["pair"])
+        fresh = decide_equivalence(a, b)
+        assert pair["verdict"] == fresh.kind
+        assert pair["separated_by"] == fresh.separating_invariant
 
 
 def test_census_two_by_two_by_three():
