@@ -13,7 +13,9 @@ each step cross-multiplies a row with the pivot row and divides exactly by
 the previous pivot, so entries stay minors of the input and no rational is
 reduced on the way.  ``Matrix.rank``, ``det``, ``nullspace``, ``rref`` (with
 its transform), :func:`certified_nullspace` and the pencil determinants all
-run on it, and :func:`primitive_vector` shares its integer row form.
+run on it, and :func:`primitive_vector` and :func:`stack_vectorized` share
+its integer row form.  Pencil entries and minors are polynomials in their
+Gaussian-integer form, so the minor gcds never leave the integers.
 :class:`GaussianRational` values are built only for the results handed back.
 """
 
@@ -24,8 +26,8 @@ import random
 from dataclasses import dataclass
 from math import factorial, gcd, lcm, prod
 
-from .scalars import GaussianRational, Rational, ZERO, ONE
-from .polynomials import Poly, poly_gcd_many, exact_roots_of
+from .scalars import GaussianRational, Rational, ZERO, ONE, _int_row, _scalar
+from .polynomials import Poly, poly_gcd_many, exact_roots_of, _poly_mul, _poly_sub
 
 MINOR_SIDE_CAP = 8
 
@@ -33,24 +35,6 @@ _make = GaussianRational._make
 
 
 # -- the Gaussian-integer kernel ----------------------------------------------
-
-
-def _int_row(values):
-    """(pairs, d): Gaussian-rational values as Gaussian integers times 1/d."""
-    d = lcm(*[f.denominator for x in values for f in (x.re, x.im)])
-    if d == 1:
-        return [(x.re.numerator, x.im.numerator) for x in values], 1
-    return [
-        (x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator))
-        for x in values
-    ], d
-
-
-def _scalar(re, im, den=1) -> GaussianRational:
-    """The Gaussian rational (re + im*i) / den."""
-    if den == 1:
-        return _make(Rational(re), Rational(im))
-    return _make(Rational(re, den), Rational(im, den))
 
 
 def _quotient(x, p) -> GaussianRational:
@@ -489,8 +473,19 @@ def vec_of_matrix(m: Matrix):
 
 
 def stack_vectorized(mats) -> Matrix:
-    """Stack vec(m) of each matrix as rows (for independence/rank tests)."""
-    return Matrix([list(vec_of_matrix(m)) for m in mats])
+    """Stack vec(m) of each matrix as rows (for independence/rank tests),
+    concatenating the matrices' Gaussian-integer rows."""
+    rows, dens = [], []
+    for m in mats:
+        ints, ds = m._int_form()
+        d = lcm(*ds)
+        rows.append([
+            (a * (d // rd), b * (d // rd)) if rd != d else (a, b)
+            for row, rd in zip(ints, ds)
+            for a, b in row
+        ])
+        dens.append(d)
+    return Matrix._from_ints(rows, dens, len(rows[0]))
 
 
 # -- polynomial determinants and pencils -------------------------------------
@@ -524,22 +519,6 @@ def _interpolate(values):
     return [(re // total, im // total) for re, im in out]
 
 
-def _poly_mul(p, q):
-    """Product of Gaussian-integer polynomials (lists of pairs, constant first)."""
-    out = [[0, 0] for _ in range(len(p) + len(q) - 1)] if p and q else []
-    for i, (a, b) in enumerate(p):
-        if a or b:
-            for j, (c, d) in enumerate(q):
-                o = out[i + j]
-                o[0] += a * c - b * d
-                o[1] += a * d + b * c
-    return out
-
-
-def _poly_sub(p, q):
-    return [(a - c, b - d) for (a, b), (c, d) in itertools.zip_longest(p, q, fillvalue=(0, 0))]
-
-
 def _poly_det_ints(rows, bound: int):
     """Coefficients of the determinant of a square matrix whose entries are
     Gaussian-integer polynomials (lists of pairs, constant first), given a
@@ -566,10 +545,10 @@ def _poly_det_ints(rows, bound: int):
 def poly_matrix_det(rows_of_polys) -> Poly:
     """Determinant of a small square matrix of Poly entries.
 
-    Clears each row's denominators, evaluates the Gaussian-integer
-    determinant at enough integer points to pin down the degree and
-    interpolates; exact, and much faster than Laplace expansion for sides
-    above two.
+    Brings each row's integer forms to one denominator, evaluates the
+    Gaussian-integer determinant at enough integer points to pin down the
+    degree and interpolates; exact, and much faster than Laplace expansion
+    for sides above two.  The result is built in integer form.
     """
     n = len(rows_of_polys)
     if n == 0:
@@ -580,18 +559,18 @@ def poly_matrix_det(rows_of_polys) -> Poly:
     den = 1
     rows = []
     for row in rows_of_polys:
-        d = max(e.degree for e in row)
+        forms = [e._int_form() for e in row]
+        d = max(len(ints) for ints, _ in forms) - 1
         if d < 0:
             return Poly()  # an all-zero row
         bound += d
-        ints, rd = _int_row([c for e in row for c in e.coeffs])
+        rd = lcm(*[fd for _, fd in forms])
         den *= rd
-        entries, at = [], 0
-        for e in row:
-            entries.append(ints[at : at + len(e.coeffs)])
-            at += len(e.coeffs)
-        rows.append(entries)
-    return Poly([_scalar(re, im, den) for re, im in _poly_det_ints(rows, bound)])
+        rows.append([
+            [(a * (rd // fd), b * (rd // fd)) for a, b in ints] if fd != rd else ints
+            for ints, fd in forms
+        ])
+    return Poly._from_ints(_poly_det_ints(rows, bound), den)
 
 
 def _int_matmul(x, y):
@@ -685,18 +664,21 @@ class Pencil:
         return Matrix._from_ints(rows, [q * d for d in dens], self.a.cols)
 
     def entry_poly(self, i: int, j: int) -> Poly:
+        """The entry A[i, j] + t B[i, j], built from the integer rows."""
         if self._entry_polys is None:
+            a_rows, b_rows, dens = self._int_form()
             object.__setattr__(self, "_entry_polys", tuple(
-                tuple(Poly.linear(x, y) for x, y in zip(ra, rb))
-                for ra, rb in zip(self.a.entries, self.b.entries)
+                tuple(Poly._from_ints((x, y), d) for x, y in zip(ra, rb))
+                for ra, rb, d in zip(a_rows, b_rows, dens)
             ))
         return self._entry_polys[i][j]
 
-    def minor_polynomials(self, k: int, limit: int | None = None):
-        """List of the k x k minors of A + t*B as polynomials, row-major order.
+    def minor_polynomials(self, k: int):
+        """Generator of the k x k minors of A + t*B as polynomials, in
+        row-major order of the row and column selections.
 
-        The whole list is built before it is returned; ``limit`` caps its
-        length, and None keeps every minor.
+        The size is checked on the call; each minor is computed only when it
+        is read, so a caller that stops early saves the rest.
         """
         rows, cols = self.shape()
         if k <= 0:
@@ -705,36 +687,18 @@ class Pencil:
             raise ValueError("minor size exceeds matrix shape")
         if min(rows, cols) > MINOR_SIDE_CAP:
             raise ValueError(f"minor enumeration capped at side {MINOR_SIDE_CAP}")
-        out = []
-        count = 0
-        for rsel in itertools.combinations(range(rows), k):
-            for csel in itertools.combinations(range(cols), k):
-                sub = [[self.entry_poly(i, j) for j in csel] for i in rsel]
-                out.append(poly_matrix_det(sub))
-                count += 1
-                if limit is not None and count >= limit:
-                    return out
-        return out
+        return (
+            poly_matrix_det([[self.entry_poly(i, j) for j in csel] for i in rsel])
+            for rsel in itertools.combinations(range(rows), k)
+            for csel in itertools.combinations(range(cols), k)
+        )
 
     def minor_gcd(self, k: int) -> Poly:
-        """Monic gcd of all k x k minors, with early exit once it is a unit.
+        """Monic gcd of all k x k minors, read until the gcd is a unit.
 
         Returns the zero polynomial when every minor vanishes identically.
         """
-        rows, cols = self.shape()
-        if k <= 0 or k > min(rows, cols):
-            raise ValueError("bad minor size")
-        acc = Poly()
-        for rsel in itertools.combinations(range(rows), k):
-            for csel in itertools.combinations(range(cols), k):
-                sub = [[self.entry_poly(i, j) for j in csel] for i in rsel]
-                d = poly_matrix_det(sub)
-                if d.is_zero():
-                    continue
-                acc = d.monic() if acc.is_zero() else poly_gcd_many([acc, d])
-                if acc.degree == 0:
-                    return acc
-        return acc
+        return poly_gcd_many(self.minor_polynomials(k))
 
     def minor_root_multiple(self, k: int) -> Poly:
         """A nonzero monic polynomial whose root set contains every root of
@@ -769,12 +733,10 @@ class Pencil:
             coeffs = _poly_det_ints(
                 [[[x, y] for x, y in zip(ra, rb)] for ra, rb in zip(ca, cb)], k
             )
-            while coeffs and coeffs[-1] == (0, 0):
-                coeffs.pop()
-            if not coeffs:
+            d = Poly._from_ints(coeffs)
+            if d.is_zero():
                 continue
-            d = Poly([_quotient(c, coeffs[-1]) for c in coeffs])
-            acc = d if acc.is_zero() else poly_gcd_many([acc, d])
+            acc = d.monic() if acc.is_zero() else poly_gcd_many([acc, d])
             hits += 1
             if acc.degree == 0 or hits >= 2:
                 return acc

@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import GaussianRational, ZERO, ONE
-from .polynomials import Poly, poly_gcd, square_free_part, exact_roots_of
-from .matrices import Matrix, Pencil, stack_vectorized, primitive_vector, certified_nullspace
+from .polynomials import poly_gcd_many, square_free_part, exact_roots_of
+from .matrices import (
+    Matrix,
+    Pencil,
+    stack_vectorized,
+    primitive_vector,
+    certified_nullspace,
+    _eliminate,
+)
 from .states import PureState, PARTIES, LocalRankProfile
 
 RANGE_PAIR = {"A": ("B", "C"), "B": ("A", "C"), "C": ("A", "B")}
@@ -109,18 +116,13 @@ def _count_pencil_span(sub: MatrixSubspace, exact_only: bool = False) -> Product
     """
     m0, m1 = sub.basis
     pen = Pencil(m0, m1)
-    minors = pen.minor_polynomials(2) if min(sub.rows, sub.cols) >= 2 else []
-    if not minors:
+    if min(sub.rows, sub.cols) < 2:
         # single-row or single-column ambient: every nonzero element is rank one
         return ProductCount(kind="infinite", family_note="ambient has no 2x2 minors")
-    nonzero = [p for p in minors if not p.is_zero()]
-    if not nonzero:
+    # the minors are computed as the gcd reads them, up to the first unit
+    g = poly_gcd_many(pen.minor_polynomials(2))
+    if g.is_zero():
         return ProductCount(kind="infinite", family_note="every pencil element has rank <= 1")
-    g = Poly()
-    for p in nonzero:
-        g = p.monic() if g.is_zero() else poly_gcd(g, p)
-        if g.degree == 0:
-            break
     witnesses = []
     count = 0
     exact = True
@@ -397,16 +399,12 @@ def bc_pencil(s: PureState) -> Pencil:
 
 
 def _independent_slices(slices):
-    chosen: list[int] = []
-    mats: list[Matrix] = []
-    for j, m in enumerate(slices):
-        if m.is_zero():
-            continue
-        trial = mats + [m]
-        if stack_vectorized(trial).rank() == len(trial):
-            chosen.append(j)
-            mats.append(m)
-    return chosen, mats
+    """(indices, slices) of the first linearly independent slices, in order:
+    the pivot columns of one elimination of the matrix whose columns are the
+    vectorized slices (zero slices are never pivots)."""
+    rows, _ = stack_vectorized(slices)._int_form()
+    pivots, _ = _eliminate([list(col) for col in zip(*rows)], len(slices))
+    return pivots, [slices[j] for j in pivots]
 
 
 def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):

@@ -1,7 +1,9 @@
 """Gaussian-rational scalars: complex numbers with exact rational parts.
 
 All amplitudes, operator entries and polynomial coefficients in this package
-are instances of :class:`GaussianRational`.  Arithmetic is exact; there is no
+are instances of :class:`GaussianRational` at the API boundary; matrices and
+polynomials keep them inside as Gaussian integers over a common denominator
+(:func:`_int_row`, :func:`_scalar`).  Arithmetic is exact; there is no
 rounding anywhere in this module.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 
 try:
     # gmpy2 rationals are drop-in compatible with Fraction (same string form,
@@ -152,6 +155,28 @@ class GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+
+
+# -- Gaussian-integer form ----------------------------------------------------
+
+
+def _int_row(values):
+    """(pairs, d): Gaussian-rational values as Gaussian integers times 1/d,
+    with d the least positive integer that clears every denominator."""
+    d = lcm(*[f.denominator for x in values for f in (x.re, x.im)])
+    if d == 1:
+        return [(x.re.numerator, x.im.numerator) for x in values], 1
+    return [
+        (x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator))
+        for x in values
+    ], d
+
+
+def _scalar(re, im, den=1) -> GaussianRational:
+    """The Gaussian rational (re + im*i) / den."""
+    if den == 1:
+        return GaussianRational._make(Rational(re), Rational(im))
+    return GaussianRational._make(Rational(re, den), Rational(im, den))
 
 
 def _format_fraction(f: Fraction) -> str:

@@ -332,3 +332,27 @@ def test_kernel_matches_fraction_oracle(m):
     assert r == Matrix([[GaussianRational(*x) for x in row] for row in r_rows])
     assert t @ m == r
     assert len(_oracle(t)[1]) == m.rows  # T is invertible
+
+
+def test_stack_vectorized_matches_rational_stack():
+    # the stack of integer rows equals the stack built from the entries, also
+    # when rows of one matrix, and the matrices, carry different denominators
+    rng = random.Random(32)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        mats = [
+            Matrix.from_entries(rows, cols, lambda i, j: GaussianRational(
+                Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 10**20])),
+                Fraction(rng.randint(-3, 3), rng.choice([1, 4, 7])),
+            ))
+            for _ in range(rng.randint(1, 4))
+        ]
+        ref = Matrix([list(vec_of_matrix(m)) for m in mats])
+        stacked = stack_vectorized(mats)
+        assert stacked == ref
+        assert stacked._int_form() == ref._int_form()
+        assert stacked.rank() == ref.rank()
+        # matrices held in integer form (pencil points) stack the same way
+        pen = Pencil(mats[0], mats[-1])
+        points = [pen.at(GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))) for _ in range(3)]
+        assert stack_vectorized(points) == Matrix([list(vec_of_matrix(m)) for m in points])

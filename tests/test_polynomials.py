@@ -1,4 +1,5 @@
-"""Univariate polynomials over the Gaussian rationals, with numpy oracles."""
+"""Univariate polynomials over the Gaussian rationals, with numpy and Fraction
+oracles, and the pencil minor gcd the range criterion counts with."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from slocc2mn import polynomials
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.polynomials import (
     Poly,
@@ -15,9 +17,9 @@ from slocc2mn.polynomials import (
     square_free_part,
     companion_eigenvalues,
     exact_roots_of,
-    distinct_roots,
-    common_root_summary,
 )
+from slocc2mn.matrices import Matrix, Pencil
+from slocc2mn.ranges import MatrixSubspace, _count_pencil_span
 
 
 def random_poly(rng, max_deg=4):
@@ -151,17 +153,207 @@ def test_companion_eigenvalues_match_numpy_roots():
             assert abs(a - b) < 1e-6
 
 
-def test_distinct_roots_mixed_multiplicity():
+def test_exact_roots_mixed_multiplicity():
     p = linear_root(0) * linear_root(0) * linear_root(5)
-    summary = distinct_roots(p, want_numeric=True)
-    assert summary.all_roots_exact
-    assert summary.distinct_root_count == 2
-    assert {complex(r) for r in summary.exact_roots} == {0j, 5 + 0j}
+    assert square_free_part(p).degree == 2
+    roots, numeric = exact_roots_of(p)
+    assert not numeric
+    assert {complex(r) for r in roots} == {0j, 5 + 0j}
 
 
-def test_common_root_summary():
+def test_common_roots_of_family():
     shared = linear_root(7)
     ps = [shared * linear_root(1), shared * linear_root(2)]
-    summary = common_root_summary(ps, want_numeric=True)
-    assert summary.distinct_root_count == 1
-    assert [complex(r) for r in summary.exact_roots] == [7 + 0j]
+    g = poly_gcd_many(ps)
+    assert square_free_part(g).degree == 1
+    roots, numeric = exact_roots_of(g)
+    assert not numeric
+    assert [complex(r) for r in roots] == [7 + 0j]
+
+
+def test_exact_roots_keep_every_rational_root():
+    # products of 3-5 distinct linear factors with small rational roots: a
+    # coarse approximation of one eigenvalue must not take another's root
+    # (t (t + 3/64)(t + 3/25)(t + 3/14)(t - 3/37), draw 24, once lost -3/64)
+    rng = random.Random(1)
+    for _ in range(2000):
+        roots = []
+        while len(roots) < rng.randint(3, 5):
+            r = Fraction(rng.randint(-9, 9), rng.randint(1, 64))
+            if r not in roots:
+                roots.append(r)
+        p = Poly([ONE])
+        for r in roots:
+            p = p * linear_root(r)
+        exact, numeric = exact_roots_of(p)
+        assert not numeric
+        assert sorted(Fraction(z.re) for z in exact) == sorted(roots)
+
+
+# -- poly_gcd against a Fraction oracle ----------------------------------------
+
+
+def _fmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _finv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _fstrip(a):
+    while a and a[-1] == (0, 0):
+        a.pop()
+    return a
+
+
+def _fmonic(a):
+    inv = _finv(a[-1])
+    return [_fmul(c, inv) for c in a]
+
+
+def _fmod(a, b):
+    r = list(a)
+    inv = _finv(b[-1])
+    while len(r) >= len(b):
+        c = _fmul(r[-1], inv)
+        shift = len(r) - len(b)
+        for j, y in enumerate(b):
+            u = _fmul(c, y)
+            r[shift + j] = (r[shift + j][0] - u[0], r[shift + j][1] - u[1])
+        r.pop()  # the leading term cancels exactly
+        _fstrip(r)
+    return r
+
+
+def fraction_gcd(polys):
+    """Monic gcd of Polys by the Euclidean algorithm on (Fraction, Fraction)
+    coefficient pairs; [] when every member is zero."""
+    acc = []
+    for p in polys:
+        b = [(Fraction(c.re), Fraction(c.im)) for c in p.coeffs]
+        a = acc
+        while b:
+            a, b = b, _fmod(a, b)
+        acc = _fmonic(a) if a else []
+    return acc
+
+
+def _pairs(p):
+    return [(Fraction(c.re), Fraction(c.im)) for c in p.coeffs]
+
+
+_BIG = 10**30
+_big_coeffs = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**24)),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**24)),
+)
+_small_coeffs = st.builds(GaussianRational, st.integers(-9, 9), st.integers(-9, 9))
+_planted = st.sampled_from([
+    Poly([GaussianRational(-3), GaussianRational(1, 1)]),  # (1+i)t - 3
+    Poly([GaussianRational(0, 2), ONE]),  # t + 2i
+    Poly([GaussianRational(5, -1), GaussianRational(0, 3), GaussianRational(2)]),
+    Poly([ONE]),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(_big_coeffs, _small_coeffs), max_size=7).map(Poly),
+    st.lists(st.one_of(_big_coeffs, _small_coeffs), max_size=7).map(Poly),
+    _planted,
+    st.booleans(),
+)
+def test_gcd_matches_fraction_euclid(g, h, f, plant):
+    # degrees up to 8 with a planted Gaussian common factor, zero and
+    # constant operands; every remainder the subresultant sequence divides
+    # stays within Hadamard's bound on the Sylvester minors, which a sequence
+    # of undivided pseudo-remainders would outgrow
+    a, b = (f * g, f * h) if plant else (g, h)
+    assume(not (a.is_zero() and b.is_zero()))
+    seen = []
+    original = polynomials._pseudo_divmod
+
+    def recording(x, y):
+        seen.extend(c for pair in [*x, *y] for c in pair)
+        return original(x, y)
+
+    polynomials._pseudo_divmod = recording
+    try:
+        d = poly_gcd(a, b)
+    finally:
+        polynomials._pseudo_divmod = original
+    assert _pairs(d) == fraction_gcd([a, b])
+    assert d == poly_gcd(b, a)
+    if seen:
+        (ia, _), (ib, _) = a._int_form(), b._int_form()
+        norm_bits = [sum(x * x + y * y for x, y in ints).bit_length() / 2 for ints in (ia, ib)]
+        bound = (len(ib) - 1) * norm_bits[0] + (len(ia) - 1) * norm_bits[1] + 1
+        assert max(abs(c).bit_length() for c in seen) <= bound
+
+
+def _fdistinct_roots(g):
+    """Number of distinct roots of a monic Fraction-pair polynomial."""
+    deriv = [(k * x, k * y) for k, (x, y) in enumerate(g) if k]
+    common = fraction_gcd([Poly([GaussianRational(x, y) for x, y in c]) for c in (g, deriv)])
+    return len(g) - len(common)
+
+
+def _gmat(rng, rows, cols, span=3):
+    return Matrix.from_entries(
+        rows, cols, lambda i, j: GaussianRational(rng.randint(-span, span), rng.randint(-1, 1))
+    )
+
+
+def test_pencil_span_count_matches_full_minor_gcd():
+    # _count_pencil_span reads the 2x2 minors only up to the first unit gcd;
+    # its count must equal the distinct roots of the gcd of every minor
+    rng = random.Random(31)
+    cases = 0
+    while cases < 80:
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        kind = rng.choice(["random", "planted", "planted", "rank one"])
+        if kind == "random":
+            m0, m1 = _gmat(rng, rows, cols), _gmat(rng, rows, cols)
+        elif kind == "planted":
+            # P diag(d0 + t d1) Q: the minors share the factors of the diagonal
+            p, q = _gmat(rng, rows, rows), _gmat(rng, cols, cols)
+            k = rng.randint(2, min(rows, cols))
+            d0 = [GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(k)]
+            d1 = [GaussianRational(rng.choice([0, 1, 1, 2])) for _ in range(k)]
+            m0, m1 = (
+                p @ Matrix.from_entries(rows, cols, lambda i, j: d[i] if i == j < k else ZERO) @ q
+                for d in (d0, d1)
+            )
+        else:
+            u = [GaussianRational(rng.randint(-3, 3)) for _ in range(rows)]
+            m0, m1 = (
+                Matrix([[a * b for b in v] for a in u])
+                for v in [[GaussianRational(rng.randint(-3, 3), 1) for _ in range(cols)]
+                          for _ in range(2)]
+            )
+        try:
+            sub = MatrixSubspace(rows=rows, cols=cols, basis=(m0, m1))
+        except ValueError:
+            continue  # dependent draw
+        cases += 1
+        pc = _count_pencil_span(sub)
+        minors = list(Pencil(m0, m1).minor_polynomials(2))
+        g = fraction_gcd(minors)
+        if not g:
+            assert pc.is_infinite
+            continue
+        at_infinity = 1 if m1.rank() <= 1 else 0
+        assert pc.kind == "finite"
+        assert pc.count == _fdistinct_roots(g) + at_infinity
+        for w in pc.witnesses:
+            if not w.exact:
+                continue  # an irrational root: counted, with a float witness
+            if w.coeffs[0] == ONE:
+                t = w.coeffs[1]
+                assert all(p.eval(t).is_zero() for p in minors)
+            assert (m0.scale(w.coeffs[0]) + m1.scale(w.coeffs[1])) == Matrix(
+                [[a * b for b in w.v] for a in w.u]
+            )

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
-from slocc2mn.matrices import Matrix
+from slocc2mn.matrices import Matrix, vec_of_matrix
 from slocc2mn.states import PureState
 from slocc2mn.operators import random_ilo
 from slocc2mn.ranges import (
@@ -19,6 +19,7 @@ from slocc2mn.ranges import (
     bc_pencil,
     partner_rank_multiset,
     quadric_profile,
+    _independent_slices,
 )
 from slocc2mn.families import ClassLabel, make_canonical
 
@@ -135,3 +136,34 @@ def test_subspace_element_and_dimension():
     assert sub.dimension == 2
     el = sub.element((GaussianRational(2), GaussianRational(-3)))
     assert el == mat([[2, 0], [0, -3]])
+
+
+def test_independent_slices_match_greedy_choice():
+    # one elimination's pivot columns pick the same slices as adding each
+    # slice whose stack with the ones kept so far gains rank
+    rng = random.Random(41)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        pool = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(["random", "zero", "repeat", "combination"])
+            if kind == "zero" or not pool and kind != "random":
+                pool.append(Matrix.zero(rows, cols))
+            elif kind == "repeat":
+                pool.append(rng.choice(pool))
+            elif kind == "combination":
+                a, b = rng.choice(pool), rng.choice(pool)
+                pool.append(a.scale(GaussianRational(rng.randint(-2, 2), 1)) + b.scale(
+                    GaussianRational(1, rng.randint(1, 3)) / rng.randint(1, 4)))
+            else:
+                pool.append(Matrix.from_entries(rows, cols, lambda i, j: GaussianRational(
+                    rng.randint(-2, 2), rng.randint(-1, 1)) / rng.randint(1, 3)))
+        chosen, kept = [], []
+        for j, m in enumerate(pool):
+            trial = kept + [m]
+            if not m.is_zero() and Matrix([list(vec_of_matrix(x)) for x in trial]).rank() == len(trial):
+                chosen.append(j)
+                kept.append(m)
+        idx, mats = _independent_slices(pool)
+        assert list(idx) == chosen
+        assert list(mats) == kept

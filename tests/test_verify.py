@@ -1,5 +1,7 @@
 """Verification layer: obstruction argument, table re-derivations, censuses."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -203,3 +205,27 @@ def test_census_upsilon0():
     rep = verify_theorem("upsilon0", m_parameter=2, trials=25, seed=0)
     assert rep["ok"]
     assert set(rep["census"]) == {"Upsilon0(2)"}
+
+
+# sha256 of json.dumps(report, sort_keys=True), taken before the range
+# criterion moved onto Gaussian-integer polynomials: the reports must not move
+GOLDEN_REPORTS = (
+    ("theorem", "2", None, 3, 11, "70e83f7092d8a0ff2eba17ed5a11abdbbd65fbb37d45b75e5c6481277d61378f"),
+    ("theorem", "3", 2, 1, 0, "e585eeb3893b6f531dfd747eef768d6adf6e532912dd3414c0c18c0253e72f5a"),
+    ("theorem", "4", 2, 3, 12, "582011ec7ce6091e3f36560bd42600a3e414c445e49cc5c620257ee26df7ed28"),
+    ("theorem", "upsilon0", 2, 4, 13, "13fe2018578f97966eac2b915626c609f96c6036f3a20101a9e41484f5e38a52"),
+    ("theorem", "two_by_two_by_three", None, 40, 14,
+     "a126d919dc85c93fd425ab1da97e04eea999dff08afddcb95b6f1c66f257c909"),
+    ("appendix", None, 2, 4, 15, "f69eaab5aabe757e8521ae10e18a671c00b961e58b6b5646f0991994b2e7530a"),
+    ("appendix", None, 3, 2, 16, "b7814a941df1c354cca65277e705f0069cbb459df02a36c0706523f4ba9c1100"),
+)
+
+
+@pytest.mark.parametrize("func, which, m, trials, seed, digest", GOLDEN_REPORTS)
+def test_verify_reports_match_golden_digests(func, which, m, trials, seed, digest):
+    if func == "appendix":
+        report = verify_appendix_theta45(m, trials=trials, seed=seed)
+    else:
+        report = verify_theorem(which, m_parameter=m, trials=trials, seed=seed)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
