@@ -2,8 +2,8 @@
 
 Commands: gen, signature, classify, equiv, perturb, verify.  Every command
 honors ``--format json|text``; JSON output follows schemas/report.schema.json.
-Exit codes: 0 success, 1 assertion/verification failure, 2 usage or parse
-errors.
+Exit codes: 0 success, 1 assertion/verification failure or an input past an
+internal limit (reported as ``unsupported:``), 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 import time
 
 from .families import ClassLabel, make_canonical, SMALL_FAMILIES, PARAMETRIC_FAMILIES
+from .matrices import InternalLimitError
 from .operators import random_ilo
 from .ranges import (
     UnsupportedSubspaceError,
@@ -126,11 +127,7 @@ def cmd_signature(args) -> int:
         lines.append(rendered)
         ok = True
     else:
-        try:
-            sig = slocc_signature(state)
-        except UnsupportedSubspaceError as exc:
-            print(f"signature: unsupported counting shape: {exc}", file=sys.stderr)
-            return EXIT_FAILED
+        sig = slocc_signature(state)
         result["signature"] = sig.render()
         result["exact"] = all(c.exact for c in sig.counts)
         lines.append(f"signature: {sig.render()}")
@@ -357,6 +354,9 @@ def main(argv=None) -> int:
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (InternalLimitError, UnsupportedSubspaceError) as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

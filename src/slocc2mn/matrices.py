@@ -26,27 +26,19 @@ import random
 from dataclasses import dataclass
 from math import factorial, gcd, lcm, prod
 
-from .scalars import GaussianRational, Rational, ZERO, ONE, _int_row, _scalar
+from .scalars import GaussianRational, ZERO, ONE, _int_row, _scalar
 from .polynomials import Poly, poly_gcd_many, exact_roots_of, _poly_mul, _poly_sub
 
 MINOR_SIDE_CAP = 8
 
-_make = GaussianRational._make
+
+class InternalLimitError(ValueError):
+    """An input past an internal limit of this implementation, such as
+    :data:`MINOR_SIDE_CAP`: not a usage error.  A ``ValueError``, so the
+    library's fallbacks that catch one treat it as before."""
 
 
 # -- the Gaussian-integer kernel ----------------------------------------------
-
-
-def _quotient(x, p) -> GaussianRational:
-    """x / p for Gaussian integers x and p != 0, as a Gaussian rational."""
-    a, b = x
-    if not a and not b:
-        return ZERO
-    c, d = p
-    if not d:
-        return _make(Rational(a, c), Rational(b, c))
-    n = c * c + d * d
-    return _make(Rational(a * c + b * d, n), Rational(b * c - a * d, n))
 
 
 def _step(p, f, row, prow, q, start):
@@ -159,7 +151,45 @@ def _null_vectors(rows, pivots, ncols):
 def _null_basis(rows, pivots, ncols):
     """The nullspace basis of Matrix.nullspace() from reduced rows."""
     d, vectors = _null_vectors(rows, pivots, ncols)
-    return [tuple(_quotient(x, d) for x in w) for w in vectors]
+    out = []
+    for w in vectors:
+        ints, n = _over_pivot(w, d)
+        out.append(tuple(_scalar(a, b, n) for a, b in ints))
+    return out
+
+
+def _primitive_ints(ints):
+    """Gaussian-integer pairs divided by the gcd of all their parts, the sign
+    fixed so the first nonzero pair has a positive real part (or a zero real
+    part and a positive imaginary one); an all-zero list is returned as is."""
+    g = gcd(*[x for pair in ints for x in pair])
+    if not g:
+        return ints
+    for a, b in ints:
+        if a or b:
+            if a < 0 or (not a and b < 0):
+                g = -g
+            break
+    return [(a // g, b // g) for a, b in ints]
+
+
+def _over_pivot(ints, p):
+    """(pairs, den): the Gaussian integers ``ints`` divided by the Gaussian
+    integer p != 0, as times conj(p) over |p|^2 with the content removed."""
+    c, d = p
+    if d:
+        n = c * c + d * d
+        ints = [(a * c + b * d, b * c - a * d) for a, b in ints]
+    elif c < 0:
+        n = -c
+        ints = [(-a, -b) for a, b in ints]
+    else:
+        n = c
+    g = gcd(n, *[x for pair in ints for x in pair])
+    if g != 1:
+        ints = [(a // g, b // g) for a, b in ints]
+        n //= g
+    return ints, n
 
 
 def primitive_vector(vec):
@@ -168,16 +198,8 @@ def primitive_vector(vec):
     Clears denominators, divides by the gcd of all integer components, and
     fixes an overall sign; keeps exact-arithmetic bit growth small.
     """
-    ints, _ = _int_row(vec)
-    g = gcd(*[x for pair in ints for x in pair])
-    if not g:
-        return tuple(vec)
-    for a, b in ints:
-        if a or b:
-            if a < 0 or (not a and b < 0):
-                g = -g
-            break
-    return tuple(_scalar(a // g, b // g) for a, b in ints)
+    ints = _primitive_ints(_int_row(vec)[0])
+    return tuple(_scalar(a, b) for a, b in ints)
 
 
 _CERT_PRIME = 1000000009  # = 1 mod 4, so -1 has a square root modulo it
@@ -397,7 +419,13 @@ class Matrix:
 
         Returns (R, pivots, T) with T invertible, T @ self == R, and pivots the
         pivot column indices.  R and pivots are unique; the rows of T past the
-        rank span the left nullspace.  Fully exact and deterministic.
+        rank span the left nullspace, each a primitive Gaussian-integer
+        vector.  Fully exact and deterministic.
+
+        R and T are built in Gaussian-integer form, no
+        :class:`GaussianRational` made until an entry is read: the kernel
+        leaves D times the RREF in each pivot row, and that row becomes
+        itself times conj(D) over |D|^2, the content removed.
         """
         ints, dens = self._int_form()
         n, m = self.rows, self.cols
@@ -409,16 +437,23 @@ class Matrix:
             for i, (row, d) in enumerate(zip(ints, dens))
         ]
         pivots, _ = _eliminate(work, m, reduced=True)
-        r_rows, t_rows = [], []
+        r_rows, r_dens, t_rows, t_dens = [], [], [], []
         for i, row in enumerate(work):
             if i < len(pivots):
-                p = row[pivots[i]]
-                r_rows.append([_quotient(x, p) for x in row[:m]])
-                t_rows.append([_quotient(x, p) for x in row[m:]])
+                r, rd = _over_pivot(row[:m], row[pivots[i]])
+                t, td = _over_pivot(row[m:], row[pivots[i]])
             else:
-                r_rows.append([ZERO] * m)
-                t_rows.append(primitive_vector([_scalar(a, b) for a, b in row[m:]]))
-        return Matrix(r_rows), tuple(pivots), Matrix(t_rows)
+                r, rd = [zero] * m, 1
+                t, td = _primitive_ints(row[m:]), 1
+            r_rows.append(r)
+            r_dens.append(rd)
+            t_rows.append(t)
+            t_dens.append(td)
+        return (
+            Matrix._from_ints(r_rows, r_dens, m),
+            tuple(pivots),
+            Matrix._from_ints(t_rows, t_dens, n),
+        )
 
     def rank(self) -> int:
         """Number of pivots of the kernel's forward elimination."""
@@ -625,6 +660,7 @@ class Pencil:
             raise ValueError("pencil members must share a shape")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_generic_rank", None)
         object.__setattr__(self, "_ints", None)
         object.__setattr__(self, "_entry_polys", None)
 
@@ -686,7 +722,7 @@ class Pencil:
         if k > min(rows, cols):
             raise ValueError("minor size exceeds matrix shape")
         if min(rows, cols) > MINOR_SIDE_CAP:
-            raise ValueError(f"minor enumeration capped at side {MINOR_SIDE_CAP}")
+            raise InternalLimitError(f"minor enumeration capped at side {MINOR_SIDE_CAP}")
         return (
             poly_matrix_det([[self.entry_poly(i, j) for j in csel] for i in rsel])
             for rsel in itertools.combinations(range(rows), k)
@@ -742,26 +778,23 @@ class Pencil:
                 return acc
         return self.minor_gcd(k)
 
-    def generic_rank(self, rng: random.Random | None = None) -> int:
-        """Rank over the rational-function field, by evaluation at random
-        rational points with confirmation and resampling."""
-        cached = getattr(self, "_generic_rank", None)
-        if cached is not None and rng is None:
-            return cached
-        rng = rng or random.Random(20240915)
-        seen: dict[int, int] = {}
-        attempts = 0
-        while True:
-            t = GaussianRational(rng.randint(101, 10**4))
-            r = self.at(t).rank()
-            seen[r] = seen.get(r, 0) + 1
-            attempts += 1
-            best = max(seen)
-            # the rank at a random point is <= generic rank, with equality off
-            # a finite bad set; two agreeing maximal samples settle it
-            if seen[best] >= 2 or attempts > 12:
-                object.__setattr__(self, "_generic_rank", best)
-                return best
+    def generic_rank(self) -> int:
+        """Rank over the rational-function field: the largest rank at
+        t = 0, 1, ..., min(rows, cols), stopping once it is min(rows, cols).
+
+        Exact: a g x g minor that is not identically zero has degree at most
+        g <= min(rows, cols) in t, so it vanishes at no more than g of these
+        min(rows, cols) + 1 points.
+        """
+        if self._generic_rank is None:
+            full = min(self.shape())
+            best = 0
+            for t in range(full + 1):
+                best = max(best, self.at(GaussianRational(t)).rank())
+                if best == full:
+                    break
+            object.__setattr__(self, "_generic_rank", best)
+        return self._generic_rank
 
     def numeric_rank_at(self, t: complex, tol: float) -> int:
         import numpy as np

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import GaussianRational, ZERO, ONE
-from .polynomials import poly_gcd_many, square_free_part, exact_roots_of
+from .polynomials import poly_gcd_many, exact_roots_of
 from .matrices import (
     Matrix,
     Pencil,
@@ -47,6 +47,16 @@ class MatrixSubspace:
                 raise ValueError("basis matrix shape mismatch")
         if stack_vectorized(self.basis).rank() != len(self.basis):
             raise ValueError("basis matrices are linearly dependent")
+
+    @staticmethod
+    def _of_independent(basis) -> "MatrixSubspace":
+        """The span of a basis known to be independent, built without the
+        constructor's elimination."""
+        sub = object.__new__(MatrixSubspace)
+        object.__setattr__(sub, "rows", basis[0].rows)
+        object.__setattr__(sub, "cols", basis[0].cols)
+        object.__setattr__(sub, "basis", tuple(basis))
+        return sub
 
     @property
     def dimension(self) -> int:
@@ -127,9 +137,9 @@ def _count_pencil_span(sub: MatrixSubspace, exact_only: bool = False) -> Product
     count = 0
     exact = True
     if g.degree > 0:
-        sf = square_free_part(g)
-        count += sf.degree
-        roots, numeric = exact_roots_of(sf)
+        # the distinct roots, exact and numeric: deg of the square-free part
+        roots, numeric = exact_roots_of(g)
+        count += len(roots) + len(numeric)
         for t in roots:
             mat = pen.at(t)
             u, v = rank_one_factor(mat)
@@ -217,8 +227,7 @@ def _two_row_locus(sub: MatrixSubspace, exact_only: bool = False) -> RankOneLocu
     if gk.is_zero():
         raise AssertionError("generic rank says full but all maximal minors vanish")
     if gk.degree > 0:
-        sf = square_free_part(gk)
-        roots, numeric = exact_roots_of(sf)
+        roots, numeric = exact_roots_of(gk)
         for t in roots:
             nb = pen.at(t).nullspace()
             if nb:  # spurious candidate roots carry no nullvector
@@ -354,10 +363,8 @@ def exact_rank_one_in_span(sub: MatrixSubspace) -> ProductWitness | None:
 def range_subspace(s: PureState, absent_party: str) -> MatrixSubspace:
     """Range of the reduced state of the two parties other than absent_party,
     as a subspace of (first party) x (second party) matrices."""
-    slices = s.slices(absent_party)
-    _, chosen = _independent_slices(slices)
-    rows, cols = slices[0].shape()
-    return MatrixSubspace(rows=rows, cols=cols, basis=tuple(chosen))
+    _, chosen = _independent_slices(s.slices(absent_party))
+    return MatrixSubspace._of_independent(chosen)
 
 
 @dataclass(frozen=True)
@@ -432,7 +439,7 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
         not sum((g[j] * v[j] for j in range(d_z)), ZERO).is_zero() for g in kernel
     )
     chosen, mats = _independent_slices(slices)
-    sub = MatrixSubspace(rows=mats[0].rows, cols=mats[0].cols, basis=tuple(mats))
+    sub = MatrixSubspace._of_independent(mats)
 
     def functional(c) -> GaussianRational:
         return sum((c[i] * v[chosen[i]] for i in range(len(chosen))), ZERO)
@@ -518,9 +525,8 @@ def quadric_profile(s: PureState, absent_party: str = "C"):
     """
     import random as _random
 
-    slices = s.slices(absent_party)
-    chosen, mats = _independent_slices(slices)
-    sub = MatrixSubspace(rows=mats[0].rows, cols=mats[0].cols, basis=tuple(mats))
+    _, mats = _independent_slices(s.slices(absent_party))
+    sub = MatrixSubspace._of_independent(mats)
     if sub.rows != 2:
         raise ValueError("quadric profile implemented for two-row ranges only")
     locus = _two_row_locus(sub)

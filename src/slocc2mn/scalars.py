@@ -1,9 +1,9 @@
 """Gaussian-rational scalars: complex numbers with exact rational parts.
 
 All amplitudes, operator entries and polynomial coefficients in this package
-are instances of :class:`GaussianRational` at the API boundary; matrices and
-polynomials keep them inside as Gaussian integers over a common denominator
-(:func:`_int_row`, :func:`_scalar`).  Arithmetic is exact; there is no
+are instances of :class:`GaussianRational` at the API boundary; matrices,
+polynomials and states keep them inside as Gaussian integers over a common
+denominator (:func:`_int_row`, :func:`_scalar`).  Arithmetic is exact; there is no
 rounding anywhere in this module.
 """
 

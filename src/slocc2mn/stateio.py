@@ -42,14 +42,10 @@ def _fraction_from(text, where: str) -> Fraction:
 
 
 def state_to_json(s: PureState) -> dict:
-    amplitudes = []
-    for idx in sorted(s.amps):
-        v = s.amps[idx]
-        if v.is_zero():
-            continue
-        amplitudes.append(
-            {"index": list(idx), "re": str(v.re), "im": str(v.im)}
-        )
+    amplitudes = [
+        {"index": list(idx), "re": str(v.re), "im": str(v.im)}
+        for idx, v in sorted(s.amps.items())
+    ]
     return {"dims": list(s.dims), "amplitudes": amplitudes}
 
 

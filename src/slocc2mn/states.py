@@ -1,15 +1,24 @@
 """Tripartite pure states with exact amplitudes.
 
-States are stored sparse (index triple -> scalar); the canonical families all
-have O(M) nonzero amplitudes.  Equality is up to a global nonzero scalar: the
-first nonzero amplitude in lexicographic index order is scaled to one.
+A state is stored sparse and in one form only, the Gaussian-integer form
+that :class:`~slocc2mn.matrices.Matrix` and
+:class:`~slocc2mn.polynomials.Poly` keep: ``{(i, j, k): (re, im)}`` pairs of
+Python ints over one positive denominator, with the content removed (the gcd
+of the denominator and every part is 1), so equal amplitudes have equal
+stored forms.  Unfoldings, slices, party permutations, local operators and
+:func:`compress_to_ranks` read and write that form; :attr:`PureState.amps`
+and :meth:`PureState.amplitude` build :class:`GaussianRational` values on
+each read and do not keep them.  The canonical families all have O(M)
+nonzero amplitudes.  Equality is up to a global nonzero scalar: the first
+nonzero amplitude in lexicographic index order is scaled to one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import GaussianRational, ZERO, ONE, _int_row, _scalar
 from .matrices import Matrix
 
 PARTIES = ("A", "B", "C")
@@ -29,9 +38,14 @@ class LocalRankProfile:
 
 
 class PureState:
-    """Pure state of an (d_A, d_B, d_C) system, unnormalized, exact."""
+    """Pure state of an (d_A, d_B, d_C) system, unnormalized, exact.
 
-    __slots__ = ("dims", "amps")
+    Holds the nonzero amplitudes as Gaussian integers ``_ints[idx]`` over the
+    positive denominator ``_den``, the content removed (see the module
+    docstring); :attr:`amps` is built from them on each read.
+    """
+
+    __slots__ = ("dims", "_ints", "_den")
 
     def __init__(self, dims, amplitudes):
         dims = tuple(int(d) for d in dims)
@@ -47,11 +61,39 @@ class PureState:
                 amps[(i, j, k)] = v
         if not amps:
             raise ValueError("state must have at least one nonzero amplitude")
+        # the least common denominator leaves no content
+        ints, den = _int_row(list(amps.values()))
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_ints", dict(zip(amps, ints)))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
+
+    @staticmethod
+    def _from_ints(dims, ints, den: int = 1) -> "PureState":
+        """The state with amplitudes ``ints[idx] / den`` (Gaussian-integer
+        pairs, ``den > 0``); zero entries are dropped and the content removed."""
+        ints = {idx: v for idx, v in ints.items() if v[0] or v[1]}
+        if not ints:
+            raise ValueError("state must have at least one nonzero amplitude")
+        if den != 1:
+            g = gcd(den, *[x for pair in ints.values() for x in pair])
+            if g != 1:
+                ints = {idx: (a // g, b // g) for idx, (a, b) in ints.items()}
+                den //= g
+        s = object.__new__(PureState)
+        object.__setattr__(s, "dims", tuple(dims))
+        object.__setattr__(s, "_ints", ints)
+        object.__setattr__(s, "_den", den)
+        return s
+
+    @property
+    def amps(self) -> dict:
+        """The nonzero amplitudes as {index: GaussianRational}, built on each
+        read and not kept."""
+        den = self._den
+        return {idx: _scalar(a, b, den) for idx, (a, b) in self._ints.items()}
 
     @staticmethod
     def from_kets(dims, kets) -> "PureState":
@@ -66,7 +108,8 @@ class PureState:
         return PureState(dims, amps)
 
     def amplitude(self, idx) -> GaussianRational:
-        return self.amps.get(tuple(idx), ZERO)
+        v = self._ints.get(tuple(idx))
+        return ZERO if v is None else _scalar(v[0], v[1], self._den)
 
     def scaled(self, s) -> "PureState":
         s = GaussianRational.coerce(s)
@@ -76,24 +119,30 @@ class PureState:
 
     def normalized_leading(self) -> "PureState":
         """Scale so the lexicographically first nonzero amplitude is 1."""
-        first = min(self.amps)
-        return self.scaled(self.amps[first].inverse())
+        c, d = self._ints[min(self._ints)]
+        # v / v0 = n / n0 = n * conj(n0) / |n0|^2: the denominator cancels
+        ints = {idx: (a * c + b * d, b * c - a * d) for idx, (a, b) in self._ints.items()}
+        return PureState._from_ints(self.dims, ints, c * c + d * d)
 
     def equals_up_to_scalar(self, other: "PureState") -> bool:
-        if self.dims != other.dims:
+        if self.dims != other.dims or self._ints.keys() != other._ints.keys():
             return False
-        return self.normalized_leading().amps == other.normalized_leading().amps
+        first = min(self._ints)
+        pr, pi = self._ints[first]
+        qr, qi = other._ints[first]
+        # self = lambda * other iff n_k * m_first == m_k * n_first for every k
+        for idx, (a, b) in self._ints.items():
+            c, d = other._ints[idx]
+            if a * qr - b * qi != c * pr - d * pi or a * qi + b * qr != c * pi + d * pr:
+                return False
+        return True
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PureState)
-            and self.dims == other.dims
-            and self.equals_up_to_scalar(other)
-        )
+        return isinstance(other, PureState) and self.equals_up_to_scalar(other)
 
     def __hash__(self):
         n = self.normalized_leading()
-        return hash((n.dims, tuple(sorted(n.amps.items(), key=lambda kv: kv[0]))))
+        return hash((n.dims, n._den, tuple(sorted(n._ints.items()))))
 
     def __repr__(self):
         terms = ", ".join(
@@ -107,45 +156,44 @@ class PureState:
         """Party-vs-rest matrix; rows indexed by the party, columns by the
         remaining two parties in A<B<C order."""
         p = PARTIES.index(party)
-        others = [q for q in range(3) if q != p]
-        d_row = self.dims[p]
-        d_col = self.dims[others[0]] * self.dims[others[1]]
-        grid = [[ZERO] * d_col for _ in range(d_row)]
-        for (i, j, k), v in self.amps.items():
-            idx = (i, j, k)
-            col = idx[others[0]] * self.dims[others[1]] + idx[others[1]]
-            grid[idx[p]][col] = v
-        return Matrix(grid)
+        q1, q2 = [q for q in range(3) if q != p]
+        d2 = self.dims[q2]
+        grid = [[(0, 0)] * (self.dims[q1] * d2) for _ in range(self.dims[p])]
+        for idx, v in self._ints.items():
+            grid[idx[p]][idx[q1] * d2 + idx[q2]] = v
+        return Matrix._from_ints(grid, [self._den] * len(grid), len(grid[0]))
 
     def _with_unfolding(self, party: str, u: Matrix) -> "PureState":
         """The state of the same dims whose ``party`` unfolding is ``u``."""
         p = PARTIES.index(party)
-        others = [q for q in range(3) if q != p]
-        d_last = self.dims[others[1]]
-        amps = {}
-        for row_index, row in enumerate(u.entries):
-            for col, v in enumerate(row):
-                if not v.is_zero():
+        q1, q2 = [q for q in range(3) if q != p]
+        d2 = self.dims[q2]
+        rows, dens = u._int_form()
+        big = lcm(*dens)
+        ints = {}
+        for i, (row, d) in enumerate(zip(rows, dens)):
+            f = big // d
+            for col, (a, b) in enumerate(row):
+                if a or b:
                     idx = [0, 0, 0]
-                    idx[p] = row_index
-                    idx[others[0]], idx[others[1]] = divmod(col, d_last)
-                    amps[tuple(idx)] = v
-        return PureState(self.dims, amps)
+                    idx[p] = i
+                    idx[q1], idx[q2] = divmod(col, d2)
+                    ints[tuple(idx)] = (a * f, b * f)
+        return PureState._from_ints(self.dims, ints, big)
 
     def slice(self, party: str, index: int) -> Matrix:
         """Sub-tensor at a fixed party index, as a matrix over the remaining
         parties (first remaining party = rows)."""
-        p = PARTIES.index(party)
-        others = [q for q in range(3) if q != p]
-        grid = [[ZERO] * self.dims[others[1]] for _ in range(self.dims[others[0]])]
-        for (i, j, k), v in self.amps.items():
-            idx = (i, j, k)
-            if idx[p] == index:
-                grid[idx[others[0]]][idx[others[1]]] = v
-        return Matrix(grid)
+        return self.slices(party)[index]
 
     def slices(self, party: str):
-        return [self.slice(party, i) for i in range(self.dims[PARTIES.index(party)])]
+        p = PARTIES.index(party)
+        q1, q2 = [q for q in range(3) if q != p]
+        d1, d2 = self.dims[q1], self.dims[q2]
+        grids = [[[(0, 0)] * d2 for _ in range(d1)] for _ in range(self.dims[p])]
+        for idx, v in self._ints.items():
+            grids[idx[p]][idx[q1]][idx[q2]] = v
+        return [Matrix._from_ints(g, [self._den] * d1, d2) for g in grids]
 
     # -- core operations -----------------------------------------------------
 
@@ -188,24 +236,24 @@ class PureState:
         d = self.dims[p]
         if m.shape() != (d, d):
             raise ValueError(f"operator shape {m.shape()} does not match dim {d}")
-        amps: dict = {}
-        for idx, v in self.amps.items():
-            src = idx[p]
-            for dst in range(d):
-                coeff = m[dst, src]
-                if coeff.is_zero():
-                    continue
-                new_idx = list(idx)
-                new_idx[p] = dst
-                key = tuple(new_idx)
-                acc = amps.get(key, ZERO) + coeff * v
-                if acc.is_zero():
-                    amps.pop(key, None)
-                else:
-                    amps[key] = acc
-        if not amps:
+        rows, dens = m._int_form()
+        big = lcm(*dens)
+        # column src of m over the one denominator big: [(dst, entry), ...]
+        cols = [[] for _ in range(d)]
+        for dst, (row, rd) in enumerate(zip(rows, dens)):
+            f = big // rd
+            for src, (c, e) in enumerate(row):
+                if c or e:
+                    cols[src].append((dst, c * f, e * f))
+        ints: dict = {}
+        for idx, (a, b) in self._ints.items():
+            for dst, c, e in cols[idx[p]]:
+                key = idx[:p] + (dst,) + idx[p + 1:]
+                re, im = ints.get(key, (0, 0))
+                ints[key] = (re + a * c - b * e, im + a * e + b * c)
+        if not any(a or b for a, b in ints.values()):
             raise ValueError("local operator annihilates the state (singular)")
-        return PureState(self.dims, amps)
+        return PureState._from_ints(self.dims, ints, self._den * big)
 
     def permute_parties(self, order) -> "PureState":
         """Relabel parties; order is a permutation string such as 'BAC'."""
@@ -213,8 +261,8 @@ class PureState:
         if sorted(perm) != [0, 1, 2]:
             raise ValueError(f"bad permutation {order!r}")
         dims = tuple(self.dims[p] for p in perm)
-        amps = {tuple(idx[p] for p in perm): v for idx, v in self.amps.items()}
-        return PureState(dims, amps)
+        ints = {tuple(idx[p] for p in perm): v for idx, v in self._ints.items()}
+        return PureState._from_ints(dims, ints, self._den)
 
 
 @dataclass(frozen=True)
@@ -266,7 +314,9 @@ def compress_to_ranks(s: PureState):
     Returns (state, per-party basis changes applied in the original dims).
     The basis changes map the support onto the leading basis vectors; trailing
     dimensions are dropped.  The local ranks are the pivot counts of the
-    three row reductions, so the compressed dims are the local ranks.
+    three row reductions, so the compressed dims are the local ranks.  Each
+    party's reduced rows, in Gaussian-integer form, become the next party's
+    state, its content removed.
     """
     changes = {}
     ranks = []
@@ -277,10 +327,7 @@ def compress_to_ranks(s: PureState):
         ranks.append(len(pivots))
         # applying t to the party turns its unfolding into r
         cur = cur._with_unfolding(party, r)
-    amps = {}
-    for idx, v in cur.amps.items():
-        if all(idx[q] < ranks[q] for q in range(3)):
-            amps[idx] = v
-        elif not v.is_zero():
+    for idx in cur._ints:
+        if any(idx[q] >= ranks[q] for q in range(3)):
             raise AssertionError("support outside rank block after compression")
-    return PureState(tuple(ranks), amps), changes
+    return PureState._from_ints(tuple(ranks), cur._ints, cur._den), changes

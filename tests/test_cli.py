@@ -166,6 +166,16 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "signature"])
+def test_internal_limit_is_unsupported_not_usage(capsys, tmp_path, command):
+    # Upsilon0(9) is 2 x 9 x 18: its pencils pass the minor-enumeration cap
+    out = tmp_path / "u9.json"
+    assert run_cli(capsys, "gen", "Upsilon0", "--m", "9", "--out", str(out))[0] == EXIT_OK
+    code, _, err = run_cli(capsys, command, str(out))
+    assert code == EXIT_FAILED
+    assert err.startswith("unsupported: ")
+
+
 def test_text_format_default(capsys, tmp_path):
     out = tmp_path / "g.json"
     run_cli(capsys, "gen", "GHZ", "--out", str(out))

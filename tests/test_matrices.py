@@ -177,6 +177,18 @@ def test_pencil_generic_rank_matches_numeric_sampling():
         assert g == numeric
 
 
+def test_pencil_generic_rank_needs_min_plus_one_points():
+    # diag(t, t-1, t-2) drops to rank 2 at t = 0, 1 and 2; only the fourth
+    # point t = 3 shows the generic rank 3
+    a = Matrix.from_entries(3, 3, lambda i, j: GaussianRational(-i if i == j else 0))
+    pen = Pencil(a, Matrix.identity(3))
+    assert [pen.at(GaussianRational(t)).rank() for t in range(4)] == [2, 2, 2, 3]
+    assert pen.generic_rank() == 3
+    # a pencil that never reaches full rank reads all min(rows, cols) + 1 points
+    b = Matrix([[ONE, ZERO, ZERO], [ZERO, ZERO, ZERO]])
+    assert Pencil(b, b.scale(GaussianRational(2))).generic_rank() == 1
+
+
 def test_pencil_minor_gcd_divides_root_multiple():
     rng = random.Random(30)
     for _ in range(15):

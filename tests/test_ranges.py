@@ -6,6 +6,7 @@ import pytest
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.matrices import Matrix, vec_of_matrix
+from slocc2mn.polynomials import Poly, exact_roots_of, square_free_part
 from slocc2mn.states import PureState
 from slocc2mn.operators import random_ilo
 from slocc2mn.ranges import (
@@ -50,6 +51,25 @@ def test_count_two_product_points_in_diagonal_span():
     assert count.kind == "finite" and count.count == 2
     assert count.exact
     assert len(count.witnesses) == 2
+
+
+def test_pencil_count_is_square_free_degree():
+    # the count is the number of distinct roots exact_roots_of returns, exact
+    # and numeric, which is the degree of the square-free part
+    t = Poly.linear(ZERO, ONE)
+    one = Poly.constant(ONE)
+    for g in (
+        (t - one) * (t - one) * (t * t + one),  # repeated, Gaussian roots
+        (t * t - Poly.constant(GaussianRational(2))) * (t + one),  # irrational
+        (t * t * t - Poly.constant(GaussianRational(2))) * (t * t * t - Poly.constant(GaussianRational(2))),
+    ):
+        roots, numeric = exact_roots_of(g)
+        assert len(roots) + len(numeric) == square_free_part(g).degree
+    # 2x2 pencils: a Jordan block (det t^2) and det t^2 - 2
+    jordan = count_product_states(subspace(mat([[0, 1], [0, 0]]), mat([[1, 0], [0, 1]])))
+    assert jordan.count == 1 and jordan.exact
+    surd = count_product_states(subspace(mat([[0, 2], [1, 0]]), mat([[1, 0], [0, 1]])))
+    assert surd.count == 2 and not surd.exact
 
 
 def test_count_infinite_in_shared_row_span():

@@ -1,9 +1,12 @@
 """Pure-state container: unfoldings, ranks, local actions, compression."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.matrices import Matrix
@@ -140,3 +143,155 @@ def test_compress_to_ranks_is_ilo_image():
     for idx, v in cur.amps.items():
         assert all(idx[q] < comp.dims[q] for q in range(3))
         assert comp.amplitude(idx) == v
+
+
+# -- the one Gaussian-integer storage form --------------------------------------
+
+_parts = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30)),
+    st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 10**24)),
+)
+_amps = st.one_of(
+    st.just(ZERO),
+    st.builds(GaussianRational, _parts),
+    st.builds(GaussianRational, _parts, _parts),
+)
+
+
+@st.composite
+def gaussian_states(draw):
+    """States up to 3 x 3 x 4 with large parts and denominators, complex
+    entries, zero slices and rank-deficient parties."""
+    dims = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    grid = {
+        (i, j, k): draw(_amps)
+        for i in range(dims[0]) for j in range(dims[1]) for k in range(dims[2])
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.integers(0, 2))
+        dst = draw(st.integers(0, dims[p] - 1))
+        src = draw(st.integers(0, dims[p] - 1))
+        # the slice dst of party p becomes zero or a multiple of slice src
+        c = draw(_amps)
+        for idx in grid:
+            if idx[p] == dst:
+                at_src = idx[:p] + (src,) + idx[p + 1:]
+                grid[idx] = ZERO if src == dst else c * grid[at_src]
+    if all(v.is_zero() for v in grid.values()):
+        grid[(0, 0, 0)] = GaussianRational(draw(_parts), draw(_parts)) or ONE
+    return PureState(dims, grid)
+
+
+def _oracle_rref(grid):
+    """Gauss-Jordan on [grid | I] in GaussianRational arithmetic, the first
+    nonzero row of each column its pivot."""
+    n, m = len(grid), len(grid[0])
+    work = [list(row) + [ONE if j == i else ZERO for j in range(n)] for i, row in enumerate(grid)]
+    pivots = []
+    for c in range(m):
+        k = len(pivots)
+        r = next((r for r in range(k, n) if not work[r][c].is_zero()), None)
+        if r is None:
+            continue
+        work[k], work[r] = work[r], work[k]
+        inv = work[k][c].inverse()
+        work[k] = [x * inv for x in work[k]]
+        for r in range(n):
+            f = work[r][c]
+            if r != k and not f.is_zero():
+                work[r] = [x - f * y for x, y in zip(work[r], work[k])]
+        pivots.append(c)
+        if len(pivots) == n:
+            break
+    return [row[:m] for row in work], pivots, [row[m:] for row in work]
+
+
+def _oracle_unfolding(amps, dims, p):
+    q1, q2 = [q for q in range(3) if q != p]
+    grid = [[ZERO] * (dims[q1] * dims[q2]) for _ in range(dims[p])]
+    for idx, v in amps.items():
+        grid[idx[p]][idx[q1] * dims[q2] + idx[q2]] = v
+    return grid
+
+
+def _oracle_compress(s):
+    """The unfolding -> RREF-with-transform -> rebuild loop on amplitudes."""
+    amps, dims = s.amps, s.dims
+    steps, ranks = [], []
+    for p in range(3):
+        u = _oracle_unfolding(amps, dims, p)
+        r_rows, pivots, t_rows = _oracle_rref(u)
+        steps.append((u, r_rows, t_rows, len(pivots)))
+        ranks.append(len(pivots))
+        q1, q2 = [q for q in range(3) if q != p]
+        amps = {}
+        for i, row in enumerate(r_rows):
+            for col, v in enumerate(row):
+                if not v.is_zero():
+                    idx = [0, 0, 0]
+                    idx[p] = i
+                    idx[q1], idx[q2] = divmod(col, dims[q2])
+                    amps[tuple(idx)] = v
+    return PureState(tuple(ranks), amps), steps
+
+
+def _content(s):
+    return gcd(s._den, *[x for pair in s._ints.values() for x in pair])
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_states())
+def test_compress_to_ranks_matches_rational_oracle(s):
+    comp, changes = compress_to_ranks(s)
+    expected, steps = _oracle_compress(s)
+    assert comp.dims == expected.dims == s.local_ranks().as_tuple()
+    assert comp.amps == expected.amps
+    assert _content(comp) == 1
+    for party, (u, r_rows, t_rows, rank) in zip("ABC", steps):
+        t = changes[party]
+        assert t @ Matrix(u) == Matrix(r_rows)
+        assert t.entries[:rank] == tuple(tuple(row) for row in t_rows[:rank])
+        # rows past the rank span the left nullspace; the kernel scales each
+        # to a primitive Gaussian-integer vector
+        for got, want in zip(t.entries[rank:], t_rows[rank:]):
+            j = next(j for j, x in enumerate(want) if not x.is_zero())
+            ratio = got[j] / want[j]
+            assert list(got) == [ratio * x for x in want]
+        for i, (row, d) in enumerate(zip(*t._int_form())):
+            assert gcd(d, *[x for pair in row for x in pair]) == 1
+            assert i < rank or d == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(gaussian_states(), st.integers(1, 10**12), st.sampled_from(["ABC", "BCA", "CBA"]))
+def test_integer_form_is_unique_and_matches_amps(s, k, order):
+    amps = s.amps
+    assert _content(s) == 1
+    # the same amplitudes over a denominator k times too large
+    scaled = PureState._from_ints(
+        s.dims, {idx: (a * k, b * k) for idx, (a, b) in s._ints.items()}, s._den * k
+    )
+    perm = [("ABC".index(ch)) for ch in order]
+    permuted = s.permute_parties(order)
+    rebuilt = PureState(
+        permuted.dims, {tuple(idx[q] for q in perm): v for idx, v in amps.items()}
+    )
+    comp, _ = compress_to_ranks(s)
+    for built, ref in ((scaled, s), (permuted, rebuilt), (comp, PureState(comp.dims, comp.amps))):
+        assert built == ref and hash(built) == hash(ref)
+        assert built.amps == ref.amps
+        assert (built._ints, built._den) == (ref._ints, ref._den)
+        assert _content(built) == 1
+    for p, party in enumerate("ABC"):
+        grid = _oracle_unfolding(amps, s.dims, p)
+        assert s.unfolding(party) == Matrix(grid)
+        q1, q2 = [q for q in range(3) if q != p]
+        for i, sl in enumerate(s.slices(party)):
+            assert sl == s.slice(party, i)
+            expected = [[ZERO] * s.dims[q2] for _ in range(s.dims[q1])]
+            for idx, v in amps.items():
+                if idx[p] == i:
+                    expected[idx[q1]][idx[q2]] = v
+            assert sl == Matrix(expected)
+    assert s.scaled(GaussianRational(Fraction(3, 7), 2)) == s
