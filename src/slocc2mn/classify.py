@@ -3,9 +3,10 @@
 The classifier matches a tiered invariant vector — local ranks, signature,
 BC pencil rank profile, partner-rank multisets, and (as a last tie-breaker)
 the quadric profile of the AB product-direction locus — against the canonical
-library for the state's compressed shape.  Reduction steps extract a product
-state from the AB-range and shrink the C dimension by one, producing an
-auditable elementary-ILO word.  Equivalence verdicts follow a fixed pipeline
+library for the state's compressed shape; a state that is already compressed
+and given with its cached invariants is matched as it stands.  Reduction
+steps extract a product state from the AB-range and shrink the C dimension by
+one, producing an auditable elementary-ILO word.  Equivalence verdicts follow a fixed pipeline
 of invariant comparisons before attempting an explicit witness.
 """
 
@@ -29,6 +30,7 @@ from .ranges import (
     ProductWitness,
     MatrixSubspace,
     range_subspace,
+    _range_of,
     count_product_states,
     exact_rank_one_in_span,
     slocc_signature,
@@ -66,7 +68,7 @@ class StateInvariants:
         def compute():
             if self.ranks.r_a != 2:
                 return None
-            sub = range_subspace(self.state, "A")
+            sub = _range_of(self.state, "A", 2)
             return Pencil(sub.basis[0], sub.basis[1]).rank_profile().key()
 
         return self._get("bc_profile", compute)
@@ -255,7 +257,7 @@ def reduction_trace(s: PureState, max_steps: int = 12) -> list[ReductionStep]:
         ranks = cur.local_ranks()
         if ranks.min() < 2:
             break
-        comp, _ = compress_to_ranks(cur)
+        comp, _ = compress_to_ranks(cur, transform=False)
         comp = comp.permute_parties(_sorted_party_order(comp.dims))
         d = comp.dims
         if d[0] != 2 or not (2 <= d[1] <= d[2] <= 2 * d[1]):
@@ -269,10 +271,25 @@ def reduction_trace(s: PureState, max_steps: int = 12) -> list[ReductionStep]:
     return steps
 
 
-def classify(s: PureState, want_proof: bool = True) -> ClassificationResult:
-    """Assign a ClassLabel by invariant matching against the canonical library."""
+def classify(
+    s: PureState | StateInvariants, want_proof: bool = True
+) -> ClassificationResult:
+    """Assign a ClassLabel by invariant matching against the canonical library.
+
+    The state is compressed to its local ranks and its parties sorted by rank
+    before its invariants are computed.  A state may also be given as its
+    :class:`StateInvariants` (as :func:`decide_equivalence` takes it): when
+    its dims are already its local ranks in ascending order, that state is
+    classified as it stands and every key it has cached is reused; otherwise
+    it is compressed like a bare state.
+    """
+    if isinstance(s, StateInvariants):
+        inv, s = s, s.state
+        ranks = inv.ranks.as_tuple()
+        if s.dims == ranks and list(ranks) == sorted(ranks) and ranks[0] >= 2:
+            return _match(s, inv, "ABC", want_proof)
     # the compressed dims are the local ranks
-    comp, _ = compress_to_ranks(s)
+    comp, _ = compress_to_ranks(s, transform=False)
     if min(comp.dims) < 2:
         return ClassificationResult(
             label=ClassLabel("NotTrueTripartite"),
@@ -280,7 +297,11 @@ def classify(s: PureState, want_proof: bool = True) -> ClassificationResult:
         )
     order = _sorted_party_order(comp.dims)
     norm = comp.permute_parties(order)
-    inv = StateInvariants(norm, LocalRankProfile(*norm.dims))
+    return _match(norm, StateInvariants(norm, LocalRankProfile(*norm.dims)), order, want_proof)
+
+
+def _match(norm: PureState, inv: StateInvariants, order: str, want_proof: bool):
+    """Classify a state whose dims are its local ranks, ascending, all >= 2."""
     if norm.dims[0] != 2:
         return ClassificationResult(
             label=ClassLabel("Unknown"), invariants=inv, permutation=order,
@@ -524,7 +545,8 @@ def decide_equivalence(
     class labels; Equivalent verdicts carry an explicit verified witness.
 
     Either side may be given as its :class:`StateInvariants` (for example an
-    entry of :func:`canonical_invariants`), whose cached keys are then reused.
+    entry of :func:`canonical_invariants`), whose cached keys are then reused,
+    by the class-label tier too (see :func:`classify`).
     """
     inv1 = s1 if isinstance(s1, StateInvariants) else StateInvariants(s1)
     inv2 = s2 if isinstance(s2, StateInvariants) else StateInvariants(s2)
@@ -559,8 +581,8 @@ def decide_equivalence(
             kind="Inequivalent", separating_invariant="partner-rank multiset",
             detail=f"{pk1} vs {pk2}",
         )
-    c1 = classify(s1, want_proof=False)
-    c2 = classify(s2, want_proof=False)
+    c1 = classify(inv1, want_proof=False)
+    c2 = classify(inv2, want_proof=False)
     sentinel = {"Unknown", "NotTrueTripartite"}
     if c1.label.family not in sentinel and c2.label.family not in sentinel:
         if c1.label == c2.label and c1.permutation == c2.permutation:

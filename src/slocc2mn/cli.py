@@ -118,7 +118,8 @@ def cmd_gen(args) -> int:
 def cmd_signature(args) -> int:
     t0 = time.monotonic()
     state = load_state(args.state)
-    ranks = state.local_ranks().as_tuple()
+    local = state.local_ranks()
+    ranks = local.as_tuple()
     result: dict = {"dims": list(state.dims), "local_ranks": list(ranks)}
     lines = [f"dims: {list(state.dims)}", f"local ranks: {list(ranks)}"]
     if min(ranks) < 2:
@@ -127,7 +128,7 @@ def cmd_signature(args) -> int:
         lines.append(rendered)
         ok = True
     else:
-        sig = slocc_signature(state)
+        sig = slocc_signature(state, local)
         result["signature"] = sig.render()
         result["exact"] = all(c.exact for c in sig.counts)
         lines.append(f"signature: {sig.render()}")

@@ -194,8 +194,7 @@ class FamilyParams:
     """Free coefficients of the parametrized normal forms.
 
     Brackets (a, b), (c, d), (f, g) feed the 2x3x3 expressions; each used
-    bracket must be nonzero.  ``chi`` holds the optional |chi> = sum a_i|i>
-    coefficient vector used by the recursive generating constructions.
+    bracket must be nonzero.
     """
 
     a: GaussianRational = ZERO
@@ -205,12 +204,9 @@ class FamilyParams:
     f: GaussianRational = ZERO
     g: GaussianRational = ZERO
 
-    chi: tuple = ()
-
     @staticmethod
     def of(**kw) -> "FamilyParams":
-        chi = tuple(GaussianRational.coerce(x) for x in kw.pop("chi", ()))
-        return FamilyParams(chi=chi, **{k: GaussianRational.coerce(v) for k, v in kw.items()})
+        return FamilyParams(**{k: GaussianRational.coerce(v) for k, v in kw.items()})
 
 
 def make_expression(which: str, params: FamilyParams) -> PureState:

@@ -11,11 +11,12 @@ clears each row's denominators once and keeps that integer form for every
 later call.  Elimination is fraction-free (Bareiss, *Math. Comp.* 22, 1968):
 each step cross-multiplies a row with the pivot row and divides exactly by
 the previous pivot, so entries stay minors of the input and no rational is
-reduced on the way.  ``Matrix.rank``, ``det``, ``nullspace``, ``rref`` (with
-its transform), :func:`certified_nullspace` and the pencil determinants all
-run on it, and :func:`primitive_vector` and :func:`stack_vectorized` share
-its integer row form.  Pencil entries and minors are polynomials in their
-Gaussian-integer form, so the minor gcds never leave the integers.
+reduced on the way.  ``Matrix.rank``, ``det``, ``nullspace``, ``rref``
+(with or without its transform), :func:`certified_nullspace` and the pencil
+minors all run on it, and :func:`primitive_vector` and
+:func:`stack_vectorized` share its integer row form.  Pencil entries and
+minors are polynomials in their Gaussian-integer form, so the minor gcds
+never leave the integers.
 :class:`GaussianRational` values are built only for the results handed back.
 """
 
@@ -414,13 +415,15 @@ class Matrix:
 
     # -- elimination (all through _eliminate) -------------------------------
 
-    def rref(self):
+    def rref(self, transform: bool = True):
         """Reduced row echelon form.
 
         Returns (R, pivots, T) with T invertible, T @ self == R, and pivots the
         pivot column indices.  R and pivots are unique; the rows of T past the
         rank span the left nullspace, each a primitive Gaussian-integer
-        vector.  Fully exact and deterministic.
+        vector.  Fully exact and deterministic.  With ``transform=False`` T is
+        None and the kernel eliminates the rows of self alone, without the
+        identity block that would carry T; R and pivots are the same.
 
         R and T are built in Gaussian-integer form, no
         :class:`GaussianRational` made until an entry is read: the kernel
@@ -430,30 +433,26 @@ class Matrix:
         ints, dens = self._int_form()
         n, m = self.rows, self.cols
         zero = (0, 0)
-        # [D*self | D] with D = diag(dens): row operations L turn it into
-        # [L*D*self | L*D], so T = L*D
-        work = [
-            list(row) + [(d, 0) if j == i else zero for j in range(n)]
-            for i, (row, d) in enumerate(zip(ints, dens))
-        ]
+        if transform:
+            # [D*self | D] with D = diag(dens): row operations L turn it into
+            # [L*D*self | L*D], so T = L*D
+            work = [
+                list(row) + [(d, 0) if j == i else zero for j in range(n)]
+                for i, (row, d) in enumerate(zip(ints, dens))
+            ]
+        else:
+            work = list(ints)
         pivots, _ = _eliminate(work, m, reduced=True)
-        r_rows, r_dens, t_rows, t_dens = [], [], [], []
-        for i, row in enumerate(work):
-            if i < len(pivots):
-                r, rd = _over_pivot(row[:m], row[pivots[i]])
-                t, td = _over_pivot(row[m:], row[pivots[i]])
-            else:
-                r, rd = [zero] * m, 1
-                t, td = _primitive_ints(row[m:]), 1
-            r_rows.append(r)
-            r_dens.append(rd)
-            t_rows.append(t)
-            t_dens.append(td)
-        return (
-            Matrix._from_ints(r_rows, r_dens, m),
-            tuple(pivots),
-            Matrix._from_ints(t_rows, t_dens, n),
-        )
+        rank = len(pivots)
+        lead = [row[pc] for row, pc in zip(work, pivots)]
+        r = [_over_pivot(row[:m], p) for row, p in zip(work, lead)]
+        r += [([zero] * m, 1) for _ in range(n - rank)]
+        t = None
+        if transform:
+            t = [_over_pivot(row[m:], p) for row, p in zip(work, lead)]
+            t += [(_primitive_ints(row[m:]), 1) for row in work[rank:]]
+            t = Matrix._from_ints([x for x, _ in t], [d for _, d in t], n)
+        return Matrix._from_ints([x for x, _ in r], [d for _, d in r], m), tuple(pivots), t
 
     def rank(self) -> int:
         """Number of pivots of the kernel's forward elimination."""
@@ -653,7 +652,7 @@ class PencilRankProfile:
 class Pencil:
     """One-parameter matrix family A + t*B with equal-shape exact members."""
 
-    __slots__ = ("a", "b", "_generic_rank", "_ints", "_entry_polys")
+    __slots__ = ("a", "b", "_generic_rank", "_ints")
 
     def __init__(self, a: Matrix, b: Matrix):
         if a.shape() != b.shape():
@@ -662,7 +661,6 @@ class Pencil:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_generic_rank", None)
         object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "_entry_polys", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Pencil is immutable")
@@ -701,20 +699,17 @@ class Pencil:
 
     def entry_poly(self, i: int, j: int) -> Poly:
         """The entry A[i, j] + t B[i, j], built from the integer rows."""
-        if self._entry_polys is None:
-            a_rows, b_rows, dens = self._int_form()
-            object.__setattr__(self, "_entry_polys", tuple(
-                tuple(Poly._from_ints((x, y), d) for x, y in zip(ra, rb))
-                for ra, rb, d in zip(a_rows, b_rows, dens)
-            ))
-        return self._entry_polys[i][j]
+        a_rows, b_rows, dens = self._int_form()
+        return Poly._from_ints((a_rows[i][j], b_rows[i][j]), dens[i])
 
     def minor_polynomials(self, k: int):
         """Generator of the k x k minors of A + t*B as polynomials, in
         row-major order of the row and column selections.
 
         The size is checked on the call; each minor is computed only when it
-        is read, so a caller that stops early saves the rest.
+        is read, so a caller that stops early saves the rest.  A minor is the
+        determinant of the selected integer rows of A + t*B, over the product
+        of their denominators.
         """
         rows, cols = self.shape()
         if k <= 0:
@@ -723,8 +718,22 @@ class Pencil:
             raise ValueError("minor size exceeds matrix shape")
         if min(rows, cols) > MINOR_SIDE_CAP:
             raise InternalLimitError(f"minor enumeration capped at side {MINOR_SIDE_CAP}")
+        a_rows, b_rows, dens = self._int_form()
+
+        def minor(rsel, csel):
+            # row i of the minor is [a + b t for each column] / dens[i]
+            sub, bound = [], 0
+            for i in rsel:
+                row = [[a_rows[i][j], b_rows[i][j]] for j in csel]
+                if any(b != (0, 0) for _, b in row):
+                    bound += 1
+                elif all(a == (0, 0) for a, _ in row):
+                    return Poly()
+                sub.append(row)
+            return Poly._from_ints(_poly_det_ints(sub, bound), prod(dens[i] for i in rsel))
+
         return (
-            poly_matrix_det([[self.entry_poly(i, j) for j in csel] for i in rsel])
+            minor(rsel, csel)
             for rsel in itertools.combinations(range(rows), k)
             for csel in itertools.combinations(range(cols), k)
         )

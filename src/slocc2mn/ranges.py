@@ -11,6 +11,7 @@ root is irrational.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .scalars import GaussianRational, ZERO, ONE
 from .polynomials import poly_gcd_many, exact_roots_of
@@ -209,9 +210,23 @@ def _two_row_locus(sub: MatrixSubspace, exact_only: bool = False) -> RankOneLocu
     """
     k = sub.dimension
     kk = sub.cols
-    a_mat = Matrix([[sub.basis[i][0, r] for i in range(k)] for r in range(kk)])
-    b_mat = Matrix([[sub.basis[i][1, r] for i in range(k)] for r in range(kk)])
-    pen = Pencil(b_mat, a_mat.scale(GaussianRational(-1)))  # B - t*A
+    forms = [m._int_form() for m in sub.basis]
+
+    def rows_of(half):
+        # column i of A (of B) is row 0 (row 1) of basis element i, its
+        # Gaussian-integer form brought to the one denominator of all k
+        den = lcm(*[dens[half] for _, dens in forms])
+        cols = [
+            [(x * (den // dens[half]), y * (den // dens[half])) for x, y in rows[half]]
+            for rows, dens in forms
+        ]
+        return [list(row) for row in zip(*cols)], [den] * kk
+
+    a_rows, a_dens = rows_of(0)
+    a_mat = Matrix._from_ints(a_rows, a_dens, k)
+    b_mat = Matrix._from_ints(*rows_of(1), k)
+    neg_a = Matrix._from_ints([[(-x, -y) for x, y in row] for row in a_rows], a_dens, k)
+    pen = Pencil(b_mat, neg_a)  # B - t*A
     if k > kk:
         # more basis elements than columns: nonzero nullvector at every slope
         return RankOneLocus(
@@ -367,6 +382,16 @@ def range_subspace(s: PureState, absent_party: str) -> MatrixSubspace:
     return MatrixSubspace._of_independent(chosen)
 
 
+def _range_of(s: PureState, absent_party: str, rank: int) -> MatrixSubspace:
+    """range_subspace(s, absent_party) given that party's local rank.  When
+    the rank is the party's dimension its slices are independent, so they
+    form the basis as they stand, without an elimination."""
+    slices = s.slices(absent_party)
+    if len(slices) != rank:
+        _, slices = _independent_slices(slices)
+    return MatrixSubspace._of_independent(slices)
+
+
 @dataclass(frozen=True)
 class Signature:
     """Local ranks plus the three product counts [a_A, a_B, a_C].
@@ -387,11 +412,12 @@ class Signature:
 
 def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None) -> Signature:
     """Local ranks (computed unless given) and the three product counts."""
-    counts = []
-    for party in PARTIES:
-        sub = range_subspace(s, party)
-        counts.append(count_product_states(sub))
-    return Signature(ranks=ranks or s.local_ranks(), counts=tuple(counts))
+    ranks = ranks or s.local_ranks()
+    counts = tuple(
+        count_product_states(_range_of(s, party, rank))
+        for party, rank in zip(PARTIES, ranks.as_tuple())
+    )
+    return Signature(ranks=ranks, counts=counts)
 
 
 def bc_pencil(s: PureState) -> Pencil:

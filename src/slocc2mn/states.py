@@ -308,7 +308,7 @@ def adjoint_form(s: PureState, party: str) -> AdjointForm:
     return AdjointForm(party=party, basis_change=t, partner_states=partners)
 
 
-def compress_to_ranks(s: PureState):
+def compress_to_ranks(s: PureState, transform: bool = True):
     """Shrink each party dimension to its local rank.
 
     Returns (state, per-party basis changes applied in the original dims).
@@ -316,18 +316,19 @@ def compress_to_ranks(s: PureState):
     dimensions are dropped.  The local ranks are the pivot counts of the
     three row reductions, so the compressed dims are the local ranks.  Each
     party's reduced rows, in Gaussian-integer form, become the next party's
-    state, its content removed.
+    state, its content removed.  The state depends only on the reduced rows,
+    so with ``transform=False`` each unfolding is reduced alone
+    (``Matrix.rref(transform=False)``) and the basis changes are None.
     """
     changes = {}
     ranks = []
     cur = s
     for party in PARTIES:
-        r, pivots, t = cur.unfolding(party).rref()
-        changes[party] = t
+        r, pivots, changes[party] = cur.unfolding(party).rref(transform)
         ranks.append(len(pivots))
-        # applying t to the party turns its unfolding into r
+        # applying the basis change to the party turns its unfolding into r
         cur = cur._with_unfolding(party, r)
     for idx in cur._ints:
         if any(idx[q] >= ranks[q] for q in range(3)):
             raise AssertionError("support outside rank block after compression")
-    return PureState._from_ints(tuple(ranks), cur._ints, cur._den), changes
+    return PureState._from_ints(tuple(ranks), cur._ints, cur._den), changes if transform else None

@@ -15,9 +15,11 @@ Three layers of checks live here:
   censuses for the uniquely-classified shapes.  Signature rows and pairs are
   read from the classifier's canonical invariant table
   (:func:`.classify.canonical_invariants`), so each canonical state's
-  invariants are computed once and shared with ``classify``.
+  invariants are computed once and shared with ``classify``, whose class
+  label for a pair is matched on those same cached keys.
 * ``random_full_rank_state`` samples states with maximal local ranks for the
-  census checks.
+  census checks, drawing each amplitude as a Gaussian integer over the
+  denominator 6 (no rational is built).
 """
 
 from __future__ import annotations
@@ -200,19 +202,23 @@ def verify_appendix_theta45(m: int, trials: int = 100, seed: int = 0) -> dict:
 
 
 def random_full_rank_state(dims, rng: random.Random) -> PureState:
-    """A random state with maximal local ranks (rejection sampling)."""
+    """A random state with maximal local ranks (rejection sampling).
+
+    Each amplitude is ``randint(-3, 3) / randint(1, 3)``, the draws of
+    :func:`~slocc2mn.operators.random_scalar` without its imaginary part,
+    built directly as an integer over the denominator 6.
+    """
     dims = tuple(dims)
     while True:
-        amps = {}
+        ints = {}
         for i in range(dims[0]):
             for j in range(dims[1]):
                 for k in range(dims[2]):
-                    v = random_scalar(rng, allow_imag=False)
-                    if not v.is_zero():
-                        amps[(i, j, k)] = v
-        if not amps:
+                    n = rng.randint(-3, 3)
+                    ints[(i, j, k)] = (n * (6 // rng.randint(1, 3)), 0)
+        if not any(a for a, _ in ints.values()):
             continue
-        s = PureState(dims, amps)
+        s = PureState._from_ints(dims, ints, 6)
         if s.local_ranks().as_tuple() == dims:
             return s
 

@@ -22,6 +22,7 @@ from slocc2mn.classify import (
     apply_ilo_word,
     find_equivalence_witness,
     canonical_invariants,
+    StateInvariants,
 )
 
 
@@ -67,6 +68,32 @@ def test_classification_permutes_parties_when_needed():
     res = classify(s, want_proof=False)
     assert res.label == ClassLabel("Upsilon2", 2)
     assert res.permutation != "ABC"
+
+
+def test_classify_reuses_given_invariants():
+    # a state whose dims are its sorted local ranks is classified as it
+    # stands, with its own invariants; the answer is the compressed one's
+    for n, label in enumerate(covered_labels()):
+        s = make_canonical(label)
+        for state in (s, random_ilo(s.dims, 100 + n).apply(s)):
+            ref = classify(state, want_proof=False)
+            inv = StateInvariants(state)
+            got = classify(inv, want_proof=False)
+            assert (got.label, got.permutation) == (ref.label, ref.permutation) == (label, "ABC")
+            assert got.invariants is inv
+
+
+def test_classify_invariants_fall_back_to_compression():
+    unsorted = make_canonical(ClassLabel("Upsilon2", 2)).permute_parties("CBA")
+    padded = PureState((2, 3, 4), make_canonical(ClassLabel("Upsilon1", 1)).amps)
+    for state in (unsorted, padded, PureState.from_kets((2, 2, 2), [(0, 0, 0), (0, 1, 1)])):
+        ref = classify(state, want_proof=False)
+        inv = StateInvariants(state)
+        got = classify(inv, want_proof=False)
+        assert (got.label, got.permutation, got.note) == (ref.label, ref.permutation, ref.note)
+        assert got.invariants is not inv
+    assert classify(StateInvariants(unsorted)).label == ClassLabel("Upsilon2", 2)
+    assert classify(StateInvariants(padded)).label == ClassLabel("Upsilon1", 1)
 
 
 def test_reduction_step_contract():

@@ -344,6 +344,10 @@ def test_kernel_matches_fraction_oracle(m):
     assert r == Matrix([[GaussianRational(*x) for x in row] for row in r_rows])
     assert t @ m == r
     assert len(_oracle(t)[1]) == m.rows  # T is invertible
+    # the transform-free reduction gives the same R, stored form and pivots
+    bare, bare_pivots, none = m.rref(transform=False)
+    assert none is None and bare_pivots == pivots
+    assert bare == r and bare._int_form() == r._int_form()
 
 
 def test_stack_vectorized_matches_rational_stack():

@@ -248,6 +248,11 @@ def test_compress_to_ranks_matches_rational_oracle(s):
     assert comp.dims == expected.dims == s.local_ranks().as_tuple()
     assert comp.amps == expected.amps
     assert _content(comp) == 1
+    # without the transforms: the same state, stored form and ranks
+    bare, none = compress_to_ranks(s, transform=False)
+    assert none is None
+    assert bare.dims == comp.dims
+    assert (bare._ints, bare._den) == (comp._ints, comp._den)
     for party, (u, r_rows, t_rows, rank) in zip("ABC", steps):
         t = changes[party]
         assert t @ Matrix(u) == Matrix(r_rows)

@@ -1,6 +1,7 @@
 """Verification layer: obstruction argument, table re-derivations, censuses."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -9,8 +10,10 @@ import pytest
 from slocc2mn.classify import decide_equivalence
 from slocc2mn.families import ClassLabel, make_canonical
 from slocc2mn.matrices import Matrix
+from slocc2mn.operators import random_scalar
 from slocc2mn.ranges import slocc_signature
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
+from slocc2mn.states import PureState
 from slocc2mn.verify import (
     term_rank,
     verify_appendix_theta45,
@@ -130,6 +133,33 @@ def test_random_full_rank_state():
         s = random_full_rank_state(dims, rng)
         assert s.dims == dims
         assert s.local_ranks().as_tuple() == dims
+
+
+def _oracle_full_rank_state(dims, rng):
+    """The census sampler on GaussianRational amplitudes: one random_scalar
+    draw per index, retried until every local rank is full."""
+    while True:
+        amps = {}
+        for idx in itertools.product(*map(range, dims)):
+            v = random_scalar(rng, allow_imag=False)
+            if not v.is_zero():
+                amps[idx] = v
+        if amps:
+            s = PureState(dims, amps)
+            if s.local_ranks().as_tuple() == dims:
+                return s
+
+
+def test_random_full_rank_state_matches_scalar_oracle():
+    for dims in ((2, 2, 3), (2, 2, 4), (2, 3, 6)):
+        for seed in range(20):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                got = random_full_rank_state(dims, rng)
+                want = _oracle_full_rank_state(dims, ref_rng)
+                assert got.amps == want.amps
+                assert (got._ints, got._den) == (want._ints, want._den)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_verify_theorem_2_structure():
