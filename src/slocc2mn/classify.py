@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .scalars import GaussianRational, ZERO, ONE
 from .matrices import Matrix, Pencil
+from .polynomials import Poly
 from .states import PureState, PARTIES, LocalRankProfile, compress_to_ranks
 from .operators import (
     OperatorTriple,
@@ -28,10 +29,8 @@ from .operators import (
 )
 from .ranges import (
     ProductWitness,
-    MatrixSubspace,
     range_subspace,
     _range_of,
-    count_product_states,
     exact_rank_one_in_span,
     slocc_signature,
     partner_rank,
@@ -81,13 +80,12 @@ class StateInvariants:
                     out.append("inf")
                 elif pc.count == 0:
                     out.append(())
-                elif not all(w.exact for w in pc.witnesses):
-                    out.append("numeric")
+                elif not pc.exact:
+                    out.append("irrational")
                 else:
-                    ranks = sorted(
-                        partner_rank(self.state, party, w)[0] for w in pc.witnesses
-                    )
-                    out.append(tuple(ranks))
+                    out.append(tuple(sorted(
+                        partner_rank(self.state, party, w) for w in pc.witnesses
+                    )))
             return tuple(out)
 
         return self._get("partner", compute)
@@ -254,10 +252,10 @@ def reduction_trace(s: PureState, max_steps: int = 12) -> list[ReductionStep]:
     steps: list[ReductionStep] = []
     cur = s
     for _ in range(max_steps):
-        ranks = cur.local_ranks()
-        if ranks.min() < 2:
-            break
+        # the compressed dims are the local ranks
         comp, _ = compress_to_ranks(cur, transform=False)
+        if min(comp.dims) < 2:
+            break
         comp = comp.permute_parties(_sorted_party_order(comp.dims))
         d = comp.dims
         if d[0] != 2 or not (2 <= d[1] <= d[2] <= 2 * d[1]):
@@ -350,7 +348,8 @@ def _distinguished_points(pen: Pencil):
     """Projective pencil parameters with dropped rank, with their ranks.
 
     Returns (points, all_exact); each point is ((alpha, beta), rank) meaning
-    the member alpha*T0 + beta*T1.
+    the member alpha*T0 + beta*T1.  Irrational points (their parameter a
+    polynomial) are left out, and all_exact is then False.
     """
     prof = pen.rank_profile()
     points = []
@@ -358,7 +357,7 @@ def _distinguished_points(pen: Pencil):
     for p in prof.exceptional:
         if p.location == "infinity":
             points.append(((ZERO, ONE), p.rank))
-        elif getattr(p, "numeric", False):
+        elif isinstance(p.parameter, Poly):
             exact = False
         else:
             points.append(((ONE, GaussianRational.coerce(p.parameter)), p.rank))
@@ -576,7 +575,7 @@ def decide_equivalence(
             detail=f"{inv1.bc_profile_key()} vs {inv2.bc_profile_key()}",
         )
     pk1, pk2 = inv1.partner_key(), inv2.partner_key()
-    if "numeric" not in pk1 and "numeric" not in pk2 and pk1 != pk2:
+    if "irrational" not in pk1 and "irrational" not in pk2 and pk1 != pk2:
         return EquivalenceVerdict(
             kind="Inequivalent", separating_invariant="partner-rank multiset",
             detail=f"{pk1} vs {pk2}",

@@ -15,6 +15,7 @@ import time
 
 from .families import ClassLabel, make_canonical, SMALL_FAMILIES, PARAMETRIC_FAMILIES
 from .matrices import InternalLimitError
+from .polynomials import Poly
 from .operators import random_ilo
 from .ranges import (
     UnsupportedSubspaceError,
@@ -36,17 +37,17 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _parameter_to_json(parameter):
+    if isinstance(parameter, Poly):
+        return f"root of {parameter}"
+    return None if parameter is None else str(parameter)
+
+
 def _profile_to_json(profile) -> dict:
-    points = []
-    for p in profile.exceptional:
-        points.append(
-            {
-                "location": p.location,
-                "rank": p.rank,
-                "parameter": None if p.parameter is None else str(p.parameter),
-                "numeric": p.numeric,
-            }
-        )
+    points = [
+        {"location": p.location, "rank": p.rank, "parameter": _parameter_to_json(p.parameter)}
+        for p in profile.exceptional
+    ]
     return {
         "generic_rank": profile.generic_rank,
         "exceptional": points,
@@ -133,7 +134,7 @@ def cmd_signature(args) -> int:
         result["exact"] = all(c.exact for c in sig.counts)
         lines.append(f"signature: {sig.render()}")
         if ranks[0] == 2:
-            profile = bc_pencil(state).rank_profile(tol=args.tolerance)
+            profile = bc_pencil(state).rank_profile()
             result["bc_pencil_profile"] = _profile_to_json(profile)
             lines.append(
                 "bc pencil profile: generic rank "
@@ -145,7 +146,6 @@ def cmd_signature(args) -> int:
         "command": "signature",
         "inputs": {"state": args.state},
         "seed": args.seed,
-        "tolerance": args.tolerance,
         "result": result,
         "elapsed_seconds": time.monotonic() - t0,
         "ok": ok,
@@ -298,13 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=False, tolerance=False):
+    def common(p, trials=False):
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--seed", type=int, default=0)
         if trials:
             p.add_argument("--trials", type=int, default=100)
-        if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-9)
 
     p = sub.add_parser("gen", help="emit a canonical family state as a state file")
     p.add_argument("family", choices=tuple(SMALL_FAMILIES) + tuple(PARAMETRIC_FAMILIES))
@@ -315,18 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signature", help="local ranks, product-count signature, pencil profile")
     p.add_argument("state", help="state file path or '-' for stdin")
-    common(p, tolerance=True)
+    common(p)
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("classify", help="assign a class label with a proof trace")
     p.add_argument("state", help="state file path or '-' for stdin")
-    common(p, tolerance=True)
+    common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("equiv", help="decide SLOCC equivalence of two states")
     p.add_argument("state1")
     p.add_argument("state2")
-    common(p, tolerance=True)
+    common(p)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("perturb", help="apply a seeded random invertible local operator")

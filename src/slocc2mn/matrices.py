@@ -1,9 +1,9 @@
 """Dense matrices over Gaussian rationals, and matrix pencils A + t*B.
 
 Everything here is exact: rank, reduced row echelon form, nullspace, inverses
-and minor polynomials never round.  The only floating-point path is the rank
-of a pencil evaluated at an irrational parameter value, which is flagged as
-numeric by the caller.
+and minor polynomials never round, and the rank of a pencil at an irrational
+parameter value comes from an elimination modulo the polynomial the value is
+a root of (:meth:`Pencil.ranks_over`), so no floating point is used.
 
 All elimination goes through one kernel, :func:`_eliminate`.  It works on rows
 of Gaussian integers stored as ``(re, im)`` pairs of Python ints; a matrix
@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from math import factorial, gcd, lcm, prod
 
 from .scalars import GaussianRational, ZERO, ONE, _int_row, _scalar
-from .polynomials import Poly, poly_gcd_many, exact_roots_of, _poly_mul, _poly_sub
+from .polynomials import (
+    Poly, poly_gcd, poly_gcd_many, exact_roots_of, residual_factor, _poly_mul, _poly_sub,
+)
 
 MINOR_SIDE_CAP = 8
 
@@ -488,12 +490,6 @@ class Matrix:
     def is_invertible(self) -> bool:
         return self.rows == self.cols and not self.det().is_zero()
 
-    def to_complex(self):
-        """The entries as a numpy complex array (numpy is imported on demand)."""
-        import numpy as np
-
-        return np.array([[complex(e) for e in row] for row in self.entries], dtype=complex)
-
 
 def matrix_from_vec(vec, rows: int, cols: int) -> Matrix:
     """Reshape a flat row-major scalar sequence into a matrix."""
@@ -626,15 +622,15 @@ def _int_matmul(x, y):
 class ExceptionalPoint:
     """A pencil parameter value where the rank drops below the generic rank.
 
-    ``location`` is 'finite' or 'infinity'; ``parameter`` is the exact root
-    when known, else None; ``rank`` is the rank at the point; ``numeric`` marks
-    ranks computed in floating point at an irrational root.
+    ``location`` is 'finite' or 'infinity'; ``rank`` is the exact rank at the
+    point.  ``parameter`` is the root when it is Gaussian-rational, the monic
+    square-free :class:`Poly` it is a root of when it is irrational (one
+    point per root, sharing that factor), and None at infinity.
     """
 
     location: str
     rank: int
     parameter: object = None
-    numeric: bool = False
 
 
 @dataclass(frozen=True)
@@ -805,18 +801,56 @@ class Pencil:
             object.__setattr__(self, "_generic_rank", best)
         return self._generic_rank
 
-    def numeric_rank_at(self, t: complex, tol: float) -> int:
-        import numpy as np
+    def ranks_over(self, f: Poly) -> list[tuple[Poly, int]]:
+        """Rank of A + alpha*B at the roots alpha of the square-free ``f``, as
+        pairs (factor, rank): the monic factors multiply to f's monic form,
+        and the rank is the same at every root of one factor.
 
-        m = self.a.to_complex() + t * self.b.to_complex()
-        return int(np.linalg.matrix_rank(m, tol=tol))
+        Dynamic evaluation (Della Dora, Dicrescenzo & Duval, *EUROCAL '85*,
+        LNCS 204): a fraction-free elimination over Q(i)[t]/(f), each entry
+        reduced modulo f.  The pivot is a nonzero entry of least degree; it is
+        a unit unless it shares a factor g = gcd(p, f) with f, and then the
+        elimination goes on twice, modulo g (where p vanishes) and modulo
+        f / g (where it is a unit).  No root is located, so irrational roots
+        get exact ranks.
+        """
+        rows, cols = self.shape()
+        f = f.monic()
+        todo = [(f, [[self.entry_poly(i, j) % f for j in range(cols)] for i in range(rows)], 0)]
+        out = []
+        while todo:
+            f, mat, rank = todo.pop()
+            mat = [row for row in mat if any(row)]
+            if not mat:
+                out.append((f, rank))
+                continue
+            p, i, j = min(
+                ((e, i, j) for i, row in enumerate(mat) for j, e in enumerate(row) if e),
+                key=lambda x: x[0].degree,
+            )
+            if p.degree > 0:
+                g = poly_gcd(p, f)
+                if g.degree > 0:
+                    for h in (f // g, g):
+                        todo.append((h, [[e % h for e in row] for row in mat], rank))
+                    continue
+            prow = mat.pop(i)
+            # rows with a zero in column j only lose that column
+            mat = [
+                [(p * e - row[j] * q) % f for e, q in zip(row, prow)] if row[j] else row
+                for row in mat
+            ]
+            todo.append((f, [row[:j] + row[j + 1:] for row in mat], rank + 1))
+        return out
 
-    def rank_profile(self, tol: float = 1e-9) -> PencilRankProfile:
+    def rank_profile(self) -> PencilRankProfile:
         """Generic rank plus the multiset of ranks at exceptional points.
 
         Exceptional finite points are the distinct roots of the gcd of the
         generic-rank-sized minors; the point at infinity is exceptional when
-        rank(B) is below the generic rank.
+        rank(B) is below the generic rank.  Gaussian-rational roots are
+        evaluated one by one; the irrational ones get their ranks from
+        :meth:`ranks_over`, one point per root, the factor as parameter.
         """
         if self.a.is_zero() and self.b.is_zero():
             raise ValueError("zero pencil has no rank profile")
@@ -834,14 +868,11 @@ class Pencil:
                         points.append(
                             ExceptionalPoint(location="finite", parameter=r, rank=rk)
                         )
-                for z in numeric:
-                    rk = self.numeric_rank_at(complex(z), tol)
-                    if rk < g:
-                        points.append(
-                            ExceptionalPoint(
-                                location="finite", parameter=complex(z), rank=rk, numeric=True
-                            )
-                        )
+                if numeric:
+                    for f, rk in self.ranks_over(residual_factor(gcd, exact)):
+                        if rk < g:
+                            point = ExceptionalPoint(location="finite", parameter=f, rank=rk)
+                            points.extend([point] * f.degree)
         rb = self.b.rank()
         if rb < g:
             points.append(ExceptionalPoint(location="infinity", rank=rb))

@@ -10,11 +10,13 @@ the polynomial was made from them.
 *J. ACM* 14, 1967; Brown & Traub, *J. ACM* 18, 1971): each pseudo-remainder
 is divided exactly by a factor the theory predicts, so coefficients stay
 minors of the Sylvester matrix, as Bareiss elimination keeps them for
-matrices.  On it rest the square-free part and exact root extraction, with a
-numeric root finder (Aberth-Ehrlich iteration in Python complex arithmetic;
-numpy is not needed) that only proposes candidates.  Root *counting* is
-always exact; only root *locations* may fall back to floating point when
-they are irrational.
+matrices.  On it rest the square-free part and exact root extraction.  The
+one floating-point routine of the package, an Aberth-Ehrlich root finder in
+Python complex arithmetic, only proposes candidate roots, each checked
+exactly before it is used; it decides no answer.  Root *counting* is always
+exact.  Irrational roots are never located: they are kept as the roots of
+one residual polynomial (:func:`residual_factor`), on which ranks are
+computed exactly (:meth:`.matrices.Pencil.ranks_over`).
 """
 
 from __future__ import annotations
@@ -247,11 +249,12 @@ class Poly:
             power *= xd
         return _scalar(re, im, den * power // xd if a else 1)
 
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
+    def __str__(self):
         terms = [f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        return "Poly(" + " + ".join(terms) + ")"
+        return " + ".join(terms) or "0"
+
+    def __repr__(self):
+        return f"Poly({self})"
 
 
 def _over(ints, g, den: int) -> Poly:
@@ -389,6 +392,16 @@ def exact_roots_of(p: Poly) -> tuple[list[GaussianRational], list[complex]]:
     leftovers.
     """
     return _split_roots(square_free_part(p))
+
+
+def residual_factor(p: Poly, roots) -> Poly:
+    """The square-free part of ``p`` with the linear factors of the exact
+    ``roots`` divided out: given the exact roots of :func:`exact_roots_of`,
+    the monic polynomial whose roots are its numeric leftovers."""
+    out = square_free_part(p)
+    for r in roots:
+        out = out // Poly.linear(-r, ONE)
+    return out
 
 
 def _split_roots(sf: Poly):

@@ -4,8 +4,9 @@ For a tripartite state and an absent party X, the range of the reduced state
 of the other two parties is a subspace of bipartite vectors, viewed here as a
 subspace of matrices; product states are its rank-one elements.  Counting is
 exact throughout: finite counts come from gcd degree drops, infinities from
-exact degeneracy tests.  Only witness *coordinates* may be numeric, when a
-root is irrational.
+exact degeneracy tests, and ranks at irrational pencil slopes from
+:meth:`.matrices.Pencil.ranks_over`.  Every witness is exact; a point at an
+irrational slope is counted without one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .scalars import GaussianRational, ZERO, ONE
-from .polynomials import poly_gcd_many, exact_roots_of
+from .polynomials import Poly, poly_gcd_many, exact_roots_of, residual_factor
 from .matrices import (
     Matrix,
     Pencil,
@@ -74,21 +75,21 @@ class MatrixSubspace:
 
 @dataclass(frozen=True)
 class ProductWitness:
-    """A rank-one element of a subspace: coefficients and factors u (x) v.
-
-    Exact witnesses carry GaussianRational tuples; numeric witnesses carry
-    complex tuples and exact=False.
-    """
+    """A rank-one element of a subspace: GaussianRational coefficients and
+    factors u (x) v."""
 
     coeffs: tuple
     u: tuple
     v: tuple
-    exact: bool = True
 
 
 @dataclass(frozen=True)
 class ProductCount:
-    """Finite(n) or Infinite count of product states in a subspace."""
+    """Finite(n) or Infinite count of product states in a subspace.
+
+    ``exact`` says every counted point has a Gaussian-rational witness; the
+    count is exact either way.
+    """
 
     kind: str  # 'finite' | 'infinite'
     count: int = 0
@@ -119,11 +120,10 @@ def rank_one_factor(m: Matrix):
     raise ValueError("zero matrix has no rank-one factorization")
 
 
-def _count_pencil_span(sub: MatrixSubspace, exact_only: bool = False) -> ProductCount:
+def _count_pencil_span(sub: MatrixSubspace) -> ProductCount:
     """Product states in span{M0, M1}: rank-one points of the projective line.
 
-    With ``exact_only`` no numeric witness is built for an irrational root
-    (the count still includes it).
+    An irrational root is counted without a witness.
     """
     m0, m1 = sub.basis
     pen = Pencil(m0, m1)
@@ -142,23 +142,9 @@ def _count_pencil_span(sub: MatrixSubspace, exact_only: bool = False) -> Product
         roots, numeric = exact_roots_of(g)
         count += len(roots) + len(numeric)
         for t in roots:
-            mat = pen.at(t)
-            u, v = rank_one_factor(mat)
+            u, v = rank_one_factor(pen.at(t))
             witnesses.append(ProductWitness(coeffs=(ONE, t), u=u, v=v))
         exact = not numeric
-        for z in [] if exact_only else numeric:
-            import numpy as np
-
-            a = m0.to_complex() + complex(z) * m1.to_complex()
-            uu, ss, vv = np.linalg.svd(a)
-            witnesses.append(
-                ProductWitness(
-                    coeffs=(1.0, complex(z)),
-                    u=tuple(uu[:, 0] * ss[0]),
-                    v=tuple(vv[0, :]),
-                    exact=False,
-                )
-            )
     if m1.rank() <= 1:
         count += 1
         u, v = rank_one_factor(m1)
@@ -170,26 +156,31 @@ def _count_pencil_span(sub: MatrixSubspace, exact_only: bool = False) -> Product
 class RankOnePoint:
     """Rank-one elements of a two-row subspace at one pencil parameter.
 
-    ``parameter`` is an exact scalar, a complex number (numeric=True), or the
-    string 'infinity'.  ``null_basis`` spans the coefficient vectors (over the
-    subspace basis) whose elements are rank one at this parameter.
+    ``parameter`` is a Gaussian-rational slope or the string 'infinity'.
+    ``null_basis`` spans the coefficient vectors (over the subspace basis)
+    whose elements are rank one at this parameter.
     """
 
     parameter: object
     null_basis: list
-    numeric: bool = False
 
 
 @dataclass
 class RankOneLocus:
-    """Full description of the rank-one locus of a two-row matrix subspace."""
+    """Full description of the rank-one locus of a two-row matrix subspace.
+
+    ``pencil`` is B - t*A; ``points`` are its Gaussian-rational and infinite
+    rank-one slopes, and ``residual`` (None when there is none) the monic
+    square-free polynomial whose roots are the remaining candidate slopes,
+    all irrational; ``pencil.ranks_over(residual)`` tells which are genuine.
+    """
 
     generic_infinite: bool
+    a_mat: Matrix
+    b_mat: Matrix
+    pencil: Pencil
     points: list[RankOnePoint] = field(default_factory=list)
-    generic_nullity: int = 0
-    a_mat: Matrix | None = None
-    b_mat: Matrix | None = None
-    exact: bool = True
+    residual: Poly | None = None
 
     def sample_generic_parameters(self):
         """Rational parameters for probing the generic (infinite) part."""
@@ -200,13 +191,14 @@ class RankOneLocus:
         return [GaussianRational(v) for v in vals]
 
 
-def _two_row_locus(sub: MatrixSubspace, exact_only: bool = False) -> RankOneLocus:
+def _two_row_locus(sub: MatrixSubspace) -> RankOneLocus:
     """Rank-one locus of span{B_1..B_k} with each B_i a 2 x K matrix.
 
     Writing row pairs (a_i, b_i), coefficient vectors c with a rank-one element
     at slope t are the nullvectors of B - t A where A = [a_i], B = [b_i] as
-    K x k matrices; slope infinity corresponds to nullvectors of A.  With
-    ``exact_only`` the points at irrational slopes are left out.
+    K x k matrices; slope infinity corresponds to nullvectors of A.  The
+    irrational candidate slopes are kept as one residual polynomial, whose
+    ranks are computed only when read.
     """
     k = sub.dimension
     kk = sub.cols
@@ -227,17 +219,10 @@ def _two_row_locus(sub: MatrixSubspace, exact_only: bool = False) -> RankOneLocu
     b_mat = Matrix._from_ints(*rows_of(1), k)
     neg_a = Matrix._from_ints([[(-x, -y) for x, y in row] for row in a_rows], a_dens, k)
     pen = Pencil(b_mat, neg_a)  # B - t*A
-    if k > kk:
-        # more basis elements than columns: nonzero nullvector at every slope
-        return RankOneLocus(
-            generic_infinite=True, generic_nullity=k - kk, a_mat=a_mat, b_mat=b_mat
-        )
-    g_rank = pen.generic_rank()
-    if g_rank < k:
-        return RankOneLocus(
-            generic_infinite=True, generic_nullity=k - g_rank, a_mat=a_mat, b_mat=b_mat
-        )
-    locus = RankOneLocus(generic_infinite=False, a_mat=a_mat, b_mat=b_mat)
+    # with more basis elements than columns there is a nullvector at every slope
+    if k > kk or pen.generic_rank() < k:
+        return RankOneLocus(generic_infinite=True, a_mat=a_mat, b_mat=b_mat, pencil=pen)
+    locus = RankOneLocus(generic_infinite=False, a_mat=a_mat, b_mat=b_mat, pencil=pen)
     gk = pen.minor_root_multiple(k)
     if gk.is_zero():
         raise AssertionError("generic rank says full but all maximal minors vanish")
@@ -247,36 +232,16 @@ def _two_row_locus(sub: MatrixSubspace, exact_only: bool = False) -> RankOneLocu
             nb = pen.at(t).nullspace()
             if nb:  # spurious candidate roots carry no nullvector
                 locus.points.append(RankOnePoint(parameter=t, null_basis=nb))
-        for z in [] if exact_only else numeric:
-            import numpy as np
-
-            mat = b_mat.to_complex() - complex(z) * a_mat.to_complex()
-            _, s, vh = np.linalg.svd(mat)
-            tol = 1e-9 * max(1.0, s[0] if len(s) else 1.0)
-            # SVD right-singular vectors for near-zero singular values
-            nb = [tuple(vh[i, :]) for i in range(mat.shape[1]) if i >= len(s) or s[i] < tol]
-            if nb:
-                locus.exact = False
-                locus.points.append(
-                    RankOnePoint(parameter=complex(z), null_basis=nb, numeric=True)
-                )
+        if numeric:
+            locus.residual = residual_factor(gk, roots)
     na = a_mat.nullspace()
     if na:
         locus.points.append(RankOnePoint(parameter="infinity", null_basis=na))
     return locus
 
 
-def _locus_witness(locus: RankOneLocus, sub: MatrixSubspace, point: RankOnePoint):
+def _locus_witness(locus: RankOneLocus, point: RankOnePoint):
     c = point.null_basis[0]
-    if point.numeric:
-        import numpy as np
-
-        a = locus.a_mat.to_complex()
-        b = locus.b_mat.to_complex()
-        cv = np.array(c, dtype=complex)
-        v = a @ cv
-        t = point.parameter
-        return ProductWitness(coeffs=tuple(cv), u=(1.0, t), v=tuple(v), exact=False)
     if point.parameter == "infinity":
         v = locus.b_mat.apply_vector(c)
         return ProductWitness(coeffs=tuple(c), u=(ZERO, ONE), v=tuple(v))
@@ -285,22 +250,29 @@ def _locus_witness(locus: RankOneLocus, sub: MatrixSubspace, point: RankOnePoint
 
 
 def _count_two_row(sub: MatrixSubspace) -> ProductCount:
+    """One point per rank-one slope, so deg(f) points for a factor f of the
+    irrational residual; infinite when a slope has nullity >= 2."""
     locus = _two_row_locus(sub)
     if locus.generic_infinite:
         return ProductCount(
             kind="infinite",
             family_note="rank-one elements exist at every pencil slope",
         )
-    for p in locus.points:
-        if len(p.null_basis) >= 2:
-            return ProductCount(
-                kind="infinite",
-                exact=not p.numeric,
-                family_note="a degenerate slope carries a multi-dimensional product family",
-            )
-    witnesses = tuple(_locus_witness(locus, sub, p) for p in locus.points)
-    exact = all(w.exact for w in witnesses)
-    return ProductCount(kind="finite", count=len(locus.points), witnesses=witnesses, exact=exact)
+    k = sub.dimension
+    # factors of the residual at whose roots B - t*A drops rank: rank-one slopes
+    irrational = [] if locus.residual is None else [
+        (f, rk) for f, rk in locus.pencil.ranks_over(locus.residual) if rk < k
+    ]
+    if any(len(p.null_basis) >= 2 for p in locus.points) or any(
+        rk <= k - 2 for _, rk in irrational
+    ):
+        return ProductCount(
+            kind="infinite",
+            family_note="a degenerate slope carries a multi-dimensional product family",
+        )
+    witnesses = tuple(_locus_witness(locus, p) for p in locus.points)
+    count = len(witnesses) + sum(f.degree for f, _ in irrational)
+    return ProductCount(kind="finite", count=count, witnesses=witnesses, exact=not irrational)
 
 
 def count_product_states(sub: MatrixSubspace) -> ProductCount:
@@ -347,24 +319,19 @@ def exact_rank_one_in_span(sub: MatrixSubspace) -> ProductWitness | None:
             return ProductWitness(coeffs=(ONE,), u=u, v=v)
         return None
     if sub.dimension == 2:
-        pc = _count_pencil_span(sub, exact_only=True)
+        pc = _count_pencil_span(sub)
         if pc.is_infinite:
             u, v = rank_one_factor(sub.basis[0])
             return ProductWitness(coeffs=(ONE, ZERO), u=u, v=v)
-        for w in pc.witnesses:
-            if w.exact:
-                return w
-        return None
+        return pc.witnesses[0] if pc.witnesses else None
     if sub.rows != 2:
         raise UnsupportedSubspaceError("rank-one sampling needs two-row matrices")
-    locus = _two_row_locus(sub, exact_only=True)
-    for p in locus.points:
-        if not p.numeric:
-            return _locus_witness(locus, sub, p)
+    locus = _two_row_locus(sub)
+    if locus.points:
+        return _locus_witness(locus, locus.points[0])
     if locus.generic_infinite:
-        pen = Pencil(locus.b_mat, locus.a_mat.scale(GaussianRational(-1)))
         for t in locus.sample_generic_parameters():
-            nb = pen.at(t).nullspace()
+            nb = locus.pencil.at(t).nullspace()
             if nb:
                 c = nb[0]
                 v = locus.a_mat.apply_vector(c)
@@ -449,10 +416,12 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
     We report the minimum Schmidt rank over that family, an SLOCC invariant.
     The partner matrices have two rows (the A party), so the result is 1 or 2.
 
-    Returns (rank, exact_flag).
+    Partner rank 1 needs a nullvector c of B - t*A (a rank-one element of
+    the slice span) on which the functional phi(c) = sum_i c_i v_i does not
+    vanish.  At an irrational slope that is read off exact ranks: phi is
+    nonzero on the nullspace exactly when appending phi as a row raises the
+    rank there.
     """
-    if not witness.exact:
-        raise ValueError("partner rank needs an exact witness")
     y_party, z_party = RANGE_PAIR[absent_party]
     v = witness.v
     slices = s.slices(z_party)
@@ -474,31 +443,36 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
         # the hyperplane condition is vacuous: partner rank 1 iff any rank-one
         # element exists in the slice span at all
         pc = count_product_states(sub)
-        return (1 if pc.is_infinite or pc.count > 0 else 2), True
+        return 1 if pc.is_infinite or pc.count > 0 else 2
 
     locus = _two_row_locus(sub)
-    exact = locus.exact
+    pen = locus.pencil
+
+    def phi_raises_rank(f) -> bool:
+        # B - t*A with the constant row phi appended, against B - t*A alone
+        with_phi = Pencil(
+            Matrix(list(pen.a.entries) + [[v[j] for j in chosen]]),
+            Matrix(list(pen.b.entries) + [[ZERO] * len(chosen)]),
+        )
+        return any(
+            rk2 > rk for g, rk in pen.ranks_over(f) for _, rk2 in with_phi.ranks_over(g)
+        )
+
     for p in locus.points:
-        if p.numeric:
-            for c in p.null_basis:
-                val = sum(complex(c[i]) * complex(v[chosen[i]]) for i in range(len(chosen)))
-                if abs(val) > 1e-9:
-                    return 1, False
-            exact = False
-        else:
-            for c in p.null_basis:
-                if not functional(c).is_zero():
-                    return 1, True
+        for c in p.null_basis:
+            if not functional(c).is_zero():
+                return 1
+    if locus.residual is not None and phi_raises_rank(locus.residual):
+        return 1
     if locus.generic_infinite:
-        pen = Pencil(locus.b_mat, locus.a_mat.scale(GaussianRational(-1)))
         for t in locus.sample_generic_parameters():
             for c in pen.at(t).nullspace():
                 if not functional(c).is_zero():
-                    return 1, True
+                    return 1
         # slope infinity: rank-one elements with vanishing first row
         for c in locus.a_mat.nullspace():
             if not functional(c).is_zero():
-                return 1, True
+                return 1
         # slopes where the nullity jumps above its generic value
         g_rank = pen.generic_rank()
         if 0 < g_rank <= min(pen.a.rows, pen.a.cols):
@@ -508,13 +482,10 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
                 for t in roots:
                     for c in pen.at(t).nullspace():
                         if not functional(c).is_zero():
-                            return 1, True
-                for z in numeric:
-                    # only a genuine rank drop (not a spurious candidate
-                    # root) leaves the answer resting on floating point
-                    if pen.numeric_rank_at(complex(z), 1e-9) < g_rank:
-                        exact = False
-    return 2, exact
+                            return 1
+                if numeric and phi_raises_rank(residual_factor(gj, roots)):
+                    return 1
+    return 2
 
 
 def product_witness_adjoint_profile(s: PureState, absent_party: str):
@@ -528,8 +499,7 @@ def product_witness_adjoint_profile(s: PureState, absent_party: str):
         raise ValueError("partner profile undefined for an infinite product family")
     out = []
     for w in pc.witnesses:
-        r, _ = partner_rank(s, absent_party, w)
-        out.append((w, r))
+        out.append((w, partner_rank(s, absent_party, w)))
     return out
 
 
@@ -585,18 +555,14 @@ def quadric_profile(s: PureState, absent_party: str = "C"):
                 for r in range(len(basis[0]))
             )
 
-    pen = Pencil(locus.b_mat, locus.a_mat.scale(GaussianRational(-1)))
-    params = locus.sample_generic_parameters()
-    for t in params:
-        nb = pen.at(t).nullspace()
+    for t in locus.sample_generic_parameters():
+        nb = locus.pencil.at(t).nullspace()
         for c in combos(nb) if nb else []:
             add_sample(locus.a_mat.apply_vector(c))
     na = locus.a_mat.nullspace()
     for c in combos(na) if na else []:
         add_sample(locus.b_mat.apply_vector(c))
     for p in locus.points:
-        if p.numeric:
-            continue
         if p.parameter == "infinity":
             for c in combos(p.null_basis):
                 add_sample(locus.b_mat.apply_vector(c))

@@ -204,32 +204,6 @@ class PureState:
             self.unfolding("C").rank(),
         )
 
-    def reduced_density(self, parties) -> Matrix:
-        """Unnormalized reduced density matrix of a proper nonempty subset of
-        parties: rho = U @ conj(U).T for the joint unfolding U."""
-        parties = tuple(sorted(set(parties), key=PARTIES.index))
-        if not parties or len(parties) == 3:
-            raise ValueError("parties must be a proper nonempty subset of A, B, C")
-        keep = [PARTIES.index(p) for p in parties]
-        drop = [q for q in range(3) if q not in keep]
-        d_row = 1
-        for q in keep:
-            d_row *= self.dims[q]
-        d_col = 1
-        for q in drop:
-            d_col *= self.dims[q]
-        grid = [[ZERO] * d_col for _ in range(d_row)]
-        for idx, v in self.amps.items():
-            row = 0
-            for q in keep:
-                row = row * self.dims[q] + idx[q]
-            col = 0
-            for q in drop:
-                col = col * self.dims[q] + idx[q]
-            grid[row][col] = v
-        u = Matrix(grid)
-        return u @ u.conjugate().transpose()
-
     def apply_local(self, party: str, m: Matrix) -> "PureState":
         """Contract the chosen index with a square matrix (new = m @ old)."""
         p = PARTIES.index(party)
@@ -263,49 +237,6 @@ class PureState:
         dims = tuple(self.dims[p] for p in perm)
         ints = {tuple(idx[p] for p in perm): v for idx, v in self._ints.items()}
         return PureState._from_ints(dims, ints, self._den)
-
-
-@dataclass(frozen=True)
-class AdjointForm:
-    """Expansion s = sum_i |i>_party (x) partner_i with independent partners.
-
-    ``basis_change`` is the invertible matrix applied to the chosen party so
-    that the party slices of the transformed state are the listed partners
-    (zero beyond the local rank).
-    """
-
-    party: str
-    basis_change: Matrix
-    partner_states: tuple[Matrix, ...]
-
-    def reconstruct(self, dims) -> PureState:
-        """Rebuild the original state (undoing the basis change)."""
-        p = PARTIES.index(self.party)
-        others = [q for q in range(3) if q != p]
-        amps: dict = {}
-        for i, mat in enumerate(self.partner_states):
-            for r in range(mat.rows):
-                for c in range(mat.cols):
-                    v = mat[r, c]
-                    if v.is_zero():
-                        continue
-                    idx = [0, 0, 0]
-                    idx[p] = i
-                    idx[others[0]] = r
-                    idx[others[1]] = c
-                    amps[tuple(idx)] = v
-        staged = PureState(dims, amps)
-        return staged.apply_local(self.party, self.basis_change.inverse())
-
-
-def adjoint_form(s: PureState, party: str) -> AdjointForm:
-    """Row-reduce the party unfolding to produce an adjoint expansion."""
-    u = s.unfolding(party)
-    r, pivots, t = u.rref()
-    rank = len(pivots)
-    s2 = s.apply_local(party, t)
-    partners = tuple(s2.slice(party, i) for i in range(rank))
-    return AdjointForm(party=party, basis_change=t, partner_states=partners)
 
 
 def compress_to_ranks(s: PureState, transform: bool = True):

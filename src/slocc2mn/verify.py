@@ -28,7 +28,7 @@ import random
 
 from .scalars import GaussianRational, ZERO
 from .matrices import Matrix, _eliminate, _int_row, _null_vectors
-from .states import PureState
+from .states import PureState, LocalRankProfile
 from .operators import random_scalar
 from .families import (
     ClassLabel,
@@ -37,7 +37,7 @@ from .families import (
     make_expression,
     expression_branch_label,
 )
-from .classify import canonical_invariants, classify, decide_equivalence
+from .classify import StateInvariants, canonical_invariants, classify, decide_equivalence
 
 
 # -- bipartite term rank ------------------------------------------------------
@@ -315,7 +315,9 @@ def _census(dims, expected_labels, trials: int, rng: random.Random) -> dict:
     seen = {}
     for _ in range(trials):
         s = random_full_rank_state(dims, rng)
-        label = classify(s, want_proof=False).label.render()
+        # its local ranks are its dims, so classify matches it as it stands
+        inv = StateInvariants(s, LocalRankProfile(*s.dims))
+        label = classify(inv, want_proof=False).label.render()
         seen[label] = seen.get(label, 0) + 1
     ok = set(seen) == expected
     return {

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -182,3 +184,59 @@ def test_text_format_default(capsys, tmp_path):
     code, text, _ = run_cli(capsys, "classify", str(out))
     assert code == EXIT_OK
     assert "label: GHZ" in text
+
+
+# det(T0 + t T1) = t^2 - 2 for the A-slices T0 = [[0,2,0],[1,0,0],[0,0,1]]
+# and T1 = diag(1,1,0): two of the pencil's rank drops are at irrational roots
+SURD_STATE = {
+    "dims": [2, 3, 3],
+    "amplitudes": [
+        {"index": index, "re": re, "im": "0"}
+        for index, re in (
+            ([0, 0, 1], "2"), ([0, 1, 0], "1"), ([0, 2, 2], "1"),
+            ([1, 0, 0], "1"), ([1, 1, 1], "1"),
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["signature", "classify", "equiv"])
+def test_tolerance_option_is_gone(capsys, tmp_path, command):
+    out = tmp_path / "g.json"
+    run_cli(capsys, "gen", "GHZ", "--out", str(out))
+    states = [str(out)] * (2 if command == "equiv" else 1)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *states, "--tolerance", "1e-9"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_surd_signature_runs_without_numpy(tmp_path):
+    # ranks at the irrational roots are exact, so no float code is loaded
+    path = tmp_path / "surd.json"
+    path.write_text(json.dumps(SURD_STATE))
+    script = (
+        "import sys\n"
+        "from slocc2mn.cli import main\n"
+        f"code = main(['signature', {str(path)!r}, '--format', 'json'])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(SCHEMA_DIR.parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    *lines, numpy_loaded = proc.stdout.strip().splitlines()
+    assert numpy_loaded == "False"
+    report = json.loads("\n".join(lines))
+    jsonschema.validate(report, REPORT_SCHEMA)
+    result = report["result"]
+    assert result["signature"] == "[0,3,3]"
+    assert result["exact"] is False  # two of the three points have no rational witness
+    profile = result["bc_pencil_profile"]
+    assert profile["generic_rank"] == 3 and profile["rank_multiset"] == [2, 2, 2]
+    assert [p["parameter"] for p in profile["exceptional"]] == [
+        "root of (-2)*t^0 + (1)*t^2", "root of (-2)*t^0 + (1)*t^2", None,
+    ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
-from slocc2mn.polynomials import Poly, poly_gcd
+from slocc2mn.polynomials import Poly, poly_gcd, square_free_part
 from slocc2mn.matrices import (
     Matrix,
     Pencil,
@@ -31,6 +31,14 @@ def random_matrix(rng, rows, cols, imag=True, span=6):
     )
 
 
+ONE_POLY = Poly.constant(ONE)
+
+
+def to_complex(m):
+    """The entries of a Matrix as a numpy complex array."""
+    return np.array([[complex(e) for e in row] for row in m.entries], dtype=complex)
+
+
 def laplace_det(rows):
     """Independent cofactor-expansion oracle for polynomial determinants."""
     n = len(rows)
@@ -50,7 +58,7 @@ def test_rank_matches_numpy():
     rng = random.Random(20)
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert m.rank() == np.linalg.matrix_rank(m.to_complex(), tol=1e-9)
+        assert m.rank() == np.linalg.matrix_rank(to_complex(m), tol=1e-9)
 
 
 def test_rank_of_constructed_low_rank():
@@ -109,7 +117,7 @@ def test_det_matches_numpy_and_multiplicativity():
     for _ in range(40):
         a = random_matrix(rng, 3, 3)
         b = random_matrix(rng, 3, 3)
-        assert abs(complex(a.det()) - np.linalg.det(a.to_complex())) < 1e-6
+        assert abs(complex(a.det()) - np.linalg.det(to_complex(a))) < 1e-6
         assert (a @ b).det() == a.det() * b.det()
 
 
@@ -170,7 +178,7 @@ def test_pencil_generic_rank_matches_numeric_sampling():
         g = pen.generic_rank()
         numeric = max(
             np.linalg.matrix_rank(
-                a.to_complex() + t * b.to_complex(), tol=1e-9
+                to_complex(a) + t * to_complex(b), tol=1e-9
             )
             for t in (0.7238411, -1.912303, 3.51431)
         )
@@ -227,6 +235,103 @@ def test_pencil_rank_profile_with_infinity_drop():
     prof = Pencil(a, b).rank_profile()
     assert prof.generic_rank == 2
     assert any(p.location == "infinity" and p.rank == 1 for p in prof.exceptional)
+
+
+def test_rank_profile_exact_at_large_irrational_roots():
+    # random 4x4 pencils with parts up to 10^12: det(A + tB) has four simple,
+    # irrational roots, and the rank is 3 at each of them, though the
+    # smallest singular value there is only about 1e-17 of the largest, too
+    # small for any float tolerance to tell from rounding
+    rng = random.Random(1)
+    big = 10**12
+
+    def draw():
+        return Matrix.from_entries(4, 4, lambda i, j: GaussianRational(
+            rng.randint(-big, big), rng.randint(-big, big)))
+
+    for _ in range(20):
+        prof = Pencil(draw(), draw()).rank_profile()
+        assert prof.key() == (4, (3, 3, 3, 3))
+        assert all(p.location == "finite" for p in prof.exceptional)
+
+
+def test_rank_profile_at_surd_roots():
+    # diag([[t, 2], [1, t]], 1): rank 1 + 1 at both roots of t^2 - 2, which
+    # share one exceptional parameter, the factor itself
+    a = Matrix([[0, 2, 0], [1, 0, 0], [0, 0, 1]])
+    b = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    prof = Pencil(a, b).rank_profile()
+    assert prof.key() == (3, (2, 2, 2))
+    t = Poly.linear(ZERO, ONE)
+    surd = t * t - Poly.constant(GaussianRational(2))
+    assert [p.parameter for p in prof.exceptional] == [surd, surd, None]
+
+
+def _companion(f):
+    """The companion matrix of a monic polynomial: its eigenvalues are f's roots."""
+    c = f.coeffs
+    d = f.degree
+    return Matrix.from_entries(d, d, lambda i, j: (
+        -c[i] if j == d - 1 else ONE if i == j + 1 else ZERO))
+
+
+def _kron(x, y):
+    return Matrix.from_entries(
+        x.rows * y.rows, x.cols * y.cols,
+        lambda i, j: x[i // y.rows, j // y.cols] * y[i % y.rows, j % y.cols])
+
+
+def _direct_sum(mats):
+    n = sum(m.rows for m in mats)
+    out = [[ZERO] * n for _ in range(n)]
+    k = 0
+    for m in mats:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[k + i][k + j] = m[i, j]
+        k += m.rows
+    return Matrix(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_ranks_over_matches_companion_oracle(seed):
+    # For square-free f with companion matrix C, A (x) I + B (x) C is similar
+    # to the direct sum of A + alpha B over the roots alpha of f, so its rank
+    # is the sum of deg(factor) * rank over the pairs ranks_over returns.
+    # Pencils get planted blocks t I - C_g for factors g of f, so the ranks
+    # drop at roots that are mostly irrational.
+    rng = random.Random(seed)
+
+    def gauss():
+        return GaussianRational(rng.randint(-3, 3), rng.choice([0, 0, rng.randint(-2, 2)]))
+
+    factors = [
+        Poly([gauss() for _ in range(rng.randint(1, 3))] + [ONE])
+        for _ in range(rng.randint(1, 3))
+    ]
+    f = ONE_POLY
+    for g in factors:
+        f = f * g
+    f = square_free_part(f)
+    planted = rng.sample(factors, rng.randint(0, min(2, len(factors))))
+    blocks = [(_companion(g).scale(-1), Matrix.identity(g.degree)) for g in planted]
+    if rng.random() < 0.5 or not blocks:
+        n = rng.randint(1, 2)
+        blocks.append((random_matrix(rng, n, n, span=2), random_matrix(rng, n, n, span=2)))
+    a0, b0 = (_direct_sum([blk[i] for blk in blocks]) for i in (0, 1))
+    rows, cols = a0.rows + rng.randint(0, 1), a0.cols
+    p = random_matrix(rng, rows, a0.rows, span=2)
+    q = random_matrix(rng, cols, cols, span=2)
+    pen = Pencil(p @ a0 @ q, p @ b0 @ q)
+    pairs = pen.ranks_over(f)
+    product = ONE_POLY
+    for g, _ in pairs:
+        assert g.degree > 0 and g == g.monic()
+        product = product * g
+    assert product == f.monic()
+    oracle = _kron(pen.a, Matrix.identity(f.degree)) + _kron(pen.b, _companion(f.monic()))
+    assert oracle.rank() == sum(g.degree * rk for g, rk in pairs)
 
 
 # -- the elimination kernel against a slow Fraction oracle --------------------

@@ -349,8 +349,6 @@ def test_pencil_span_count_matches_full_minor_gcd():
         assert pc.kind == "finite"
         assert pc.count == _fdistinct_roots(g) + at_infinity
         for w in pc.witnesses:
-            if not w.exact:
-                continue  # an irrational root: counted, with a float witness
             if w.coeffs[0] == ONE:
                 t = w.coeffs[1]
                 assert all(p.eval(t).is_zero() for p in minors)

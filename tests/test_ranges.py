@@ -18,8 +18,10 @@ from slocc2mn.ranges import (
     range_subspace,
     slocc_signature,
     bc_pencil,
+    partner_rank,
     partner_rank_multiset,
     quadric_profile,
+    ProductWitness,
     _independent_slices,
 )
 from slocc2mn.families import ClassLabel, make_canonical
@@ -102,8 +104,6 @@ def test_witnesses_are_rank_one_members():
             continue
         sub = range_subspace(s, party)
         for w in count.witnesses:
-            if not w.exact:
-                continue
             member = sub.element(w.coeffs)
             assert member.rank() == 1
 
@@ -141,6 +141,78 @@ def test_partner_rank_multiset_separates_psi3_psi5():
     p5 = make_canonical(ClassLabel("Psi5"))
     assert slocc_signature(p3).key() == slocc_signature(p5).key()
     assert partner_rank_multiset(p3, "A") != partner_rank_multiset(p5, "A")
+
+
+def _state_from_slices(party_slices, dims):
+    """The 2 x M x N state whose slice i of the first party is party_slices[i]."""
+    amps = {}
+    for i, m in enumerate(party_slices):
+        for r, row in enumerate(m):
+            for c, x in enumerate(row):
+                if x:
+                    amps[(i, r, c)] = GaussianRational(x)
+    return PureState(dims, amps)
+
+
+def test_surd_state_signature_and_profile_are_exact():
+    # A-slices T0 = [[0,2,0],[1,0,0],[0,0,1]], T1 = diag(1,1,0):
+    # det(T0 + t T1) = t^2 - 2, so two rank drops sit at irrational roots
+    s = _state_from_slices([[[0, 2, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]], (2, 3, 3))
+    assert bc_pencil(s).rank_profile().key() == (3, (2, 2, 2))
+    sig = slocc_signature(s)
+    assert sig.render() == "[0,3,3]"
+    # a_B and a_C each count two irrational points, which have no witness
+    assert [c.exact for c in sig.counts] == [True, False, False]
+    assert [len(c.witnesses) for c in sig.counts] == [0, 1, 1]
+
+
+def _two_row_basis(m0, m1):
+    """Basis 2 x K matrices whose two-row pencil B - t*A is m0 + t*m1 (K x k):
+    row 0 of element i is column i of A = -m1, row 1 is column i of B = m0."""
+    k = len(m0[0])
+    return [mat([[-row[i] for row in m1], [row[i] for row in m0]]) for i in range(k)]
+
+
+def test_irrational_slope_of_nullity_two_counts_infinite():
+    # two blocks [[t, 2], [1, t]]: both drop to rank 1 at t = +-sqrt 2, so
+    # each of those slopes carries a two-dimensional rank-one family
+    m0 = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+    m1 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    count = count_product_states(subspace(*_two_row_basis(m0, m1)))
+    assert count.is_infinite
+    # one block, and a column that never vanishes: one null direction at
+    # each root, so two points, neither with a Gaussian-rational witness
+    count = count_product_states(subspace(*_two_row_basis(*SURD_4X3)))
+    assert count.kind == "finite" and count.count == 2 and not count.exact
+
+
+# the pencil [[t,2,0],[1,t,0],[0,0,1],[0,0,t]] as (constant part, t part):
+# rank 3 except at t = +-sqrt 2, where its null vector is (2, -t, 0)
+SURD_4X3 = (
+    [[0, 2, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]],
+)
+
+
+def test_partner_rank_decided_at_irrational_slope():
+    # C-slices whose two-row pencil is SURD_4X3: rank-one elements only at
+    # t = +-sqrt 2.  The functional phi(c) = c . v is nonzero on the null
+    # vector (2, -t, 0) there iff (v0, v1) != 0.
+    slices = _two_row_basis(*SURD_4X3)  # 2 x 4 matrices over (A, B), one per C index
+    s = PureState((2, 4, 3), {
+        (a, b, c): slices[c][a, b]
+        for a in range(2) for b in range(4) for c in range(3) if not slices[c][a, b].is_zero()
+    })
+    sub = range_subspace(s, "B")  # witnesses there carry a C-factor v
+    assert sub.rows == 2
+
+    def rank_for(v):
+        w = ProductWitness(coeffs=(), u=(), v=tuple(GaussianRational(x) for x in v))
+        return partner_rank(s, "B", w)
+
+    assert rank_for((1, 0, 0)) == 1
+    assert rank_for((0, 1, 0)) == 1
+    assert rank_for((0, 0, 1)) == 2
 
 
 def test_quadric_profile_deterministic_and_invariant():

@@ -4,13 +4,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.matrices import Matrix
-from slocc2mn.states import PureState, adjoint_form, compress_to_ranks
+from slocc2mn.states import PureState, compress_to_ranks
 from slocc2mn.operators import random_ilo, random_invertible
 from slocc2mn.families import ClassLabel, make_canonical
 
@@ -61,27 +60,6 @@ def test_local_ranks_of_known_states():
     assert bipartite.local_ranks().as_tuple() == (1, 2, 2)
 
 
-def test_reduced_density_rank_equals_local_rank():
-    for s in (GHZ, W, make_canonical(ClassLabel("Psi3"))):
-        for party in "ABC":
-            rho = s.reduced_density(party)
-            assert rho.rank() == s.local_ranks().as_tuple()["ABC".index(party)]
-            # hermitian
-            assert rho == rho.conjugate().transpose()
-
-
-def test_reduced_density_matches_numpy_partial_trace():
-    s = make_canonical(ClassLabel("Psi2"))
-    rho = s.reduced_density("A").to_complex()
-    # dense tensor oracle
-    t = np.zeros((2, 3, 3), dtype=complex)
-    for (i, j, k), v in s.amps.items():
-        t[i, j, k] = complex(v)
-    flat = t.reshape(2, 9)
-    ref = flat @ flat.conj().T
-    assert np.allclose(rho, ref)
-
-
 def test_apply_local_matches_unfolding_product():
     rng = random.Random(40)
     s = make_canonical(ClassLabel("Psi6"))
@@ -111,18 +89,6 @@ def test_scaling_and_scalar_equality():
     assert two == GHZ  # state equality is projective
     assert hash(two) == hash(GHZ)
     assert not W.equals_up_to_scalar(GHZ)
-
-
-def test_adjoint_form_round_trip():
-    for label in ("GHZ", "W", "Psi5"):
-        s = make_canonical(ClassLabel(label))
-        for party in "ABC":
-            form = adjoint_form(s, party)
-            assert len(form.partner_states) == s.local_ranks().as_tuple()[
-                "ABC".index(party)
-            ]
-            # partners are linearly independent by construction
-            assert form.reconstruct(s.dims) == s
 
 
 def test_compress_to_ranks_is_ilo_image():
