@@ -29,7 +29,7 @@ from math import factorial, gcd, lcm, prod
 
 from .scalars import GaussianRational, ZERO, ONE, _int_row, _scalar
 from .polynomials import (
-    Poly, poly_gcd, poly_gcd_many, exact_roots_of, residual_factor, _poly_mul, _poly_sub,
+    Poly, poly_gcd, poly_gcd_many, exact_roots_of, _imaginary_unit_mod, _poly_mul, _poly_sub,
 )
 
 MINOR_SIDE_CAP = 8
@@ -206,16 +206,6 @@ def primitive_vector(vec):
 
 
 _CERT_PRIME = 1000000009  # = 1 mod 4, so -1 has a square root modulo it
-
-
-def _imaginary_unit_mod(p: int) -> int:
-    """A square root of -1 modulo the prime p (requires p = 1 mod 4)."""
-    a = 2
-    while True:
-        x = pow(a, (p - 1) // 4, p)
-        if x * x % p == p - 1:
-            return x
-        a += 1
 
 
 _IMROOT = _imaginary_unit_mod(_CERT_PRIME)
@@ -861,15 +851,15 @@ class Pencil:
             if gcd.is_zero():
                 raise AssertionError("all generic-size minors vanish; generic rank wrong")
             if gcd.degree > 0:
-                exact, numeric = exact_roots_of(gcd)
+                exact, rest = exact_roots_of(gcd)
                 for r in exact:
                     rk = self.at(r).rank()
                     if rk < g:  # spurious candidate roots do not drop the rank
                         points.append(
                             ExceptionalPoint(location="finite", parameter=r, rank=rk)
                         )
-                if numeric:
-                    for f, rk in self.ranks_over(residual_factor(gcd, exact)):
+                for residual in rest:
+                    for f, rk in self.ranks_over(residual):
                         if rk < g:
                             point = ExceptionalPoint(location="finite", parameter=f, rank=rk)
                             points.extend([point] * f.degree)

@@ -10,23 +10,19 @@ the polynomial was made from them.
 *J. ACM* 14, 1967; Brown & Traub, *J. ACM* 18, 1971): each pseudo-remainder
 is divided exactly by a factor the theory predicts, so coefficients stay
 minors of the Sylvester matrix, as Bareiss elimination keeps them for
-matrices.  On it rest the square-free part and exact root extraction.  The
-one floating-point routine of the package, an Aberth-Ehrlich root finder in
-Python complex arithmetic, only proposes candidate roots, each checked
-exactly before it is used; it decides no answer.  Root *counting* is always
-exact.  Irrational roots are never located: they are kept as the roots of
-one residual polynomial (:func:`residual_factor`), on which ranks are
-computed exactly (:meth:`.matrices.Pencil.ranks_over`).
+matrices.  On it rest the square-free part and :func:`exact_roots_of`,
+which finds every Gaussian-rational root by p-adic lifting, with no floating
+point.  Irrational roots are never located: they are kept as the roots of
+the one residual polynomial :func:`exact_roots_of` hands back, on which
+ranks are computed exactly (:meth:`.matrices.Pencil.ranks_over`).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from .scalars import GaussianRational, ONE, gaussian_sqrt, _int_row, _scalar
+from .scalars import GaussianRational, ONE, _int_row, _scalar
 
 
 # -- Gaussian-integer coefficient lists (constant first) ----------------------
@@ -49,11 +45,16 @@ def _poly_sub(p, q):
     return [(a - c, b - d) for (a, b), (c, d) in itertools.zip_longest(p, q, fillvalue=(0, 0))]
 
 
+def _gmul(x, y):
+    """The product of the Gaussian integers x and y."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
 def _gpow(x, n: int):
     """The Gaussian integer x to the power n >= 0."""
     out = (1, 0)
     for _ in range(n):
-        out = (out[0] * x[0] - out[1] * x[1], out[0] * x[1] + out[1] * x[0])
+        out = _gmul(out, x)
     return out
 
 
@@ -297,8 +298,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         _, r = _pseudo_divmod(a, b)
         if not r:
             return _over(b, b[-1], 1)
-        beta = _gpow(h, delta)
-        beta = (g[0] * beta[0] - g[1] * beta[1], g[0] * beta[1] + g[1] * beta[0])
+        beta = _gmul(g, _gpow(h, delta))
         a, b = b, [_gdiv(x, beta) for x in r]
         g = a[-1]
         if delta:
@@ -329,103 +329,112 @@ def square_free_part(p: Poly) -> Poly:
     return p.monic() if g.degree == 0 else (p // g).monic()
 
 
-def companion_eigenvalues(p: Poly) -> list[complex]:
-    """Roots of p, the eigenvalues of its companion matrix, in floating point.
+def _imaginary_unit_mod(p: int) -> int:
+    """A square root of -1 modulo the prime p (requires p = 1 mod 4)."""
+    a = 2
+    while True:
+        x = pow(a, (p - 1) // 4, p)
+        if x * x % p == p - 1:
+            return x
+        a += 1
 
-    Aberth-Ehrlich simultaneous iteration in Python complex arithmetic,
-    started on a circle that encloses every root (twice Fujiwara's bound);
-    it converges cubically to simple roots.  Callers verify every root they
-    rely on exactly, so the floats only propose candidates.
+
+def _primes_1_mod_4():
+    """The primes p = 1 (mod 4), in increasing order."""
+    p = 5
+    while True:
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 4
+
+
+def _ground(x, y):
+    """The Gaussian integer nearest x / y, for Gaussian integers x and y != 0."""
+    n = y[0] * y[0] + y[1] * y[1]
+    re, im = _gmul(x, (y[0], -y[1]))
+    return ((2 * re + n) // (2 * n), (2 * im + n) // (2 * n))
+
+
+def _horner_mod(coeffs, x: int, m: int) -> int:
+    """The integer polynomial ``coeffs`` (constant first) at x, modulo m."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * x + c) % m
+    return v
+
+
+def exact_roots_of(p: Poly) -> tuple[list[GaussianRational], list[Poly]]:
+    """``(roots, rest)``: the distinct Gaussian-rational roots of ``p``, sorted
+    by real and then imaginary part, and ``[sf / prod(t - r)]``, the monic
+    square-free part sf of ``p`` with their linear factors divided out, when
+    that quotient has positive degree (``[]`` otherwise).  The roots of
+    ``rest`` are the irrational roots of ``p``.
+
+    Roots are found p-adically (Loos, *SIAM J. Comput.* 12, 1983), over Z[i].
+    With f the primitive integer form of sf, of degree n and positive integer
+    leading coefficient l, F(y) = l^(n-1) f(y/l) is monic, so every root x
+    of f in Q(i) gives a root y = l*x of F in Z[i].  Send i to a square root
+    s of -1 modulo the first prime p = 1 (mod 4) at which every root of F is
+    simple; find the roots there by evaluation, and Newton-lift s and each
+    root to p^k for k = 2, 4, 8, ...  The kernel of Z[i] -> Z/p^k, i -> s,
+    is the ideal (pi^k), pi = gcd(p, i - s), a square lattice of norm p^k,
+    so one Gaussian rounding gives the only candidate y with
+    |y| < p^(k/2)/2, and an exact check keeps it.  Every root of F lies
+    within Cauchy's bound B, so the lifting stops once p^k > 4 B^2, or
+    earlier when every lifted root has been found.
     """
-    q = p.monic()
-    n = q.degree
+    sf = square_free_part(p)
+    n = sf.degree
     if n <= 0:
-        return []
-    ints, d = q._int_form()
-    c = [complex(a / d, b / d) for a, b in ints]
-    bound = 2 * max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
-    if not bound:
-        return [0j] * n  # p = t^n
-    z = [bound * cmath.exp(1j * (2 * cmath.pi * k / n + 0.4)) for k in range(n)]
-    for _ in range(200):
-        moved = False
-        for k in range(n):
-            zk = z[k]
-            f = df = 0j
-            for a in reversed(c):  # Horner for p and p'
-                df = df * zk + f
-                f = f * zk + a
-            if not f:
-                continue
-            s = sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k and zj != zk)
-            den = df - f * s
-            if not den:
-                continue
-            w = f / den
-            z[k] = zk - w
-            if abs(w) > 1e-14 * abs(z[k]):
-                moved = True
-        if not moved:
-            break
-    return z
-
-
-_DENOM_LADDER = (10, 100, 10**4, 10**6, 10**9, 10**12)
-
-
-def _rationalize(x: float):
-    for d in _DENOM_LADDER:
-        f = Fraction(x).limit_denominator(d)
-        yield f
-
-
-def exact_roots_of(p: Poly) -> tuple[list[GaussianRational], list[complex]]:
-    """Split the distinct roots of ``p`` into exact Gaussian-rational roots and
-    numeric leftovers.
-
-    Degree 1 and 2 are solved in closed form.  At higher degree each
-    companion eigenvalue proposes rational approximations; the first one
-    verified as an exact root is divided out, and the quotient is solved
-    afresh (closed form or new eigenvalues), so a coarse approximation of
-    one eigenvalue cannot take the root another eigenvalue belongs to.  The
-    eigenvalues of a quotient that yields no exact root are the numeric
-    leftovers.
-    """
-    return _split_roots(square_free_part(p))
-
-
-def residual_factor(p: Poly, roots) -> Poly:
-    """The square-free part of ``p`` with the linear factors of the exact
-    ``roots`` divided out: given the exact roots of :func:`exact_roots_of`,
-    the monic polynomial whose roots are its numeric leftovers."""
-    out = square_free_part(p)
-    for r in roots:
-        out = out // Poly.linear(-r, ONE)
-    return out
-
-
-def _split_roots(sf: Poly):
-    """exact_roots_of for a square-free polynomial."""
-    if sf.degree <= 0:
         return [], []
-    if sf.degree == 1:
-        c0, c1 = sf.coeffs
-        return [-c0 / c1], []
-    if sf.degree == 2:
-        c0, c1, c2 = sf.coeffs
-        disc = c1 * c1 - GaussianRational(4) * c0 * c2
-        sq = gaussian_sqrt(disc)
-        if sq is not None:
-            two_a = GaussianRational(2) * c2
-            r1 = (-c1 + sq) / two_a
-            r2 = (-c1 - sq) / two_a
-            return ([r1] if r1 == r2 else [r1, r2]), []
-    eigenvalues = companion_eigenvalues(sf)
-    for ev in eigenvalues:
-        for fr in _rationalize(ev.real):
-            for fi in _rationalize(ev.imag):
-                cand = GaussianRational(fr, fi)
-                if sf.eval(cand).is_zero():
-                    exact, numeric = _split_roots(sf // Poly.linear(-cand, ONE))
-                    return [cand] + exact, numeric
-    return [], eigenvalues
+    f = _primitive(sf._int_form()[0])
+    lc = f[-1][0]  # a positive integer, as sf is monic
+    big_f = [(a * lc ** (n - 1 - k), b * lc ** (n - 1 - k)) for k, (a, b) in enumerate(f[:-1])]
+    big_f.append((1, 0))
+    bound = 1 + max(abs(a) + abs(b) for a, b in big_f[:-1])  # Cauchy's, as |a + bi| <= |a| + |b|
+    for prime in _primes_1_mod_4():
+        s = _imaginary_unit_mod(prime)
+        fm = [(a + b * s) % prime for a, b in big_f]
+        dm = [k * c for k, c in enumerate(fm) if k]
+        lifts = [c for c in range(prime) if not _horner_mod(fm, c, prime)]
+        slopes = [_horner_mod(dm, c, prime) for c in lifts]
+        if all(slopes):
+            break
+    # each root c is lifted with u = 1/F'(c), and s with w = 1/(2s): Newton
+    # steps for the inverses too, so every step only multiplies
+    lifts = [(c, pow(d, -1, prime)) for c, d in zip(lifts, slopes)]
+    w = pow(2 * s, -1, prime)
+    pi, b = (prime, 0), (-s, 1)  # pi = gcd(p, i - s), by Euclid in Z[i]
+    while b != (0, 0):
+        q = _gmul(_ground(pi, b), b)
+        pi, b = b, (pi[0] - q[0], pi[1] - q[1])
+    monic = Poly._from_ints(big_f)
+    roots = []
+    m, pik = prime, pi
+    while True:
+        pending = []
+        for c, u in lifts:
+            q = _gmul(_ground((c, 0), pik), pik)
+            y = (c - q[0], -q[1])
+            if monic.eval(_scalar(*y)).is_zero():
+                roots.append(_scalar(*y, lc))
+            else:
+                pending.append((c, u))
+        if not pending or m > 4 * bound * bound:
+            break
+        m, pik = m * m, _gmul(pik, pik)
+        s = (s - (s * s + 1) * w) % m
+        w = w * (2 - 2 * s * w) % m
+        fm = [(a + b * s) % m for a, b in big_f]
+        dm = [k * c for k, c in enumerate(fm) if k]
+        lifts = []
+        for c, u in pending:
+            c = (c - _horner_mod(fm, c, m) * u) % m
+            lifts.append((c, u * (2 - _horner_mod(dm, c, m) * u) % m))
+    roots.sort(key=lambda r: (r.re, r.im))
+    if len(roots) == n:
+        return roots, []
+    div = _UNIT
+    for r in roots:
+        div = div * Poly.linear(-r, ONE)
+    return roots, [sf // div]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .scalars import GaussianRational, ZERO, ONE
-from .polynomials import Poly, poly_gcd_many, exact_roots_of, residual_factor
+from .polynomials import Poly, poly_gcd_many, exact_roots_of
 from .matrices import (
     Matrix,
     Pencil,
@@ -138,13 +138,14 @@ def _count_pencil_span(sub: MatrixSubspace) -> ProductCount:
     count = 0
     exact = True
     if g.degree > 0:
-        # the distinct roots, exact and numeric: deg of the square-free part
-        roots, numeric = exact_roots_of(g)
-        count += len(roots) + len(numeric)
+        # the distinct roots, Gaussian-rational and irrational: deg of the
+        # square-free part
+        roots, rest = exact_roots_of(g)
+        count += len(roots) + sum(f.degree for f in rest)
         for t in roots:
             u, v = rank_one_factor(pen.at(t))
             witnesses.append(ProductWitness(coeffs=(ONE, t), u=u, v=v))
-        exact = not numeric
+        exact = not rest
     if m1.rank() <= 1:
         count += 1
         u, v = rank_one_factor(m1)
@@ -227,13 +228,13 @@ def _two_row_locus(sub: MatrixSubspace) -> RankOneLocus:
     if gk.is_zero():
         raise AssertionError("generic rank says full but all maximal minors vanish")
     if gk.degree > 0:
-        roots, numeric = exact_roots_of(gk)
+        roots, rest = exact_roots_of(gk)
         for t in roots:
             nb = pen.at(t).nullspace()
             if nb:  # spurious candidate roots carry no nullvector
                 locus.points.append(RankOnePoint(parameter=t, null_basis=nb))
-        if numeric:
-            locus.residual = residual_factor(gk, roots)
+        if rest:
+            locus.residual = rest[0]
     na = a_mat.nullspace()
     if na:
         locus.points.append(RankOnePoint(parameter="infinity", null_basis=na))
@@ -478,12 +479,12 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
         if 0 < g_rank <= min(pen.a.rows, pen.a.cols):
             gj = pen.minor_root_multiple(g_rank)
             if not gj.is_zero() and gj.degree > 0:
-                roots, numeric = exact_roots_of(gj)
+                roots, rest = exact_roots_of(gj)
                 for t in roots:
                     for c in pen.at(t).nullspace():
                         if not functional(c).is_zero():
                             return 1
-                if numeric and phi_raises_rank(residual_factor(gj, roots)):
+                if any(phi_raises_rank(f) for f in rest):
                     return 1
     return 2
 

@@ -216,51 +216,3 @@ def parse_scalar(text: str) -> GaussianRational:
     re_part = _rat(m.group("re")) if m.group("re") else Rational(0)
     im_part = _rat(m.group("im")) if m.group("im") else Rational(0)
     return GaussianRational(re_part, im_part)
-
-
-def rational_sqrt(f):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if f < 0:
-        return None
-    num, den = f.numerator, f.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Rational(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def gaussian_sqrt(z: GaussianRational):
-    """Exact square root within the Gaussian rationals, or None.
-
-    Solves (x+yi)^2 = re+im*i:  x^2-y^2 = re, 2xy = im.  A solution exists in
-    the Gaussian rationals iff the norm re^2+im^2 is a rational square and the
-    derived components are rational squares as well.
-    """
-    if z.is_zero():
-        return GaussianRational(0)
-    n = rational_sqrt(z.re * z.re + z.im * z.im)
-    if n is None:
-        return None
-    x2 = (z.re + n) / 2
-    x = rational_sqrt(x2)
-    if x is None or x == 0:
-        # pure imaginary root: z.re = -n, root = y*i with y^2 = n... handle below
-        y2 = (n - z.re) / 2
-        y = rational_sqrt(y2)
-        if y is None or y == 0:
-            return None
-        # x determined by 2xy = im
-        x = z.im / (2 * y)
-        cand = GaussianRational(x, y)
-        return cand if cand * cand == z else None
-    y = z.im / (2 * x)
-    cand = GaussianRational(x, y)
-    return cand if cand * cand == z else None

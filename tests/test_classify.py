@@ -5,8 +5,9 @@ import random
 import pytest
 
 from slocc2mn.scalars import GaussianRational, ONE
+from slocc2mn.matrices import Matrix
 from slocc2mn.states import PureState, compress_to_ranks
-from slocc2mn.operators import random_ilo
+from slocc2mn.operators import OperatorTriple, random_ilo
 from slocc2mn.families import (
     ClassLabel,
     make_canonical,
@@ -142,6 +143,26 @@ def test_equivalent_verdict_carries_verified_witness():
     assert verdict.kind == "Equivalent"
     assert verdict.witness is not None
     assert verdict.witness.apply(s).equals_up_to_scalar(moved)
+
+
+def test_equivalence_survives_large_operand_ilos():
+    # ILO entries with 30-bit parts move the pencil's exceptional points to
+    # Gaussian rationals no small-denominator guess reaches; each must still
+    # be found exactly, or the witness search loses its Moebius candidates
+    s = make_canonical(ClassLabel("Psi1"))
+    for seed in range(10):
+        rng = random.Random(seed)
+
+        def entry():
+            return GaussianRational(rng.randint(-(2**30), 2**30), rng.randint(-(2**30), 2**30))
+
+        ilo = OperatorTriple(*(
+            Matrix([[entry() for _ in range(d)] for _ in range(d)]) for d in s.dims
+        ))
+        moved = ilo.apply(s)
+        verdict = decide_equivalence(s, moved)
+        assert verdict.kind == "Equivalent", (seed, verdict.detail)
+        assert verdict.witness.apply(s).equals_up_to_scalar(moved)
 
 
 def test_find_equivalence_witness_rejects_different_classes():

@@ -212,13 +212,15 @@ def test_tolerance_option_is_gone(capsys, tmp_path, command):
 
 
 def test_surd_signature_runs_without_numpy(tmp_path):
-    # ranks at the irrational roots are exact, so no float code is loaded
+    # roots and the ranks at irrational roots are exact, so no float code is
+    # loaded
     path = tmp_path / "surd.json"
     path.write_text(json.dumps(SURD_STATE))
     script = (
         "import sys\n"
         "from slocc2mn.cli import main\n"
         f"code = main(['signature', {str(path)!r}, '--format', 'json'])\n"
+        "print('cmath' in sys.modules)\n"
         "print('numpy' in sys.modules)\n"
         "sys.exit(code)\n"
     )
@@ -228,8 +230,8 @@ def test_surd_signature_runs_without_numpy(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == EXIT_OK, proc.stderr
-    *lines, numpy_loaded = proc.stdout.strip().splitlines()
-    assert numpy_loaded == "False"
+    *lines, cmath_loaded, numpy_loaded = proc.stdout.strip().splitlines()
+    assert cmath_loaded == numpy_loaded == "False"
     report = json.loads("\n".join(lines))
     jsonschema.validate(report, REPORT_SCHEMA)
     result = report["result"]

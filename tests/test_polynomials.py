@@ -1,11 +1,9 @@
-"""Univariate polynomials over the Gaussian rationals, with numpy and Fraction
-oracles, and the pencil minor gcd the range criterion counts with."""
+"""Univariate polynomials over the Gaussian rationals, with a Fraction oracle,
+and the pencil minor gcd the range criterion counts with."""
 
 import random
 from fractions import Fraction
 
-import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from slocc2mn import polynomials
@@ -15,7 +13,6 @@ from slocc2mn.polynomials import (
     poly_gcd,
     poly_gcd_many,
     square_free_part,
-    companion_eigenvalues,
     exact_roots_of,
 )
 from slocc2mn.matrices import Matrix, Pencil
@@ -123,41 +120,25 @@ def test_square_free_part_counts_distinct_roots():
 def test_exact_roots_closed_forms():
     # (x - 2)(x + 1/2): rational roots
     p = linear_root(2) * linear_root(GaussianRational(-1, 0) / 2)
-    roots, numeric = exact_roots_of(p)
-    assert not numeric
+    roots, rest = exact_roots_of(p)
+    assert not rest
     assert {complex(r) for r in roots} == {2 + 0j, -0.5 + 0j}
     # x^2 + 1: Gaussian-rational roots +-i
     q = Poly([ONE, ZERO, ONE])
-    roots, numeric = exact_roots_of(q)
-    assert not numeric
+    roots, rest = exact_roots_of(q)
+    assert not rest
     assert {complex(r) for r in roots} == {1j, -1j}
-    # x^2 - 2: irrational, must fall back to numeric roots
+    # x^2 - 2: irrational, so the whole polynomial is the rest
     r = Poly([GaussianRational(-2), ZERO, ONE])
-    roots, numeric = exact_roots_of(r)
-    assert not roots
-    assert sorted(round(z.real, 6) for z in numeric) == pytest.approx(
-        [-1.414214, 1.414214]
-    )
-
-
-def test_companion_eigenvalues_match_numpy_roots():
-    rng = random.Random(14)
-    for _ in range(20):
-        p = random_poly(rng, 5)
-        if p.degree < 1:
-            continue
-        eig = sorted(companion_eigenvalues(p), key=lambda z: (z.real, z.imag))
-        np_coeffs = [complex(c) for c in reversed(p.coeffs)]
-        ref = sorted(np.roots(np_coeffs), key=lambda z: (z.real, z.imag))
-        for a, b in zip(eig, ref):
-            assert abs(a - b) < 1e-6
+    assert exact_roots_of(r) == ([], [r])
+    assert exact_roots_of(r * GaussianRational(3)) == ([], [r])
 
 
 def test_exact_roots_mixed_multiplicity():
     p = linear_root(0) * linear_root(0) * linear_root(5)
     assert square_free_part(p).degree == 2
-    roots, numeric = exact_roots_of(p)
-    assert not numeric
+    roots, rest = exact_roots_of(p)
+    assert not rest
     assert {complex(r) for r in roots} == {0j, 5 + 0j}
 
 
@@ -166,28 +147,53 @@ def test_common_roots_of_family():
     ps = [shared * linear_root(1), shared * linear_root(2)]
     g = poly_gcd_many(ps)
     assert square_free_part(g).degree == 1
-    roots, numeric = exact_roots_of(g)
-    assert not numeric
+    roots, rest = exact_roots_of(g)
+    assert not rest
     assert [complex(r) for r in roots] == [7 + 0j]
 
 
 def test_exact_roots_keep_every_rational_root():
-    # products of 3-5 distinct linear factors with small rational roots: a
-    # coarse approximation of one eigenvalue must not take another's root
-    # (t (t + 3/64)(t + 3/25)(t + 3/14)(t - 3/37), draw 24, once lost -3/64)
+    t = Poly.linear(ZERO, ONE)
+    two = Poly.constant(GaussianRational(2))
+    surds = (t * t - two, t * t * t - two)
+
+    def check(planted, lead=ONE, cofactor=Poly([ONE])):
+        # roots: the planted set in canonical order; rest: the square-free
+        # part with their linear factors divided out
+        p = cofactor * lead
+        for r in planted:
+            p = p * linear_root(r)
+        roots, rest = exact_roots_of(p)
+        assert roots == sorted(set(planted), key=lambda z: (z.re, z.im))
+        assert len(rest) == (cofactor.degree > 0)
+        q = rest[0] if rest else Poly([ONE])
+        for r in roots:
+            q = q * linear_root(r)
+        assert q == square_free_part(p)
+
+    # products of 3-5 distinct linear factors with small rational roots: one
+    # root must not take another's (t (t + 3/64)(t + 3/25)(t + 3/14)(t - 3/37),
+    # draw 24, was once lost -3/64 by a float root proposer)
     rng = random.Random(1)
     for _ in range(2000):
         roots = []
         while len(roots) < rng.randint(3, 5):
-            r = Fraction(rng.randint(-9, 9), rng.randint(1, 64))
+            r = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 64)))
             if r not in roots:
                 roots.append(r)
-        p = Poly([ONE])
-        for r in roots:
-            p = p * linear_root(r)
-        exact, numeric = exact_roots_of(p)
-        assert not numeric
-        assert sorted(Fraction(z.re) for z in exact) == sorted(roots)
+        check(roots)
+    # non-real roots with parts up to 2^200, a zero root, a non-real leading
+    # coefficient and the irrational cofactors t^2 - 2 and t^3 - 2
+    for bits in (10, 30, 60, 200):
+        for k in range(6):
+            def part():
+                return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+
+            roots = [GaussianRational(part(), part()) for _ in range(rng.randint(1, 4))]
+            if k % 2:
+                roots.append(ZERO)
+            lead = GaussianRational(rng.randint(1, 9), rng.randint(-9, 9))
+            check(roots, lead, ([Poly([ONE])] + list(surds))[k % 3])
 
 
 # -- poly_gcd against a Fraction oracle ----------------------------------------

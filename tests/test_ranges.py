@@ -56,8 +56,9 @@ def test_count_two_product_points_in_diagonal_span():
 
 
 def test_pencil_count_is_square_free_degree():
-    # the count is the number of distinct roots exact_roots_of returns, exact
-    # and numeric, which is the degree of the square-free part
+    # the count is the number of distinct roots exact_roots_of accounts for,
+    # Gaussian-rational and in the rest, which is the degree of the
+    # square-free part
     t = Poly.linear(ZERO, ONE)
     one = Poly.constant(ONE)
     for g in (
@@ -65,8 +66,8 @@ def test_pencil_count_is_square_free_degree():
         (t * t - Poly.constant(GaussianRational(2))) * (t + one),  # irrational
         (t * t * t - Poly.constant(GaussianRational(2))) * (t * t * t - Poly.constant(GaussianRational(2))),
     ):
-        roots, numeric = exact_roots_of(g)
-        assert len(roots) + len(numeric) == square_free_part(g).degree
+        roots, rest = exact_roots_of(g)
+        assert len(roots) + sum(f.degree for f in rest) == square_free_part(g).degree
     # 2x2 pencils: a Jordan block (det t^2) and det t^2 - 2
     jordan = count_product_states(subspace(mat([[0, 1], [0, 0]]), mat([[1, 0], [0, 1]])))
     assert jordan.count == 1 and jordan.exact

@@ -12,8 +12,6 @@ from slocc2mn.scalars import (
     I,
     format_scalar,
     parse_scalar,
-    rational_sqrt,
-    gaussian_sqrt,
 )
 
 
@@ -98,27 +96,3 @@ def test_parse_rejects_garbage():
     for bad in ("", "i+1", "1//2", "one", "2.5"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(0)) == 0
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-
-
-def test_gaussian_sqrt_inverts_squaring():
-    rng = random.Random(4)
-    for _ in range(60):
-        z = random_gr(rng)
-        root = gaussian_sqrt(z * z)
-        assert root is not None
-        assert root * root == z * z
-
-
-def test_gaussian_sqrt_detects_irrational():
-    assert gaussian_sqrt(GaussianRational(2)) is None
-    assert gaussian_sqrt(GaussianRational(0, 1)) is None  # sqrt(i) is irrational
-    assert gaussian_sqrt(GaussianRational(-1)) == I or gaussian_sqrt(
-        GaussianRational(-1)
-    ) == -I
