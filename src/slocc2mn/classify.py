@@ -28,7 +28,6 @@ from .operators import (
     random_invertible,
 )
 from .ranges import (
-    ProductWitness,
     range_subspace,
     _range_of,
     exact_rank_one_in_span,
@@ -130,7 +129,6 @@ class ReductionStep:
     input yields |0, M-1, N-1> plus the residual embedded at C indices < N-1.
     """
 
-    extracted_witness: ProductWitness
     ilo_word: list[ElementaryFactor]
     residual: PureState
     input_dims: tuple
@@ -143,9 +141,6 @@ class ClassificationResult:
     invariants: StateInvariants | None = None
     permutation: str = "ABC"
     note: str = ""
-
-    def as_tuple(self):
-        return (self.label, self.proof)
 
 
 def apply_ilo_word(s: PureState, word) -> PureState:
@@ -234,7 +229,6 @@ def extract_and_reduce(s: PureState) -> ReductionStep:
     }:
         raise AssertionError(f"residual ranks {r.as_tuple()} outside the four-way split")
     return ReductionStep(
-        extracted_witness=ProductWitness(coeffs=coeffs, u=witness.u, v=witness.v),
         ilo_word=word,
         residual=residual,
         input_dims=dims,
@@ -362,10 +356,6 @@ def _distinguished_points(pen: Pencil):
         else:
             points.append(((ONE, GaussianRational.coerce(p.parameter)), p.rank))
     return points, exact
-
-
-def _cross(p, q) -> GaussianRational:
-    return p[0] * q[1] - p[1] * q[0]
 
 
 def _solve_bc_given_a(g: Matrix, t_slices, s_slices, m: int, n: int, rng):
@@ -498,15 +488,13 @@ def _embed_block(v: Matrix, dim: int) -> Matrix:
     return Matrix(grid)
 
 
-def find_equivalence_witness(
-    s1: PureState, s2: PureState, seed: int = 0
-) -> OperatorTriple | None:
+def find_equivalence_witness(s1: PureState, s2: PureState) -> OperatorTriple | None:
     """Explicit ILO triple carrying s1 to s2 up to a global scalar, or None."""
     if s1.dims == s2.dims and s1.equals_up_to_scalar(s2):
         return OperatorTriple.identity(s1.dims)
     if s1.local_ranks().as_tuple() != s2.local_ranks().as_tuple():
         return None
-    rng = random.Random(seed)
+    rng = random.Random(0)
     comp1, ch1 = compress_to_ranks(s1)
     comp2, ch2 = compress_to_ranks(s2)
     if comp1.dims != comp2.dims:
@@ -538,7 +526,7 @@ def find_equivalence_witness(
 
 
 def decide_equivalence(
-    s1: PureState | StateInvariants, s2: PureState | StateInvariants, seed: int = 0
+    s1: PureState | StateInvariants, s2: PureState | StateInvariants
 ) -> EquivalenceVerdict:
     """Fixed pipeline: ranks, signature, pencil profile, partner multisets,
     class labels; Equivalent verdicts carry an explicit verified witness.
@@ -585,7 +573,7 @@ def decide_equivalence(
     sentinel = {"Unknown", "NotTrueTripartite"}
     if c1.label.family not in sentinel and c2.label.family not in sentinel:
         if c1.label == c2.label and c1.permutation == c2.permutation:
-            w = find_equivalence_witness(s1, s2, seed=seed)
+            w = find_equivalence_witness(s1, s2)
             if w is not None:
                 return EquivalenceVerdict(
                     kind="Equivalent", witness=w,

@@ -2,6 +2,7 @@
 
 Commands: gen, signature, classify, equiv, perturb, verify.  Every command
 honors ``--format json|text``; JSON output follows schemas/report.schema.json.
+``perturb`` and ``verify`` draw from ``--seed``; the others are deterministic.
 Exit codes: 0 success, 1 assertion/verification failure or an input past an
 internal limit (reported as ``unsupported:``), 2 usage or parse errors.
 """
@@ -77,12 +78,24 @@ def _proof_to_json(steps) -> list:
     return out
 
 
-def _emit(report: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
+def _emit(args, inputs: dict, result: dict, t0: float, text_lines, ok: bool = True) -> None:
+    """Print the text lines, or the report envelope of schemas/report.schema.json,
+    which carries ``seed`` and ``trials`` only for the commands that take them."""
+    if args.format != "json":
         for line in text_lines:
             print(line)
+        return
+    report = {
+        "command": args.command,
+        "inputs": inputs,
+        "result": result,
+        "elapsed_seconds": time.monotonic() - t0,
+        "ok": ok,
+    }
+    for option in ("seed", "trials"):
+        if option in args:
+            report[option] = getattr(args, option)
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _label_from_args(args) -> ClassLabel:
@@ -99,20 +112,18 @@ def cmd_gen(args) -> int:
     payload = state_to_json(state)
     if args.out is not None:
         dump_state(state, args.out)
-    report = {
-        "command": "gen",
-        "inputs": {"family": args.family, "m": args.m, "out": args.out},
-        "seed": args.seed,
-        "result": {"label": label.render(), "dims": list(state.dims), "state": payload},
-        "elapsed_seconds": time.monotonic() - t0,
-        "ok": True,
-    }
     if args.out is None and args.format == "text":
         # no destination: the state file itself is the useful text output
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    _emit(report, args.format, [f"label: {label.render()}", f"dims: {list(state.dims)}"]
-          + ([f"wrote: {args.out}"] if args.out else []))
+    _emit(
+        args,
+        {"family": args.family, "m": args.m, "out": args.out},
+        {"label": label.render(), "dims": list(state.dims), "state": payload},
+        t0,
+        [f"label: {label.render()}", f"dims: {list(state.dims)}"]
+        + ([f"wrote: {args.out}"] if args.out else []),
+    )
     return EXIT_OK
 
 
@@ -127,7 +138,6 @@ def cmd_signature(args) -> int:
         rendered = f"NotTrueTripartite(ranks {','.join(map(str, ranks))})"
         result["signature"] = rendered
         lines.append(rendered)
-        ok = True
     else:
         sig = slocc_signature(state, local)
         result["signature"] = sig.render()
@@ -141,16 +151,7 @@ def cmd_signature(args) -> int:
                 f"{profile.generic_rank}, exceptional ranks "
                 f"{list(profile.rank_multiset())}"
             )
-        ok = True
-    report = {
-        "command": "signature",
-        "inputs": {"state": args.state},
-        "seed": args.seed,
-        "result": result,
-        "elapsed_seconds": time.monotonic() - t0,
-        "ok": ok,
-    }
-    _emit(report, args.format, lines)
+    _emit(args, {"state": args.state}, result, t0, lines)
     return EXIT_OK
 
 
@@ -176,15 +177,7 @@ def cmd_classify(args) -> int:
         lines.append(f"signature: {result['invariants']['signature']}")
     if result["proof"]:
         lines.append(f"proof: {len(result['proof'])} reduction step(s)")
-    report = {
-        "command": "classify",
-        "inputs": {"state": args.state},
-        "seed": args.seed,
-        "result": result,
-        "elapsed_seconds": time.monotonic() - t0,
-        "ok": True,
-    }
-    _emit(report, args.format, lines)
+    _emit(args, {"state": args.state}, result, t0, lines)
     return EXIT_OK
 
 
@@ -207,15 +200,7 @@ def cmd_equiv(args) -> int:
         lines.append("witness: exact invertible local operator triple attached (json format)")
     if verdict.detail:
         lines.append(f"detail: {verdict.detail}")
-    report = {
-        "command": "equiv",
-        "inputs": {"state1": args.state1, "state2": args.state2},
-        "seed": args.seed,
-        "result": result,
-        "elapsed_seconds": time.monotonic() - t0,
-        "ok": True,
-    }
-    _emit(report, args.format, lines)
+    _emit(args, {"state1": args.state1, "state2": args.state2}, result, t0, lines)
     return EXIT_OK
 
 
@@ -227,23 +212,17 @@ def cmd_perturb(args) -> int:
     payload = state_to_json(perturbed)
     if args.out is not None:
         dump_state(perturbed, args.out)
-    report = {
-        "command": "perturb",
-        "inputs": {"state": args.state, "out": args.out},
-        "seed": args.seed,
-        "result": {
-            "dims": list(perturbed.dims),
-            "state": payload,
-            "ilo": operator_triple_to_json(triple),
-        },
-        "elapsed_seconds": time.monotonic() - t0,
-        "ok": True,
-    }
     if args.out is None and args.format == "text":
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    _emit(report, args.format, [f"dims: {list(perturbed.dims)}", f"seed: {args.seed}"]
-          + ([f"wrote: {args.out}"] if args.out else []))
+    _emit(
+        args,
+        {"state": args.state, "out": args.out},
+        {"dims": list(perturbed.dims), "state": payload, "ilo": operator_triple_to_json(triple)},
+        t0,
+        [f"dims: {list(perturbed.dims)}", f"seed: {args.seed}"]
+        + ([f"wrote: {args.out}"] if args.out else []),
+    )
     return EXIT_OK
 
 
@@ -259,15 +238,6 @@ def cmd_verify(args) -> int:
             which, m_parameter=args.m, trials=args.trials, seed=args.seed
         )
     ok = bool(result.get("ok"))
-    report = {
-        "command": "verify",
-        "inputs": {"theorem": which, "m": args.m},
-        "seed": args.seed,
-        "trials": args.trials,
-        "result": result,
-        "elapsed_seconds": time.monotonic() - t0,
-        "ok": ok,
-    }
     lines = [f"theorem: {which}", f"ok: {ok}"]
     if which == "appendix":
         for case in result["cases"]:
@@ -287,7 +257,7 @@ def cmd_verify(args) -> int:
             )
         if "census" in result:
             lines.append(f"census: {result['census']}")
-    _emit(report, args.format, lines)
+    _emit(args, {"theorem": which, "m": args.m}, result, t0, lines, ok)
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -298,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=False):
+    def common(p, seed=False, trials=False):
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if trials:
             p.add_argument("--trials", type=int, default=100)
 
@@ -330,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="apply a seeded random invertible local operator")
     p.add_argument("state", help="state file path or '-' for stdin")
     p.add_argument("--out", default=None, help="destination path ('-' for stdout)")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("verify", help="re-derive a theorem block or the appendix argument")
@@ -340,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("2", "3", "4", "upsilon0", "two_by_two_by_three", "appendix"),
     )
     p.add_argument("--m", type=int, default=None, help="family parameter M")
-    common(p, trials=True)
+    common(p, seed=True, trials=True)
     p.set_defaults(func=cmd_verify)
     return parser
 

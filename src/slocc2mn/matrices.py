@@ -323,10 +323,6 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)])
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -385,9 +381,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix.from_entries(self.cols, self.rows, lambda i, j: self[j, i])
-
-    def conjugate(self) -> "Matrix":
-        return Matrix.from_entries(self.rows, self.cols, lambda i, j: self[i, j].conjugate())
 
     def apply_vector(self, v):
         """Matrix-vector product; v is a sequence of scalars."""
@@ -476,20 +469,6 @@ class Matrix:
         if len(pivots) != self.rows:
             raise ValueError("matrix is singular")
         return t
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and not self.det().is_zero()
-
-
-def matrix_from_vec(vec, rows: int, cols: int) -> Matrix:
-    """Reshape a flat row-major scalar sequence into a matrix."""
-    if len(vec) != rows * cols:
-        raise ValueError("vector length does not match shape")
-    return Matrix([[vec[i * cols + j] for j in range(cols)] for i in range(rows)])
-
-
-def vec_of_matrix(m: Matrix):
-    return tuple(e for row in m.entries for e in row)
 
 
 def stack_vectorized(mats) -> Matrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .scalars import GaussianRational, ZERO, ONE
 from .matrices import Matrix
-from .states import PureState, PARTIES
+from .states import PureState
 
 
 @dataclass(frozen=True)
@@ -80,22 +80,10 @@ class OperatorTriple:
             check=False,
         )
 
-    @staticmethod
-    def single(dims, party: str, m: Matrix) -> "OperatorTriple":
-        mats = [Matrix.identity(d) for d in dims]
-        mats[PARTIES.index(party)] = m
-        return OperatorTriple(*mats)
-
     def apply(self, s: PureState) -> PureState:
         if self.dims() != s.dims:
             raise ValueError("operator dims do not match state dims")
         return s.apply_local("A", self.v_a).apply_local("B", self.v_b).apply_local("C", self.v_c)
-
-    def compose(self, other: "OperatorTriple") -> "OperatorTriple":
-        """self after other: apply(compose(g, h), s) == apply(g, apply(h, s))."""
-        return OperatorTriple(
-            self.v_a @ other.v_a, self.v_b @ other.v_b, self.v_c @ other.v_c, check=False
-        )
 
     def inverse(self) -> "OperatorTriple":
         return OperatorTriple(
@@ -112,33 +100,6 @@ class OperatorTriple:
 
     def __repr__(self):
         return f"OperatorTriple(A={self.v_a!r}, B={self.v_b!r}, C={self.v_c!r})"
-
-
-def elementary_scale(dims, party: str, index: int, alpha) -> OperatorTriple:
-    alpha = GaussianRational.coerce(alpha)
-    if alpha.is_zero():
-        raise ValueError("scale factor must be nonzero")
-    d = dims[PARTIES.index(party)]
-    f = ElementaryFactor(party=party, kind="scale", i=index, alpha=alpha)
-    return OperatorTriple.single(dims, party, f.to_matrix(d))
-
-
-def elementary_add(dims, party: str, target: int, source: int, alpha) -> OperatorTriple:
-    """|target> -> |target> + alpha |source> on the chosen party."""
-    if target == source:
-        raise ValueError("add requires distinct target and source")
-    alpha = GaussianRational.coerce(alpha)
-    d = dims[PARTIES.index(party)]
-    f = ElementaryFactor(party=party, kind="add", i=target, j=source, alpha=alpha)
-    return OperatorTriple.single(dims, party, f.to_matrix(d))
-
-
-def basis_swap(dims, party: str, i: int, j: int) -> OperatorTriple:
-    if i == j:
-        raise ValueError("swap requires distinct indices")
-    d = dims[PARTIES.index(party)]
-    f = ElementaryFactor(party=party, kind="swap", i=i, j=j)
-    return OperatorTriple.single(dims, party, f.to_matrix(d))
 
 
 def random_scalar(rng: random.Random, allow_imag: bool = True) -> GaussianRational:
@@ -254,10 +215,3 @@ def decompose_elementary(party: str, m: Matrix):
                 )
     # ops L1..Lk reduce m to I, so m = inv(L1) @ ... @ inv(Lk) in recorded order
     return inverse_ops
-
-
-def factors_product(party_dim: int, factors) -> Matrix:
-    acc = Matrix.identity(party_dim)
-    for f in factors:
-        acc = acc @ f.to_matrix(party_dim)
-    return acc

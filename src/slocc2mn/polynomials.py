@@ -163,11 +163,6 @@ class Poly:
         """Degree; -1 for the zero polynomial."""
         return len(self._ints[0]) - 1
 
-    def leading(self) -> GaussianRational:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self._int_form() == other._int_form()
 

@@ -64,14 +64,6 @@ class MatrixSubspace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def element(self, coeffs) -> Matrix:
-        acc = Matrix.zero(self.rows, self.cols)
-        for c, m in zip(coeffs, self.basis):
-            c = GaussianRational.coerce(c)
-            if not c.is_zero():
-                acc = acc + m.scale(c)
-        return acc
-
 
 @dataclass(frozen=True)
 class ProductWitness:
@@ -95,7 +87,6 @@ class ProductCount:
     count: int = 0
     witnesses: tuple[ProductWitness, ...] = ()
     exact: bool = True
-    family_note: str = ""
 
     @property
     def is_infinite(self) -> bool:
@@ -129,11 +120,12 @@ def _count_pencil_span(sub: MatrixSubspace) -> ProductCount:
     pen = Pencil(m0, m1)
     if min(sub.rows, sub.cols) < 2:
         # single-row or single-column ambient: every nonzero element is rank one
-        return ProductCount(kind="infinite", family_note="ambient has no 2x2 minors")
+        return ProductCount(kind="infinite")
     # the minors are computed as the gcd reads them, up to the first unit
     g = poly_gcd_many(pen.minor_polynomials(2))
     if g.is_zero():
-        return ProductCount(kind="infinite", family_note="every pencil element has rank <= 1")
+        # every pencil element has rank <= 1
+        return ProductCount(kind="infinite")
     witnesses = []
     count = 0
     exact = True
@@ -255,10 +247,8 @@ def _count_two_row(sub: MatrixSubspace) -> ProductCount:
     irrational residual; infinite when a slope has nullity >= 2."""
     locus = _two_row_locus(sub)
     if locus.generic_infinite:
-        return ProductCount(
-            kind="infinite",
-            family_note="rank-one elements exist at every pencil slope",
-        )
+        # rank-one elements exist at every pencil slope
+        return ProductCount(kind="infinite")
     k = sub.dimension
     # factors of the residual at whose roots B - t*A drops rank: rank-one slopes
     irrational = [] if locus.residual is None else [
@@ -267,10 +257,8 @@ def _count_two_row(sub: MatrixSubspace) -> ProductCount:
     if any(len(p.null_basis) >= 2 for p in locus.points) or any(
         rk <= k - 2 for _, rk in irrational
     ):
-        return ProductCount(
-            kind="infinite",
-            family_note="a degenerate slope carries a multi-dimensional product family",
-        )
+        # a degenerate slope carries a multi-dimensional product family
+        return ProductCount(kind="infinite")
     witnesses = tuple(_locus_witness(locus, p) for p in locus.points)
     count = len(witnesses) + sum(f.degree for f, _ in irrational)
     return ProductCount(kind="finite", count=count, witnesses=witnesses, exact=not irrational)
@@ -297,7 +285,7 @@ def count_product_states(sub: MatrixSubspace) -> ProductCount:
     if k > (rows - 1) * cols or k > rows * (cols - 1):
         # saturated: the subspace meets the rank-one variety along a positive-
         # dimensional family for every value of the free parameter
-        return ProductCount(kind="infinite", family_note="dimension-saturated subspace")
+        return ProductCount(kind="infinite")
     if k == 2:
         return _count_pencil_span(sub)
     if rows == 2:
@@ -487,25 +475,6 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
                 if any(phi_raises_rank(f) for f in rest):
                     return 1
     return 2
-
-
-def product_witness_adjoint_profile(s: PureState, absent_party: str):
-    """(witness, partner rank) for every product witness in the chosen range.
-
-    Rejects ranges with infinitely many product states.
-    """
-    sub = range_subspace(s, absent_party)
-    pc = count_product_states(sub)
-    if pc.is_infinite:
-        raise ValueError("partner profile undefined for an infinite product family")
-    out = []
-    for w in pc.witnesses:
-        out.append((w, partner_rank(s, absent_party, w)))
-    return out
-
-
-def partner_rank_multiset(s: PureState, absent_party: str):
-    return tuple(sorted(r for _, r in product_witness_adjoint_profile(s, absent_party)))
 
 
 # -- quadric profile of the product-direction locus --------------------------

@@ -9,7 +9,6 @@ rounding anywhere in this module.
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from math import lcm
 
@@ -64,9 +63,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -107,9 +103,6 @@ class GaussianRational:
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) * self.inverse()
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -154,7 +147,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 # -- Gaussian-integer form ----------------------------------------------------
@@ -179,40 +171,13 @@ def _scalar(re, im, den=1) -> GaussianRational:
     return GaussianRational._make(Rational(re, den), Rational(im, den))
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def format_scalar(z: GaussianRational) -> str:
     """Render as ``p/q``, ``r/si`` or ``p/q+r/si`` (lowest terms)."""
     if not z.im:
-        return _format_fraction(z.re)
-    imag = f"{_format_fraction(z.im)}i"
+        return str(z.re)
+    imag = f"{str(z.im)}i"
     if not z.re:
         return imag
     if z.im > 0:
-        return f"{_format_fraction(z.re)}+{imag}"
-    return f"{_format_fraction(z.re)}{imag}"
-
-
-_SCALAR_RE = _re.compile(
-    r"""^\s*
-    (?:(?P<re>[+-]?\d+(?:/\d+)?)(?=\s*$|[+-]))?
-    (?:(?P<im>[+-]?\d+(?:/\d+)?)i)?
-    \s*$""",
-    _re.VERBOSE,
-)
-
-
-def parse_scalar(text: str) -> GaussianRational:
-    """Parse the text form produced by :func:`format_scalar`."""
-    m = _SCALAR_RE.match(text)
-    if not m or (m.group("re") is None and m.group("im") is None):
-        raise ValueError(f"malformed scalar: {text!r}")
-    def _rat(text):
-        # gmpy2's parser rejects an explicit leading '+'
-        return Rational(text[1:] if text.startswith("+") else text)
-
-    re_part = _rat(m.group("re")) if m.group("re") else Rational(0)
-    im_part = _rat(m.group("im")) if m.group("im") else Rational(0)
-    return GaussianRational(re_part, im_part)
+        return f"{str(z.re)}+{imag}"
+    return f"{str(z.re)}{imag}"

@@ -53,10 +53,11 @@ def state_from_json(obj) -> PureState:
     if not isinstance(obj, dict):
         raise StateFileError("state file must be a JSON object")
     dims = obj.get("dims")
+    # type(x) is int: JSON true/false load as bool, a subclass of int
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(type(d) is int and d >= 1 for d in dims)
     ):
         raise StateFileError("'dims' must be three positive integers")
     entries = obj.get("amplitudes")
@@ -72,7 +73,7 @@ def state_from_json(obj) -> PureState:
         if (
             not isinstance(idx, list)
             or len(idx) != 3
-            or not all(isinstance(i, int) for i in idx)
+            or not all(type(i) is int for i in idx)
         ):
             raise StateFileError(f"{where}: 'index' must be three integers")
         idx = tuple(idx)

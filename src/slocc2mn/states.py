@@ -33,9 +33,6 @@ class LocalRankProfile:
     def as_tuple(self):
         return (self.r_a, self.r_b, self.r_c)
 
-    def min(self):
-        return min(self.as_tuple())
-
 
 class PureState:
     """Pure state of an (d_A, d_B, d_C) system, unnormalized, exact.
@@ -111,12 +108,6 @@ class PureState:
         v = self._ints.get(tuple(idx))
         return ZERO if v is None else _scalar(v[0], v[1], self._den)
 
-    def scaled(self, s) -> "PureState":
-        s = GaussianRational.coerce(s)
-        if s.is_zero():
-            raise ValueError("cannot scale a state by zero")
-        return PureState(self.dims, {k: v * s for k, v in self.amps.items()})
-
     def normalized_leading(self) -> "PureState":
         """Scale so the lexicographically first nonzero amplitude is 1."""
         c, d = self._ints[min(self._ints)]
@@ -180,11 +171,6 @@ class PureState:
                     idx[q1], idx[q2] = divmod(col, d2)
                     ints[tuple(idx)] = (a * f, b * f)
         return PureState._from_ints(self.dims, ints, big)
-
-    def slice(self, party: str, index: int) -> Matrix:
-        """Sub-tensor at a fixed party index, as a matrix over the remaining
-        parties (first remaining party = rows)."""
-        return self.slices(party)[index]
 
     def slices(self, party: str):
         p = PARTIES.index(party)

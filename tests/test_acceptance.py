@@ -15,7 +15,6 @@ from slocc2mn.ranges import (
     MatrixSubspace,
     count_product_states,
     slocc_signature,
-    partner_rank_multiset,
 )
 from slocc2mn.classify import (
     StateInvariants,
@@ -76,9 +75,10 @@ def test_psi_table_and_pairwise_separation():
             if {f1, f2} != {"Psi3", "Psi5"}:
                 assert expected[f1] != expected[f2] or verdict.separating_invariant
         assert expected["Psi3"] == expected["Psi5"]
-        assert partner_rank_multiset(states["Psi3"], "A") != partner_rank_multiset(
-            states["Psi5"], "A"
-        )
+        # the A-range partner ranks; B and C have infinitely many product states
+        p3 = StateInvariants(states["Psi3"]).partner_key()
+        p5 = StateInvariants(states["Psi5"]).partner_key()
+        assert p3[0] != p5[0] and p3[1:] == p5[1:]
 
 
 def test_phi_examples_same_signature_different_pencil_profile():

@@ -211,6 +211,34 @@ def test_tolerance_option_is_gone(capsys, tmp_path, command):
     assert "--tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["gen", "signature", "classify", "equiv", "perturb", "verify"]
+)
+def test_seed_option_only_where_read(capsys, tmp_path, command):
+    # perturb draws its operator and verify its random states from --seed;
+    # the other commands are deterministic and take no seed
+    out = tmp_path / "g.json"
+    run_cli(capsys, "gen", "GHZ", "--out", str(out))
+    argv = {
+        "gen": ["gen", "GHZ"],
+        "signature": ["signature", str(out)],
+        "classify": ["classify", str(out)],
+        "equiv": ["equiv", str(out), str(out)],
+        "perturb": ["perturb", str(out)],
+        "verify": ["verify", "--theorem", "appendix", "--m", "2", "--trials", "2"],
+    }[command]
+    if command in ("perturb", "verify"):
+        code, report, _ = run_json(capsys, *argv, "--seed", "3")
+        assert code == EXIT_OK and report["seed"] == 3
+        return
+    code, report, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK and "seed" not in report
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "3"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_surd_signature_runs_without_numpy(tmp_path):
     # roots and the ranks at irrational roots are exact, so no float code is
     # loaded

@@ -15,8 +15,6 @@ from slocc2mn.matrices import (
     certified_nullspace,
     poly_matrix_det,
     primitive_vector,
-    matrix_from_vec,
-    vec_of_matrix,
     stack_vectorized,
 )
 
@@ -75,7 +73,7 @@ def test_rref_contract():
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         r, pivots, t = m.rref()
         assert t @ m == r
-        assert t.is_invertible()
+        assert not t.det().is_zero()
         assert len(pivots) == m.rank()
         for i, pc in enumerate(pivots):
             assert r[i, pc] == ONE
@@ -108,7 +106,7 @@ def test_certified_nullspace_equals_plain_nullspace():
         if fast:
             # same span: stacking both bases does not increase the rank
             assert stack_vectorized(
-                [matrix_from_vec(v, 1, m.cols) for v in fast + slow]
+                [Matrix([list(v)]) for v in fast + slow]
             ).rank() == len(slow)
 
 
@@ -131,7 +129,7 @@ def test_inverse():
         found += 1
         assert m.inverse() @ m == Matrix.identity(3)
     with pytest.raises(ValueError):
-        Matrix.zero(2, 2).inverse()
+        Matrix([[ZERO, ZERO], [ZERO, ZERO]]).inverse()
 
 
 def test_primitive_vector_scales_to_coprime_integers():
@@ -139,12 +137,6 @@ def test_primitive_vector_scales_to_coprime_integers():
         [GaussianRational(1, 0) / 2, GaussianRational(3, 0) / 2, ZERO]
     )
     assert list(v) == [GaussianRational(1), GaussianRational(3), ZERO]
-
-
-def test_vec_reshape_round_trip():
-    rng = random.Random(27)
-    m = random_matrix(rng, 3, 4)
-    assert matrix_from_vec(vec_of_matrix(m), 3, 4) == m
 
 
 def test_poly_matrix_det_matches_laplace():
@@ -423,7 +415,7 @@ def gaussian_matrices(draw):
     if kind == "low_rank":
         k = draw(st.integers(0, min(rows, cols) - 1))
         if k == 0:
-            return Matrix.zero(rows, cols)
+            return Matrix([[ZERO] * cols for _ in range(rows)])
         left = Matrix([[draw(_scalars) for _ in range(k)] for _ in range(rows)])
         right = Matrix([[draw(_scalars) for _ in range(cols)] for _ in range(k)])
         return left @ right
@@ -468,7 +460,7 @@ def test_stack_vectorized_matches_rational_stack():
             ))
             for _ in range(rng.randint(1, 4))
         ]
-        ref = Matrix([list(vec_of_matrix(m)) for m in mats])
+        ref = Matrix([[e for row in m.entries for e in row] for m in mats])
         stacked = stack_vectorized(mats)
         assert stacked == ref
         assert stacked._int_form() == ref._int_form()
@@ -476,4 +468,4 @@ def test_stack_vectorized_matches_rational_stack():
         # matrices held in integer form (pencil points) stack the same way
         pen = Pencil(mats[0], mats[-1])
         points = [pen.at(GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))) for _ in range(3)]
-        assert stack_vectorized(points) == Matrix([list(vec_of_matrix(m)) for m in points])
+        assert stack_vectorized(points) == Matrix([[e for row in m.entries for e in row] for m in points])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
-from slocc2mn.matrices import Matrix, vec_of_matrix
+from slocc2mn.matrices import Matrix
 from slocc2mn.polynomials import Poly, exact_roots_of, square_free_part
 from slocc2mn.states import PureState
 from slocc2mn.operators import random_ilo
@@ -19,11 +19,11 @@ from slocc2mn.ranges import (
     slocc_signature,
     bc_pencil,
     partner_rank,
-    partner_rank_multiset,
     quadric_profile,
     ProductWitness,
     _independent_slices,
 )
+from slocc2mn.classify import StateInvariants
 from slocc2mn.families import ClassLabel, make_canonical
 
 
@@ -38,13 +38,21 @@ def subspace(*mats):
     return MatrixSubspace(rows=r, cols=c, basis=tuple(mats))
 
 
+def member(sub, coeffs):
+    """The element sum_i coeffs[i] * basis[i] of a subspace."""
+    out = sub.basis[0].scale(coeffs[0])
+    for c, m in zip(coeffs[1:], sub.basis[1:]):
+        out = out + m.scale(c)
+    return out
+
+
 def test_rank_one_factor():
     m = mat([[2, 4], [3, 6]])
     u, v = rank_one_factor(m)
     outer = Matrix([[a * b for b in v] for a in u])
     assert outer == m
     with pytest.raises(ValueError):
-        rank_one_factor(Matrix.zero(2, 2))
+        rank_one_factor(Matrix([[ZERO, ZERO], [ZERO, ZERO]]))
 
 
 def test_count_two_product_points_in_diagonal_span():
@@ -105,8 +113,7 @@ def test_witnesses_are_rank_one_members():
             continue
         sub = range_subspace(s, party)
         for w in count.witnesses:
-            member = sub.element(w.coeffs)
-            assert member.rank() == 1
+            assert member(sub, w.coeffs).rank() == 1
 
 
 def test_exact_rank_one_in_span():
@@ -114,7 +121,7 @@ def test_exact_rank_one_in_span():
     sub = range_subspace(s, "C")
     w = exact_rank_one_in_span(sub)
     assert w is not None
-    assert sub.element(w.coeffs).rank() == 1
+    assert member(sub, w.coeffs).rank() == 1
 
 
 def test_signature_ghz_w():
@@ -141,7 +148,8 @@ def test_partner_rank_multiset_separates_psi3_psi5():
     p3 = make_canonical(ClassLabel("Psi3"))
     p5 = make_canonical(ClassLabel("Psi5"))
     assert slocc_signature(p3).key() == slocc_signature(p5).key()
-    assert partner_rank_multiset(p3, "A") != partner_rank_multiset(p5, "A")
+    # the A-range partner ranks
+    assert StateInvariants(p3).partner_key()[0] != StateInvariants(p5).partner_key()[0]
 
 
 def _state_from_slices(party_slices, dims):
@@ -227,8 +235,7 @@ def test_quadric_profile_deterministic_and_invariant():
 def test_subspace_element_and_dimension():
     sub = subspace(mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]]))
     assert sub.dimension == 2
-    el = sub.element((GaussianRational(2), GaussianRational(-3)))
-    assert el == mat([[2, 0], [0, -3]])
+    assert member(sub, (GaussianRational(2), GaussianRational(-3))) == mat([[2, 0], [0, -3]])
 
 
 def test_independent_slices_match_greedy_choice():
@@ -241,7 +248,7 @@ def test_independent_slices_match_greedy_choice():
         for _ in range(rng.randint(1, 6)):
             kind = rng.choice(["random", "zero", "repeat", "combination"])
             if kind == "zero" or not pool and kind != "random":
-                pool.append(Matrix.zero(rows, cols))
+                pool.append(Matrix([[ZERO] * cols for _ in range(rows)]))
             elif kind == "repeat":
                 pool.append(rng.choice(pool))
             elif kind == "combination":
@@ -254,7 +261,7 @@ def test_independent_slices_match_greedy_choice():
         chosen, kept = [], []
         for j, m in enumerate(pool):
             trial = kept + [m]
-            if not m.is_zero() and Matrix([list(vec_of_matrix(x)) for x in trial]).rank() == len(trial):
+            if not m.is_zero() and Matrix([[e for row in x.entries for e in row] for x in trial]).rank() == len(trial):
                 chosen.append(j)
                 kept.append(m)
         idx, mats = _independent_slices(pool)

@@ -5,14 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from slocc2mn.scalars import (
-    GaussianRational,
-    ZERO,
-    ONE,
-    I,
-    format_scalar,
-    parse_scalar,
-)
+from slocc2mn.scalars import GaussianRational, ZERO, ONE
+
+I = GaussianRational(0, 1)
 
 
 def random_gr(rng):
@@ -52,7 +47,6 @@ def test_field_axioms_exact():
 
 def test_imaginary_unit():
     assert I * I == GaussianRational(-1)
-    assert I.conjugate() == -I
     assert (ONE + I) * (ONE - I) == GaussianRational(2)
 
 
@@ -84,15 +78,18 @@ def test_immutable():
         z.re = Fraction(0)
 
 
-def test_format_parse_round_trip():
-    rng = random.Random(3)
-    samples = [ZERO, ONE, I, -I, GaussianRational(-2, 0), GaussianRational(0, -3)]
-    samples += [random_gr(rng) for _ in range(50)]
-    for z in samples:
-        assert parse_scalar(format_scalar(z)) == z
-
-
-def test_parse_rejects_garbage():
-    for bad in ("", "i+1", "1//2", "one", "2.5"):
-        with pytest.raises(ValueError):
-            parse_scalar(bad)
+def test_format_scalar_text():
+    # the text of the state files' and reports' scalars, in lowest terms
+    cases = [
+        (ZERO, "0"),
+        (ONE, "1"),
+        (I, "1i"),
+        (-I, "-1i"),
+        (GaussianRational(-2, 0), "-2"),
+        (GaussianRational(0, -3), "-3i"),
+        (GaussianRational(Fraction(6, 4), Fraction(-10, 14)), "3/2-5/7i"),
+        (GaussianRational(Fraction(-1, 3), Fraction(2, 9)), "-1/3+2/9i"),
+        (GaussianRational(Fraction(10**20 + 1, 7), 1), "100000000000000000001/7+1i"),
+    ]
+    for z, text in cases:
+        assert str(z) == text

@@ -68,6 +68,14 @@ def test_load_errors(tmp_path):
     [
         (lambda o: o.update(dims=[2, 2]), "'dims'"),
         (lambda o: o.update(dims=[2, 2, 0]), "'dims'"),
+        # JSON booleans are not integers (state.schema.json rejects them too)
+        (lambda o: o.update(dims=[2, 2, True]), "'dims'"),
+        (
+            lambda o: o["amplitudes"].__setitem__(
+                0, {"index": [0, 0, False], "re": "1", "im": "0"}
+            ),
+            "'index'",
+        ),
         (lambda o: o.update(amplitudes=[]), "non-empty"),
         (
             lambda o: o["amplitudes"].__setitem__(

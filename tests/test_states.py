@@ -71,7 +71,7 @@ def test_apply_local_matches_unfolding_product():
 
 def test_apply_local_rejects_annihilation():
     with pytest.raises(ValueError):
-        GHZ.apply_local("A", Matrix.zero(2, 2))
+        GHZ.apply_local("A", Matrix([[ZERO, ZERO], [ZERO, ZERO]]))
 
 
 def test_permute_parties_round_trip():
@@ -83,7 +83,7 @@ def test_permute_parties_round_trip():
 
 
 def test_scaling_and_scalar_equality():
-    two = GHZ.scaled(GaussianRational(2))
+    two = PureState(GHZ.dims, {idx: v * 2 for idx, v in GHZ.amps.items()})
     assert two.amps != GHZ.amps
     assert two.equals_up_to_scalar(GHZ)
     assert two == GHZ  # state equality is projective
@@ -259,10 +259,10 @@ def test_integer_form_is_unique_and_matches_amps(s, k, order):
         assert s.unfolding(party) == Matrix(grid)
         q1, q2 = [q for q in range(3) if q != p]
         for i, sl in enumerate(s.slices(party)):
-            assert sl == s.slice(party, i)
             expected = [[ZERO] * s.dims[q2] for _ in range(s.dims[q1])]
             for idx, v in amps.items():
                 if idx[p] == i:
                     expected[idx[q1]][idx[q2]] = v
             assert sl == Matrix(expected)
-    assert s.scaled(GaussianRational(Fraction(3, 7), 2)) == s
+    z = GaussianRational(Fraction(3, 7), 2)
+    assert PureState(s.dims, {idx: v * z for idx, v in amps.items()}) == s
