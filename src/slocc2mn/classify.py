@@ -94,7 +94,7 @@ class StateInvariants:
             if self.ranks.r_a != 2:
                 return None
             try:
-                return quadric_profile(self.state, "C")
+                return quadric_profile(self.state)
             except ValueError:
                 return None
 
@@ -155,15 +155,13 @@ def apply_ilo_word(s: PureState, word) -> PureState:
 def extract_and_reduce(s: PureState) -> ReductionStep:
     """Extract a product state from the AB-range and reduce per the lemma.
 
-    Requires a compressed state: dims equal local ranks (2, M, N) with
-    2 <= M <= N <= 2M.  Returns the ILO word carrying s to
-    |0, M-1, N-1> + residual, with the residual supported on C < N-1 and
-    holding no (0, M-1, j) amplitudes.
+    Requires a compressed state, as :func:`reduction_trace` passes it: dims
+    equal to the local ranks (2, M, N) with 2 <= M <= N <= 2M; the ranks are
+    read from the dims, and the residual's are checked.  Returns the ILO word
+    carrying s to |0, M-1, N-1> + residual, with the residual supported on
+    C < N-1 and holding no (0, M-1, j) amplitudes.
     """
     dims = s.dims
-    ranks = s.local_ranks().as_tuple()
-    if dims != ranks:
-        raise ValueError("extract_and_reduce needs a compressed state (dims == ranks)")
     d_a, d_b, d_c = dims
     if d_a != 2 or not (2 <= d_b <= d_c <= 2 * d_b):
         raise ValueError(f"unsupported shape {dims} for reduction")
@@ -235,17 +233,22 @@ def extract_and_reduce(s: PureState) -> ReductionStep:
     )
 
 
+# the longest chain reduction_trace builds; each step shrinks C by one
+MAX_REDUCTION_STEPS = 12
+
+
 def _sorted_party_order(dims) -> str:
     order = sorted(range(3), key=lambda q: (dims[q], q))
     return "".join(PARTIES[q] for q in order)
 
 
-def reduction_trace(s: PureState, max_steps: int = 12) -> list[ReductionStep]:
+def reduction_trace(s: PureState) -> list[ReductionStep]:
     """Chain of reduction steps from a compressed (2, M, N) state down to a
-    base case (stops when a local rank hits 1 or the shape leaves coverage)."""
+    base case (stops when a local rank hits 1 or the shape leaves coverage,
+    and after MAX_REDUCTION_STEPS steps)."""
     steps: list[ReductionStep] = []
     cur = s
-    for _ in range(max_steps):
+    for _ in range(MAX_REDUCTION_STEPS):
         # the compressed dims are the local ranks
         comp, _ = compress_to_ranks(cur, transform=False)
         if min(comp.dims) < 2:
@@ -529,7 +532,10 @@ def decide_equivalence(
     s1: PureState | StateInvariants, s2: PureState | StateInvariants
 ) -> EquivalenceVerdict:
     """Fixed pipeline: ranks, signature, pencil profile, partner multisets,
-    class labels; Equivalent verdicts carry an explicit verified witness.
+    class labels, then the witness search.  Different library labels are
+    Inequivalent; every other pair, library-labelled alike or not, is
+    Equivalent exactly when an explicit verified witness is found, and
+    Undecided otherwise.
 
     Either side may be given as its :class:`StateInvariants` (for example an
     entry of :func:`canonical_invariants`), whose cached keys are then reused,
@@ -571,21 +577,23 @@ def decide_equivalence(
     c1 = classify(inv1, want_proof=False)
     c2 = classify(inv2, want_proof=False)
     sentinel = {"Unknown", "NotTrueTripartite"}
-    if c1.label.family not in sentinel and c2.label.family not in sentinel:
-        if c1.label == c2.label and c1.permutation == c2.permutation:
-            w = find_equivalence_witness(s1, s2)
-            if w is not None:
-                return EquivalenceVerdict(
-                    kind="Equivalent", witness=w,
-                    detail=f"both classify as {c1.label.render()}",
-                )
-            return EquivalenceVerdict(
-                kind="Undecided",
-                detail="same class label but no exact witness found",
-            )
-        if c1.label != c2.label:
-            return EquivalenceVerdict(
-                kind="Inequivalent", separating_invariant="class label",
-                detail=f"{c1.label.render()} vs {c2.label.render()}",
-            )
-    return EquivalenceVerdict(kind="Undecided", detail="outside covered families")
+    labelled = c1.label.family not in sentinel and c2.label.family not in sentinel
+    if labelled and c1.label != c2.label:
+        return EquivalenceVerdict(
+            kind="Inequivalent", separating_invariant="class label",
+            detail=f"{c1.label.render()} vs {c2.label.render()}",
+        )
+    # equal library labels, or a pair the library does not label: only an
+    # explicit witness decides it
+    w = find_equivalence_witness(s1, s2)
+    if w is not None:
+        detail = (
+            f"both classify as {c1.label.render()}" if labelled
+            else "exact witness found outside the covered families"
+        )
+        return EquivalenceVerdict(kind="Equivalent", witness=w, detail=detail)
+    return EquivalenceVerdict(
+        kind="Undecided",
+        detail="same class label but no exact witness found" if labelled
+        else "outside covered families and no exact witness found",
+    )

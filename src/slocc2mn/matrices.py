@@ -617,7 +617,7 @@ class PencilRankProfile:
 class Pencil:
     """One-parameter matrix family A + t*B with equal-shape exact members."""
 
-    __slots__ = ("a", "b", "_generic_rank", "_ints")
+    __slots__ = ("a", "b", "_generic_rank", "_profile", "_ints")
 
     def __init__(self, a: Matrix, b: Matrix):
         if a.shape() != b.shape():
@@ -625,6 +625,7 @@ class Pencil:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_generic_rank", None)
+        object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
@@ -813,7 +814,8 @@ class Pencil:
         return out
 
     def rank_profile(self) -> PencilRankProfile:
-        """Generic rank plus the multiset of ranks at exceptional points.
+        """Generic rank plus the multiset of ranks at exceptional points;
+        cached.
 
         Exceptional finite points are the distinct roots of the gcd of the
         generic-rank-sized minors; the point at infinity is exceptional when
@@ -821,6 +823,8 @@ class Pencil:
         evaluated one by one; the irrational ones get their ranks from
         :meth:`ranks_over`, one point per root, the factor as parameter.
         """
+        if self._profile is not None:
+            return self._profile
         if self.a.is_zero() and self.b.is_zero():
             raise ValueError("zero pencil has no rank profile")
         g = self.generic_rank()
@@ -845,4 +849,6 @@ class Pencil:
         rb = self.b.rank()
         if rb < g:
             points.append(ExceptionalPoint(location="infinity", rank=rb))
-        return PencilRankProfile(generic_rank=g, exceptional=tuple(points))
+        profile = PencilRankProfile(generic_rank=g, exceptional=tuple(points))
+        object.__setattr__(self, "_profile", profile)
+        return profile

@@ -120,15 +120,10 @@ def random_invertible(dim: int, rng: random.Random, allow_imag: bool = True) -> 
             return m
 
 
-def random_ilo(dims, seed: int, allow_imag: bool = True) -> OperatorTriple:
-    """Deterministic-for-seed random invertible triple with grid entries."""
+def random_ilo(dims, seed: int) -> OperatorTriple:
+    """Deterministic-for-seed random invertible triple with Gaussian grid entries."""
     rng = random.Random(seed)
-    return OperatorTriple(
-        random_invertible(dims[0], rng, allow_imag),
-        random_invertible(dims[1], rng, allow_imag),
-        random_invertible(dims[2], rng, allow_imag),
-        check=False,
-    )
+    return OperatorTriple(*(random_invertible(d, rng) for d in dims), check=False)
 
 
 def extend_to_invertible(vectors, dim: int) -> Matrix:

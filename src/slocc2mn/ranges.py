@@ -7,11 +7,18 @@ exact throughout: finite counts come from gcd degree drops, infinities from
 exact degeneracy tests, and ranks at irrational pencil slopes from
 :meth:`.matrices.Pencil.ranks_over`.  Every witness is exact; a point at an
 irrational slope is counted without one.
+
+For two-row ranges :meth:`.matrices.Pencil.rank_profile` is the one search
+for rank drops of the pencil B - t*A: its exceptional points are the rank-one
+slopes, and :func:`partner_rank` is decided by exact rank comparisons there
+and at t = 0..g, g the generic rank.  No sampled slope decides either.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 
 from .scalars import GaussianRational, ZERO, ONE
@@ -162,10 +169,10 @@ class RankOnePoint:
 class RankOneLocus:
     """Full description of the rank-one locus of a two-row matrix subspace.
 
-    ``pencil`` is B - t*A; ``points`` are its Gaussian-rational and infinite
-    rank-one slopes, and ``residual`` (None when there is none) the monic
-    square-free polynomial whose roots are the remaining candidate slopes,
-    all irrational; ``pencil.ranks_over(residual)`` tells which are genuine.
+    ``pencil`` is B - t*A.  Unless it drops rank at every slope
+    (``generic_infinite``), its rank-one slopes are the exceptional points of
+    ``pencil.rank_profile()``, one per root; ``points`` holds the
+    Gaussian-rational and infinite ones with their null bases.
     """
 
     generic_infinite: bool
@@ -173,25 +180,14 @@ class RankOneLocus:
     b_mat: Matrix
     pencil: Pencil
     points: list[RankOnePoint] = field(default_factory=list)
-    residual: Poly | None = None
-
-    def sample_generic_parameters(self):
-        """Rational parameters for probing the generic (infinite) part."""
-        from fractions import Fraction
-
-        vals = [0, 1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2),
-                Fraction(3, 2), 5, -5, 7, Fraction(2, 3), -7, 11]
-        return [GaussianRational(v) for v in vals]
 
 
-def _two_row_locus(sub: MatrixSubspace) -> RankOneLocus:
-    """Rank-one locus of span{B_1..B_k} with each B_i a 2 x K matrix.
+def _two_row_pencil(sub: MatrixSubspace):
+    """(A, B, B - t*A) for span{B_1..B_k} with each B_i a 2 x K matrix.
 
     Writing row pairs (a_i, b_i), coefficient vectors c with a rank-one element
     at slope t are the nullvectors of B - t A where A = [a_i], B = [b_i] as
-    K x k matrices; slope infinity corresponds to nullvectors of A.  The
-    irrational candidate slopes are kept as one residual polynomial, whose
-    ranks are computed only when read.
+    K x k matrices; slope infinity corresponds to nullvectors of A.
     """
     k = sub.dimension
     kk = sub.cols
@@ -211,25 +207,25 @@ def _two_row_locus(sub: MatrixSubspace) -> RankOneLocus:
     a_mat = Matrix._from_ints(a_rows, a_dens, k)
     b_mat = Matrix._from_ints(*rows_of(1), k)
     neg_a = Matrix._from_ints([[(-x, -y) for x, y in row] for row in a_rows], a_dens, k)
-    pen = Pencil(b_mat, neg_a)  # B - t*A
+    return a_mat, b_mat, Pencil(b_mat, neg_a)
+
+
+def _two_row_locus(sub: MatrixSubspace) -> RankOneLocus:
+    """Rank-one locus of a two-row subspace, read off the rank profile of
+    its pencil B - t*A; nullspaces are computed at exact slopes only."""
+    a_mat, b_mat, pen = _two_row_pencil(sub)
+    k = sub.dimension
     # with more basis elements than columns there is a nullvector at every slope
-    if k > kk or pen.generic_rank() < k:
+    if k > sub.cols or pen.generic_rank() < k:
         return RankOneLocus(generic_infinite=True, a_mat=a_mat, b_mat=b_mat, pencil=pen)
     locus = RankOneLocus(generic_infinite=False, a_mat=a_mat, b_mat=b_mat, pencil=pen)
-    gk = pen.minor_root_multiple(k)
-    if gk.is_zero():
-        raise AssertionError("generic rank says full but all maximal minors vanish")
-    if gk.degree > 0:
-        roots, rest = exact_roots_of(gk)
-        for t in roots:
-            nb = pen.at(t).nullspace()
-            if nb:  # spurious candidate roots carry no nullvector
-                locus.points.append(RankOnePoint(parameter=t, null_basis=nb))
-        if rest:
-            locus.residual = rest[0]
-    na = a_mat.nullspace()
-    if na:
-        locus.points.append(RankOnePoint(parameter="infinity", null_basis=na))
+    # the generic rank is k, so a slope is exceptional iff it has a nullvector
+    for p in pen.rank_profile().exceptional:
+        if p.location == "infinity":
+            locus.points.append(RankOnePoint(parameter="infinity", null_basis=a_mat.nullspace()))
+        elif not isinstance(p.parameter, Poly):
+            nb = pen.at(p.parameter).nullspace()
+            locus.points.append(RankOnePoint(parameter=p.parameter, null_basis=nb))
     return locus
 
 
@@ -243,25 +239,20 @@ def _locus_witness(locus: RankOneLocus, point: RankOnePoint):
 
 
 def _count_two_row(sub: MatrixSubspace) -> ProductCount:
-    """One point per rank-one slope, so deg(f) points for a factor f of the
-    irrational residual; infinite when a slope has nullity >= 2."""
+    """One point per rank-one slope, so per exceptional point of the pencil
+    (irrational ones without a witness); infinite when a slope has nullity
+    >= 2."""
     locus = _two_row_locus(sub)
     if locus.generic_infinite:
         # rank-one elements exist at every pencil slope
         return ProductCount(kind="infinite")
-    k = sub.dimension
-    # factors of the residual at whose roots B - t*A drops rank: rank-one slopes
-    irrational = [] if locus.residual is None else [
-        (f, rk) for f, rk in locus.pencil.ranks_over(locus.residual) if rk < k
-    ]
-    if any(len(p.null_basis) >= 2 for p in locus.points) or any(
-        rk <= k - 2 for _, rk in irrational
-    ):
+    exceptional = locus.pencil.rank_profile().exceptional
+    if any(p.rank <= sub.dimension - 2 for p in exceptional):
         # a degenerate slope carries a multi-dimensional product family
         return ProductCount(kind="infinite")
-    witnesses = tuple(_locus_witness(locus, p) for p in locus.points)
-    count = len(witnesses) + sum(f.degree for f, _ in irrational)
-    return ProductCount(kind="finite", count=count, witnesses=witnesses, exact=not irrational)
+    w = tuple(_locus_witness(locus, p) for p in locus.points)
+    n = len(exceptional)
+    return ProductCount(kind="finite", count=n, witnesses=w, exact=len(w) == n)
 
 
 def count_product_states(sub: MatrixSubspace) -> ProductCount:
@@ -316,15 +307,12 @@ def exact_rank_one_in_span(sub: MatrixSubspace) -> ProductWitness | None:
     if sub.rows != 2:
         raise UnsupportedSubspaceError("rank-one sampling needs two-row matrices")
     locus = _two_row_locus(sub)
+    if locus.generic_infinite:
+        # B - t*A has a nullvector at every slope, t = 0 (where it is B) too
+        c = locus.b_mat.nullspace()[0]
+        return ProductWitness(coeffs=tuple(c), u=(ONE, ZERO), v=tuple(locus.a_mat.apply_vector(c)))
     if locus.points:
         return _locus_witness(locus, locus.points[0])
-    if locus.generic_infinite:
-        for t in locus.sample_generic_parameters():
-            nb = locus.pencil.at(t).nullspace()
-            if nb:
-                c = nb[0]
-                v = locus.a_mat.apply_vector(c)
-                return ProductWitness(coeffs=tuple(c), u=(ONE, t), v=tuple(v))
     return None
 
 
@@ -406,10 +394,14 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
     The partner matrices have two rows (the A party), so the result is 1 or 2.
 
     Partner rank 1 needs a nullvector c of B - t*A (a rank-one element of
-    the slice span) on which the functional phi(c) = sum_i c_i v_i does not
-    vanish.  At an irrational slope that is read off exact ranks: phi is
-    nonzero on the nullspace exactly when appending phi as a row raises the
-    rank there.
+    the slice span), t in P^1, on which the functional phi(c) = sum_i c_i v_i
+    does not vanish: that is, appending phi as a row raises the rank of
+    B - t*A (of A at infinity).  Away from the exceptional points of the
+    pencil's rank profile the rank is the generic rank g, and phi raises it
+    there iff it raises it generically; then some (g+1)-minor holding the
+    phi row is a nonzero polynomial of degree <= g, so one of t = 0..g shows
+    it.  The exceptional points are compared one by one, exactly, the
+    irrational ones by :meth:`.matrices.Pencil.ranks_over`.
     """
     y_party, z_party = RANGE_PAIR[absent_party]
     v = witness.v
@@ -424,79 +416,56 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
     )
     chosen, mats = _independent_slices(slices)
     sub = MatrixSubspace._of_independent(mats)
-
-    def functional(c) -> GaussianRational:
-        return sum((c[i] * v[chosen[i]] for i in range(len(chosen))), ZERO)
-
     if kernel_hits_v:
         # the hyperplane condition is vacuous: partner rank 1 iff any rank-one
         # element exists in the slice span at all
         pc = count_product_states(sub)
         return 1 if pc.is_infinite or pc.count > 0 else 2
 
-    locus = _two_row_locus(sub)
-    pen = locus.pencil
-
-    def phi_raises_rank(f) -> bool:
-        # B - t*A with the constant row phi appended, against B - t*A alone
-        with_phi = Pencil(
-            Matrix(list(pen.a.entries) + [[v[j] for j in chosen]]),
-            Matrix(list(pen.b.entries) + [[ZERO] * len(chosen)]),
-        )
-        return any(
-            rk2 > rk for g, rk in pen.ranks_over(f) for _, rk2 in with_phi.ranks_over(g)
-        )
-
-    for p in locus.points:
-        for c in p.null_basis:
-            if not functional(c).is_zero():
-                return 1
-    if locus.residual is not None and phi_raises_rank(locus.residual):
+    _, _, pen = _two_row_pencil(sub)
+    phi = [v[j] for j in chosen]
+    # B - t*A with the constant row phi appended
+    with_phi = Pencil(
+        Matrix(list(pen.a.entries) + [phi]),
+        Matrix(list(pen.b.entries) + [[ZERO] * len(chosen)]),
+    )
+    prof = pen.rank_profile()
+    g = prof.generic_rank
+    if g < len(chosen) and any(with_phi.at(t).rank() > g for t in range(g + 1)):
         return 1
-    if locus.generic_infinite:
-        for t in locus.sample_generic_parameters():
-            for c in pen.at(t).nullspace():
-                if not functional(c).is_zero():
-                    return 1
-        # slope infinity: rank-one elements with vanishing first row
-        for c in locus.a_mat.nullspace():
-            if not functional(c).is_zero():
-                return 1
-        # slopes where the nullity jumps above its generic value
-        g_rank = pen.generic_rank()
-        if 0 < g_rank <= min(pen.a.rows, pen.a.cols):
-            gj = pen.minor_root_multiple(g_rank)
-            if not gj.is_zero() and gj.degree > 0:
-                roots, rest = exact_roots_of(gj)
-                for t in roots:
-                    for c in pen.at(t).nullspace():
-                        if not functional(c).is_zero():
-                            return 1
-                if any(phi_raises_rank(f) for f in rest):
-                    return 1
+    # the points at the roots of one irrational factor are one entry
+    for p in dict.fromkeys(prof.exceptional):
+        if p.location == "infinity":
+            # the rows of -A, then phi
+            raised = Matrix(list(pen.b.entries) + [phi]).rank() > p.rank
+        elif isinstance(p.parameter, Poly):
+            raised = any(rk > p.rank for _, rk in with_phi.ranks_over(p.parameter))
+        else:
+            raised = with_phi.at(p.parameter).rank() > p.rank
+        if raised:
+            return 1
     return 2
 
 
 # -- quadric profile of the product-direction locus --------------------------
 
 
-def quadric_profile(s: PureState, absent_party: str = "C"):
-    """Projective invariant of the closure of product directions in a range.
+def quadric_profile(s: PureState):
+    """Projective invariant of the closure of product directions in the AB
+    range (party C absent).
 
     Samples the second factors (column-space vectors) of rank-one elements of
-    the range subspace over many pencil slopes, computes the exact linear
-    space of quadratic forms vanishing on all samples, and returns
-    (dimension of that space, maximal rank among random members).  Both
-    numbers are invariant under invertible local operators.
+    the range subspace over sixteen fixed pencil slopes and the exceptional
+    ones, computes the exact linear space of quadratic forms vanishing on all
+    samples, and returns (dimension of that space, maximal rank among random
+    members).  Both numbers are invariant under invertible local operators.
     """
-    import random as _random
-
-    _, mats = _independent_slices(s.slices(absent_party))
+    _, mats = _independent_slices(s.slices("C"))
     sub = MatrixSubspace._of_independent(mats)
     if sub.rows != 2:
         raise ValueError("quadric profile implemented for two-row ranges only")
     locus = _two_row_locus(sub)
-    rng = _random.Random(4099)
+    rng = random.Random(4099)
     n = sub.cols
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
     cap = 4 * len(pairs)
@@ -525,8 +494,10 @@ def quadric_profile(s: PureState, absent_party: str = "C"):
                 for r in range(len(basis[0]))
             )
 
-    for t in locus.sample_generic_parameters():
-        nb = locus.pencil.at(t).nullspace()
+    slopes = [0, 1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2),
+              Fraction(3, 2), 5, -5, 7, Fraction(2, 3), -7, 11]
+    for t in slopes:
+        nb = locus.pencil.at(GaussianRational(t)).nullspace()
         for c in combos(nb) if nb else []:
             add_sample(locus.a_mat.apply_vector(c))
     na = locus.a_mat.nullspace()

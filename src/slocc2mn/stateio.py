@@ -26,19 +26,30 @@ class StateFileError(ValueError):
     """A malformed or inconsistent state file."""
 
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+# fullmatch: a pattern's "$" would also match before a trailing newline
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _fraction_from(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise StateFileError(f"{where}: rational parts must be strings, got {text!r}")
-    body = text.strip()
-    if not _RATIONAL_RE.match(body):
+    if not _RATIONAL_RE.fullmatch(text):
         raise StateFileError(f"{where}: bad rational {text!r}: expected 'p' or 'p/q'")
     try:
-        return Fraction(body)
+        return Fraction(text)
     except ZeroDivisionError as exc:
         raise StateFileError(f"{where}: bad rational {text!r}: {exc}") from exc
+
+
+def _check_keys(obj: dict, keys, where: str) -> None:
+    """Every key of ``keys`` present and no other (state.schema.json's
+    ``required`` and ``additionalProperties: false``)."""
+    for key in keys:
+        if key not in obj:
+            raise StateFileError(f"{where}: missing '{key}'")
+    for key in obj:
+        if key not in keys:
+            raise StateFileError(f"{where}: unknown key {key!r}")
 
 
 def state_to_json(s: PureState) -> dict:
@@ -52,7 +63,8 @@ def state_to_json(s: PureState) -> dict:
 def state_from_json(obj) -> PureState:
     if not isinstance(obj, dict):
         raise StateFileError("state file must be a JSON object")
-    dims = obj.get("dims")
+    _check_keys(obj, ("dims", "amplitudes"), "state file")
+    dims = obj["dims"]
     # type(x) is int: JSON true/false load as bool, a subclass of int
     if (
         not isinstance(dims, list)
@@ -60,7 +72,7 @@ def state_from_json(obj) -> PureState:
         or not all(type(d) is int and d >= 1 for d in dims)
     ):
         raise StateFileError("'dims' must be three positive integers")
-    entries = obj.get("amplitudes")
+    entries = obj["amplitudes"]
     if not isinstance(entries, list) or not entries:
         raise StateFileError("'amplitudes' must be a non-empty list")
     dims = tuple(dims)
@@ -69,7 +81,8 @@ def state_from_json(obj) -> PureState:
         where = f"amplitudes[{pos}]"
         if not isinstance(entry, dict):
             raise StateFileError(f"{where}: must be an object")
-        idx = entry.get("index")
+        _check_keys(entry, ("index", "re", "im"), where)
+        idx = entry["index"]
         if (
             not isinstance(idx, list)
             or len(idx) != 3
@@ -81,8 +94,8 @@ def state_from_json(obj) -> PureState:
             raise StateFileError(f"{where}: index {list(idx)} out of range for dims {list(dims)}")
         if idx in amps:
             raise StateFileError(f"{where}: duplicate index {list(idx)}")
-        re = _fraction_from(entry.get("re", "0"), where)
-        im = _fraction_from(entry.get("im", "0"), where)
+        re = _fraction_from(entry["re"], f"{where}.re")
+        im = _fraction_from(entry["im"], f"{where}.im")
         amps[idx] = GaussianRational(re, im)
     if all(v.is_zero() for v in amps.values()):
         raise StateFileError("state file has no nonzero amplitude")

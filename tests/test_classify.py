@@ -165,6 +165,21 @@ def test_equivalence_survives_large_operand_ilos():
         assert verdict.witness.apply(s).equals_up_to_scalar(moved)
 
 
+def test_unlabelled_pairs_decided_by_witness():
+    # Phi0Example's shape has no library classes, so its label is Unknown;
+    # a replaying witness still decides the pair, and an invariant tier
+    # still separates it from Phi1Example
+    phi0 = make_canonical(ClassLabel("Phi0Example"))
+    for seed in range(10):
+        moved = random_ilo(phi0.dims, seed).apply(phi0)
+        verdict = decide_equivalence(phi0, moved)
+        assert verdict.kind == "Equivalent", (seed, verdict.detail)
+        assert verdict.witness.apply(phi0).equals_up_to_scalar(moved)
+    verdict = decide_equivalence(phi0, make_canonical(ClassLabel("Phi1Example")))
+    assert verdict.kind == "Inequivalent"
+    assert verdict.separating_invariant == "pencil rank profile"
+
+
 def test_find_equivalence_witness_rejects_different_classes():
     s1 = make_canonical(ClassLabel("GHZ"))
     s2 = make_canonical(ClassLabel("W"))

@@ -224,12 +224,54 @@ def test_partner_rank_decided_at_irrational_slope():
     assert rank_for((0, 0, 1)) == 2
 
 
+def _partner_rank_of_pencil(m0, m1, phi):
+    """partner_rank for the state whose C-slices have the two-row pencil
+    m0 + t*m1 (K x k, generic rank below k), with C-factor phi."""
+    slices = _two_row_basis(m0, m1)
+    k = len(slices)
+    kk = slices[0].cols
+    s = PureState((2, kk, k), {
+        (a, b, c): slices[c][a, b]
+        for a in range(2) for b in range(kk) for c in range(k) if not slices[c][a, b].is_zero()
+    })
+    w = ProductWitness(coeffs=(), u=(), v=tuple(GaussianRational(x) for x in phi))
+    return partner_rank(s, "B", w)
+
+
+def test_partner_rank_on_pencils_singular_at_every_slope():
+    # Each pencil has a nullvector at every slope; phi raises the rank of
+    # B - t*A (appended as a row) where it is nonzero on the nullspace.
+    # [[5 - t, 0, 0], [0, 5 - t, t]]: generic kernel (0, t, t - 5); at t = 5
+    # the kernel gains e0, so phi = e0 raises the rank there only
+    jump_at_5 = ([[5, 0, 0], [0, 5, 0]], [[-1, 0, 0], [0, -1, 1]])
+    assert _partner_rank_of_pencil(*jump_at_5, (1, 0, 0)) == 1
+    # [[1, t, 0, 0], [0, 0, t, 2], [0, 0, 1, t]]: generic kernel (t, -1, 0, 0);
+    # at t = +-sqrt 2 it gains (0, 0, 2, -t), on which phi = e2 is 2
+    jump_at_surds = (
+        [[1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]],
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    )
+    assert _partner_rank_of_pencil(*jump_at_surds, (0, 0, 1, 0)) == 1
+    # [[1, 0, 0], [0, 1, t]]: generic kernel (0, -t, 1); at infinity (A) the
+    # kernel is span{e0, e1}.  phi = e0 is nonzero there only; phi = e1 is
+    # nonzero on the generic kernel except at t = 0
+    jump_at_infinity = ([[1, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 1]])
+    assert _partner_rank_of_pencil(*jump_at_infinity, (1, 0, 0)) == 1
+    assert _partner_rank_of_pencil(*jump_at_infinity, (0, 1, 0)) == 1
+    # adding the row [t, 0, 0] removes the jump at infinity: the rank is 2 at
+    # every slope, the kernel (0, -t, 1) or e1 at infinity, and phi = e0 is
+    # zero on all of them
+    no_jump = ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    assert _partner_rank_of_pencil(*no_jump, (1, 0, 0)) == 2
+    assert _partner_rank_of_pencil(*no_jump, (0, 1, 0)) == 1
+
+
 def test_quadric_profile_deterministic_and_invariant():
     s = make_canonical(ClassLabel("Theta4", 2))
-    ref = quadric_profile(s, "C")
-    assert quadric_profile(s, "C") == ref
+    ref = quadric_profile(s)
+    assert quadric_profile(s) == ref
     g = random_ilo(s.dims, 3)
-    assert quadric_profile(g.apply(s), "C") == ref
+    assert quadric_profile(g.apply(s)) == ref
 
 
 def test_subspace_element_and_dimension():

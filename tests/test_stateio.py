@@ -105,6 +105,32 @@ def test_load_errors(tmp_path):
             ),
             "three integers",
         ),
+        # state.schema.json rejects each of these five as well: its rational
+        # pattern allows no whitespace, every amplitude needs both parts, and
+        # neither level admits other keys
+        (
+            lambda o: o["amplitudes"].__setitem__(
+                0, {"index": [0, 0, 0], "re": " 1 ", "im": "0"}
+            ),
+            r"amplitudes\[0\]\.re: bad rational",
+        ),
+        (
+            lambda o: o["amplitudes"].__setitem__(
+                0, {"index": [0, 0, 0], "re": "1\n", "im": "0"}
+            ),
+            r"amplitudes\[0\]\.re: bad rational",
+        ),
+        (
+            lambda o: o["amplitudes"].__setitem__(0, {"index": [0, 0, 0], "re": "1"}),
+            "missing 'im'",
+        ),
+        (
+            lambda o: o["amplitudes"].__setitem__(
+                0, {"index": [0, 0, 0], "re": "1", "im": "0", "phase": "0"}
+            ),
+            "unknown key 'phase'",
+        ),
+        (lambda o: o.update(comment="GHZ"), "unknown key 'comment'"),
     ],
 )
 def test_validation_errors(mutate, message):

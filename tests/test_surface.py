@@ -6,9 +6,13 @@ A top-level function, class or assignment, or a method, in
 dotted string such as the tracer's ``"classify.StateInvariants.partner_key"``.
 A name only the tests read is API the command line, the verifier and the
 benchmark do not need.  Dunder names are exempt.
+
+Conversely, every name the benchmark harness looks up must exist, so that a
+deletion that would break ``perfbench/`` fails here first.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -66,3 +70,58 @@ def test_every_library_name_has_a_caller():
     assert [n for n in unused if n not in ALLOWED] == []
     # an allowlisted name that gained a caller no longer needs its entry
     assert set(unused) >= ALLOWED
+
+
+def _assigned_literal(path: Path, name: str):
+    """The literal value a module assigns to ``name`` at top level."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def _calls_on(path: Path, function: str, receiver: str):
+    """Attribute names that ``function`` in ``path`` calls on ``receiver``."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return sorted({
+                call.func.attr for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name) and call.func.value.id == receiver
+            })
+    raise AssertionError(f"{path.name} defines no {function}")
+
+
+def test_benchmark_names_resolve():
+    """Every name the benchmark harness looks up exists in the library.
+
+    ``perfbench/tracer.py`` resolves each ``TARGETS`` entry with
+    ``vars(owner)[name]``, and ``perfbench/setup_time.py``'s ``fill_tables``
+    calls ``canonical_invariants`` and the invariant keys by name, so a
+    rename or deletion there breaks every benchmark run.
+    """
+    targets = _assigned_literal(ROOT / "perfbench" / "tracer.py", "TARGETS")
+    assert targets
+    missing = []
+    for name in targets:
+        module_name, *path = name.split(".")
+        owner = importlib.import_module(f"slocc2mn.{module_name}")
+        for part in path[:-1]:
+            owner = vars(owner).get(part)
+            if owner is None:
+                break
+        if owner is None or path[-1] not in vars(owner):
+            missing.append(name)
+    classify = importlib.import_module("slocc2mn.classify")
+    setup = ROOT / "perfbench" / "setup_time.py"
+    module_calls = _calls_on(setup, "fill_tables", "classify_module")
+    key_calls = _calls_on(setup, "fill_tables", "inv")
+    assert module_calls and key_calls
+    missing += [f"classify.{n}" for n in module_calls if n not in vars(classify)]
+    missing += [
+        f"classify.StateInvariants.{n}" for n in key_calls
+        if n not in vars(classify.StateInvariants)
+    ]
+    assert missing == []
