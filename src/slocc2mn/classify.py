@@ -4,9 +4,13 @@ The classifier matches a tiered invariant vector — local ranks, signature,
 BC pencil rank profile, partner-rank multisets, and (as a last tie-breaker)
 the quadric profile of the AB product-direction locus — against the canonical
 library for the state's compressed shape; a state that is already compressed
-and given with its cached invariants is matched as it stands.  Reduction
-steps extract a product state from the AB-range and shrink the C dimension by
-one, producing an auditable elementary-ILO word.  Equivalence verdicts follow a fixed pipeline
+and given with its cached invariants is matched as it stands.  The quadric
+profile is not ILO-invariant in general; it is read only when the first
+three tiers leave more than one candidate, which among canonical states
+happens only for Theta4(m) against Theta5(m) (m = 2..5 checked), and on
+those two its keys, (1, 4) and (1, 3), are stable.  Reduction steps extract
+a product state from the AB-range and shrink the C dimension by one,
+producing an auditable elementary-ILO word.  Equivalence verdicts follow a fixed pipeline
 of invariant comparisons before attempting an explicit witness.
 """
 

@@ -3,8 +3,10 @@
 Commands: gen, signature, classify, equiv, perturb, verify.  Every command
 honors ``--format json|text``; JSON output follows schemas/report.schema.json.
 ``perturb`` and ``verify`` draw from ``--seed``; the others are deterministic.
-Exit codes: 0 success, 1 assertion/verification failure or an input past an
-internal limit (reported as ``unsupported:``), 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure or an input past an internal
+limit (reported as ``unsupported:``), 2 usage or parse errors, 3 a failed
+internal consistency check (an ``AssertionError``, reported as
+``internal error:``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .stateio import (
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _parameter_to_json(parameter):
@@ -330,6 +333,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,10 +13,9 @@ each step cross-multiplies a row with the pivot row and divides exactly by
 the previous pivot, so entries stay minors of the input and no rational is
 reduced on the way.  ``Matrix.rank``, ``det``, ``nullspace``, ``rref``
 (with or without its transform), :func:`certified_nullspace` and the pencil
-minors all run on it, and :func:`primitive_vector` and
-:func:`stack_vectorized` share its integer row form.  Pencil entries and
-minors are polynomials in their Gaussian-integer form, so the minor gcds
-never leave the integers.
+minors all run on it, and :func:`stack_vectorized` shares its integer row
+form.  Pencil entries and minors are polynomials in their Gaussian-integer
+form, so the minor gcds never leave the integers.
 :class:`GaussianRational` values are built only for the results handed back.
 """
 
@@ -151,16 +150,6 @@ def _null_vectors(rows, pivots, ncols):
     return d, out
 
 
-def _null_basis(rows, pivots, ncols):
-    """The nullspace basis of Matrix.nullspace() from reduced rows."""
-    d, vectors = _null_vectors(rows, pivots, ncols)
-    out = []
-    for w in vectors:
-        ints, n = _over_pivot(w, d)
-        out.append(tuple(_scalar(a, b, n) for a, b in ints))
-    return out
-
-
 def _primitive_ints(ints):
     """Gaussian-integer pairs divided by the gcd of all their parts, the sign
     fixed so the first nonzero pair has a positive real part (or a zero real
@@ -195,16 +184,6 @@ def _over_pivot(ints, p):
     return ints, n
 
 
-def primitive_vector(vec):
-    """Scale a Gaussian-rational vector to primitive Gaussian-integer form.
-
-    Clears denominators, divides by the gcd of all integer components, and
-    fixes an overall sign; keeps exact-arithmetic bit growth small.
-    """
-    ints = _primitive_ints(_int_row(vec)[0])
-    return tuple(_scalar(a, b) for a, b in ints)
-
-
 _CERT_PRIME = 1000000009  # = 1 mod 4, so -1 has a square root modulo it
 
 
@@ -218,8 +197,9 @@ def certified_nullspace(m: "Matrix"):
     kernel reduces that subset exactly, and every remaining row is checked
     against the subset's Gaussian-integer null vectors (a row that fails
     joins the subset).  Equal row spaces have equal reduced echelon forms, so
-    the result is identical to Matrix.nullspace() without exact elimination
-    of the rows that the pivots already span.
+    the result is Matrix.nullspace()'s basis without exact elimination of the
+    rows that the pivots already span.  It is given in the integer form of
+    :meth:`Matrix._null_ints`; no :class:`GaussianRational` is built.
     """
     rows, _ = m._int_form()
     p, root = _CERT_PRIME, _IMROOT
@@ -241,7 +221,7 @@ def certified_nullspace(m: "Matrix"):
         ech = [rows[i] for i in subset]
         pivots, _ = _eliminate(ech, m.cols, reduced=True)
         ech = ech[: len(pivots)]
-        _, vectors = _null_vectors(ech, pivots, m.cols)
+        pivot, vectors = _null_vectors(ech, pivots, m.cols)
         bad = None
         for idx, row in enumerate(rows):
             if idx in chosen:
@@ -258,7 +238,7 @@ def certified_nullspace(m: "Matrix"):
             if bad is not None:
                 break
         if bad is None:
-            return _null_basis(ech, pivots, m.cols)
+            return [_over_pivot(w, pivot) for w in vectors]
         subset.append(bad)
         chosen.add(bad)
 
@@ -396,7 +376,7 @@ class Matrix:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(a or b for row in self._int_form()[0] for a, b in row)
 
     # -- elimination (all through _eliminate) -------------------------------
 
@@ -447,9 +427,15 @@ class Matrix:
         """Basis of the right nullspace as a list of scalar tuples: for each
         non-pivot column c, the vector with a one at c, zeros at the other
         non-pivot columns, and minus column c of the RREF at the pivots."""
+        return [tuple(_scalar(a, b, n) for a, b in ints) for ints, n in self._null_ints()]
+
+    def _null_ints(self):
+        """The basis of :meth:`nullspace` in integer form: ``(pairs, den)``
+        per vector, the vector being ``pairs / den`` (see :func:`_over_pivot`)."""
         rows = list(self._int_form()[0])
         pivots, _ = _eliminate(rows, self.cols, reduced=True)
-        return _null_basis(rows, pivots, self.cols)
+        d, vectors = _null_vectors(rows, pivots, self.cols)
+        return [_over_pivot(w, d) for w in vectors]
 
     def det(self) -> GaussianRational:
         if self.rows != self.cols:

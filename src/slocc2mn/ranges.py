@@ -12,6 +12,13 @@ For two-row ranges :meth:`.matrices.Pencil.rank_profile` is the one search
 for rank drops of the pencil B - t*A: its exceptional points are the rank-one
 slopes, and :func:`partner_rank` is decided by exact rank comparisons there
 and at t = 0..g, g the generic rank.  No sampled slope decides either.
+
+:func:`quadric_profile` is the one sampled quantity here: exact and seeded,
+but read off a sample that depends on the basis, so it is not ILO-invariant
+in general.  The classifier reads it only as its last tier, where it has to
+tell Theta4(m) from Theta5(m), the only canonical pairs that tie on every
+other tier (checked up to m = 5); on those two it is stable, (1, 4) and
+(1, 3), under every ILO tried.
 """
 
 from __future__ import annotations
@@ -21,15 +28,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import ZERO, ONE, _int_row
 from .polynomials import Poly, poly_gcd_many, exact_roots_of
 from .matrices import (
     Matrix,
     Pencil,
     stack_vectorized,
-    primitive_vector,
     certified_nullspace,
     _eliminate,
+    _int_matmul,
+    _null_vectors,
+    _primitive_ints,
 )
 from .states import PureState, PARTIES, LocalRankProfile
 
@@ -409,13 +418,19 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
     d_z = len(slices)
     if len(v) != d_z:
         raise ValueError("witness factor length does not match party dimension")
-    stacked = stack_vectorized(slices)
-    kernel = stacked.transpose().nullspace()  # {g : sum g_j S_j = 0}
-    kernel_hits_v = any(
-        not sum((g[j] * v[j] for j in range(d_z)), ZERO).is_zero() for g in kernel
-    )
-    chosen, mats = _independent_slices(slices)
-    sub = MatrixSubspace._of_independent(mats)
+    # one elimination of the columns of the vectorized slices gives both the
+    # independent slices (its pivots, as in _independent_slices) and the
+    # kernel {g : sum g_j S_j = 0}, as g_j = den_j h_j with h a null vector
+    # of the integer columns (slice j is stored over den_j)
+    rows, slice_dens = stack_vectorized(slices)._int_form()
+    cols = [list(col) for col in zip(*rows)]
+    chosen, _ = _eliminate(cols, d_z, reduced=True)
+    _, kernel = _null_vectors(cols, chosen, d_z)
+    v_ints, v_den = _int_row(v)
+    # g . v = sum_j den_j h_j v_j, up to v's denominator
+    weighted = [[(den * a, den * b) for (a, b), den in zip(v_ints, slice_dens)]]
+    kernel_hits_v = any(any(gv) for gv in _int_matmul(weighted, list(zip(*kernel)))[0])
+    sub = MatrixSubspace._of_independent([slices[j] for j in chosen])
     if kernel_hits_v:
         # the hyperplane condition is vacuous: partner rank 1 iff any rank-one
         # element exists in the slice span at all
@@ -423,21 +438,23 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
         return 1 if pc.is_infinite or pc.count > 0 else 2
 
     _, _, pen = _two_row_pencil(sub)
-    phi = [v[j] for j in chosen]
+    a_rows, b_rows, dens = pen._int_form()
+    phi = [v_ints[j] for j in chosen]
+    k = len(chosen)
     # B - t*A with the constant row phi appended
     with_phi = Pencil(
-        Matrix(list(pen.a.entries) + [phi]),
-        Matrix(list(pen.b.entries) + [[ZERO] * len(chosen)]),
+        Matrix._from_ints(a_rows + [phi], dens + [v_den], k),
+        Matrix._from_ints(b_rows + [[(0, 0)] * k], dens + [v_den], k),
     )
     prof = pen.rank_profile()
     g = prof.generic_rank
-    if g < len(chosen) and any(with_phi.at(t).rank() > g for t in range(g + 1)):
+    if g < k and any(with_phi.at(t).rank() > g for t in range(g + 1)):
         return 1
     # the points at the roots of one irrational factor are one entry
     for p in dict.fromkeys(prof.exceptional):
         if p.location == "infinity":
             # the rows of -A, then phi
-            raised = Matrix(list(pen.b.entries) + [phi]).rank() > p.rank
+            raised = Matrix._from_ints(b_rows + [phi], dens + [v_den], k).rank() > p.rank
         elif isinstance(p.parameter, Poly):
             raised = any(rk > p.rank for _, rk in with_phi.ranks_over(p.parameter))
         else:
@@ -450,21 +467,37 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
 # -- quadric profile of the product-direction locus --------------------------
 
 
+def _int_combination(coeffs, vectors):
+    """sum_i coeffs[i] * vectors[i] for integer coeffs and Gaussian-integer
+    vectors."""
+    return [
+        (sum(k * v[r][0] for k, v in zip(coeffs, vectors)),
+         sum(k * v[r][1] for k, v in zip(coeffs, vectors)))
+        for r in range(len(vectors[0]))
+    ]
+
+
 def quadric_profile(s: PureState):
     """Projective invariant of the closure of product directions in the AB
-    range (party C absent).
+    range (party C absent), as sampled.
 
     Samples the second factors (column-space vectors) of rank-one elements of
-    the range subspace over sixteen fixed pencil slopes and the exceptional
-    ones, computes the exact linear space of quadratic forms vanishing on all
-    samples, and returns (dimension of that space, maximal rank among random
-    members).  Both numbers are invariant under invertible local operators.
+    the range subspace over sixteen fixed pencil slopes, slope infinity and
+    the exceptional Gaussian-rational ones, computes the exact linear space
+    of quadratic forms vanishing on all samples, and returns (dimension of
+    that space, maximal rank among random members).  Exact and seeded, but
+    the samples depend on the basis, so the pair is not ILO-invariant in
+    general (the module docstring says where it is read).  All arithmetic is
+    on Gaussian integers: the rows of A and B share one denominator
+    (:func:`_two_row_pencil`), which a sample's primitive form drops.
     """
     _, mats = _independent_slices(s.slices("C"))
     sub = MatrixSubspace._of_independent(mats)
     if sub.rows != 2:
         raise ValueError("quadric profile implemented for two-row ranges only")
     locus = _two_row_locus(sub)
+    a_rows = locus.a_mat._int_form()[0]
+    b_rows = locus.b_mat._int_form()[0]
     rng = random.Random(4099)
     n = sub.cols
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
@@ -472,67 +505,62 @@ def quadric_profile(s: PureState):
     samples: list[tuple] = []
     seen: set = set()
 
-    def add_sample(vec):
-        if len(samples) >= cap or all(x.is_zero() for x in vec):
-            return
-        key = primitive_vector(vec)
-        if key not in seen:
-            seen.add(key)
-            samples.append(key)
-
-    def combos(basis):
-        basis = [primitive_vector(c) for c in basis]
-        for c in basis:
-            yield c
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                yield tuple(x + y for x, y in zip(basis[i], basis[j]))
-        for _ in range(2):
-            coeffs = [GaussianRational(rng.randint(1, 5)) for _ in basis]
-            yield tuple(
-                sum((coeffs[i] * basis[i][r] for i in range(len(basis))), ZERO)
-                for r in range(len(basis[0]))
-            )
+    def add_samples(basis, rows):
+        # the basis vectors, their pairwise sums and two random combinations
+        combos = list(basis)
+        combos += [
+            _int_combination((1, 1), (u, w)) for i, u in enumerate(basis) for w in basis[i + 1:]
+        ]
+        combos += [_int_combination([rng.randint(1, 5) for _ in basis], basis) for _ in range(2)]
+        # their images under the rows, one per column
+        for vec in zip(*_int_matmul(rows, list(zip(*combos)))):
+            if len(samples) >= cap:
+                return
+            if any(a or b for a, b in vec):
+                key = tuple(_primitive_ints(vec))
+                if key not in seen:
+                    seen.add(key)
+                    samples.append(key)
 
     slopes = [0, 1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2),
               Fraction(3, 2), 5, -5, 7, Fraction(2, 3), -7, 11]
-    for t in slopes:
-        nb = locus.pencil.at(GaussianRational(t)).nullspace()
-        for c in combos(nb) if nb else []:
-            add_sample(locus.a_mat.apply_vector(c))
-    na = locus.a_mat.nullspace()
-    for c in combos(na) if na else []:
-        add_sample(locus.b_mat.apply_vector(c))
-    for p in locus.points:
-        if p.parameter == "infinity":
-            for c in combos(p.null_basis):
-                add_sample(locus.b_mat.apply_vector(c))
-        else:
-            for c in combos(p.null_basis):
-                add_sample(locus.a_mat.apply_vector(c))
+    # (null basis, rows mapping it to second factors): B - tA at each slope,
+    # then A (slope infinity), then the exceptional Gaussian-rational slopes
+    sources = [(locus.pencil.at(t), a_rows) for t in slopes]
+    sources.append((locus.a_mat, b_rows))
+    sources += [
+        (locus.pencil.at(p.parameter), a_rows)
+        for p in locus.points if p.parameter != "infinity"
+    ]
+    for m, rows in sources:
+        basis = [_primitive_ints(ints) for ints, _ in m._null_ints()]
+        if basis:
+            add_samples(basis, rows)
     if not samples:
         return (len(pairs), n)
-    rows = []
+    # one row per sample x: the coefficients x_p x_q of the quadric's
+    # entries, doubled off the diagonal
+    system = []
     for vec in samples:
-        rows.append([
-            vec[p] * vec[q] if p == q else GaussianRational(2) * vec[p] * vec[q]
-            for (p, q) in pairs
-        ])
-    system = Matrix(rows)
-    quadrics = certified_nullspace(system)
+        row = []
+        for p, q in pairs:
+            (a, b), (c, d) = vec[p], vec[q]
+            k = 1 if p == q else 2
+            row.append((k * (a * c - b * d), k * (a * d + b * c)))
+        system.append(row)
+    quadrics = certified_nullspace(Matrix._from_ints(system, [1] * len(system), len(pairs)))
     qdim = len(quadrics)
     if qdim == 0:
         return (0, 0)
+    # the quadrics over one denominator; a member's rank ignores the scale
+    den = lcm(*[d for _, d in quadrics])
+    quadrics = [[(a * (den // d), b * (den // d)) for a, b in ints] for ints, d in quadrics]
     best = 0
     for _ in range(3):
-        coeffs = [GaussianRational(rng.randint(1, 7)) for _ in quadrics]
-        entries = [
-            sum((coeffs[i] * quadrics[i][j] for i in range(qdim)), ZERO)
-            for j in range(len(pairs))
-        ]
-        q_mat = [[ZERO] * n for _ in range(n)]
+        entries = _int_combination([rng.randint(1, 7) for _ in quadrics], quadrics)
+        q_mat = [[(0, 0)] * n for _ in range(n)]
         for (p, q), val in zip(pairs, entries):
             q_mat[p][q] = val
             q_mat[q][p] = val
-        best = max(best, Matrix(q_mat).rank())
+        best = max(best, Matrix._from_ints(q_mat, [1] * n, n).rank())
     return (qdim, best)

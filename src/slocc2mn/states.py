@@ -23,6 +23,11 @@ from .matrices import Matrix
 
 PARTIES = ("A", "B", "C")
 
+# One tuple per amplitude index, shared by every state the public constructor
+# builds: a program holding many parsed states of one shape (a census, a
+# batch of state files) keeps each index once, not once per state.
+_INDICES: dict[tuple, tuple] = {}
+
 
 @dataclass(frozen=True)
 class LocalRankProfile:
@@ -55,7 +60,8 @@ class PureState:
                 raise ValueError(f"index {idx} out of range for dims {dims}")
             v = GaussianRational.coerce(val)
             if not v.is_zero():
-                amps[(i, j, k)] = v
+                idx = (int(i), int(j), int(k))
+                amps[_INDICES.setdefault(idx, idx)] = v
         if not amps:
             raise ValueError("state must have at least one nonzero amplitude")
         # the least common denominator leaves no content

@@ -218,3 +218,42 @@ def test_canonical_invariant_vectors_pairwise_distinct():
                     or a.quadric_key() != b.quadric_key()
                 )
                 assert separated, (labels[i].render(), labels[j].render())
+
+
+def _covered_shapes(max_m):
+    shapes = {(2, 2, 2), (2, 3, 3)}
+    for m in range(1, max_m + 1):
+        shapes |= {(2, m, 2 * m), (2, m + 1, 2 * m + 1), (2, m + 2, 2 * m + 2)}
+    return sorted(d for d in shapes if all_labels_for_shape(d))
+
+
+def test_quadric_tier_decides_only_theta4_against_theta5():
+    """The quadric profile is the last tier, and the only canonical pairs it
+    has to separate are Theta4(m) and Theta5(m): every other pair differs
+    on the signature, the pencil rank profile or the partner ranks."""
+    ties = []
+    for dims in _covered_shapes(5):
+        table = canonical_invariants(dims)
+        labels = list(table)
+        for i in range(len(labels)):
+            for j in range(i + 1, len(labels)):
+                a, b = table[labels[i]], table[labels[j]]
+                if (
+                    a.signature_key() == b.signature_key()
+                    and a.bc_profile_key() == b.bc_profile_key()
+                    and a.partner_key() == b.partner_key()
+                ):
+                    ties.append({labels[i].render(), labels[j].render()})
+    assert ties == [{f"Theta4({m})", f"Theta5({m})"} for m in range(2, 6)]
+
+
+def test_theta4_theta5_quadric_keys_stable_under_ilo():
+    """Where the quadric tier decides, its keys do not depend on the ILO."""
+    for m in range(2, 5):
+        for family, key in (("Theta4", (1, 4)), ("Theta5", (1, 3))):
+            label = ClassLabel(family, m)
+            s = make_canonical(label)
+            for seed in range(10):
+                res = classify(random_ilo(s.dims, seed).apply(s), want_proof=False)
+                assert res.label == label, (label.render(), seed)
+                assert res.invariants.quadric_key() == key, (label.render(), seed)

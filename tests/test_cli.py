@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, stdin handling."""
 
+import importlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from slocc2mn.cli import main, EXIT_OK, EXIT_FAILED, EXIT_USAGE
+from slocc2mn.cli import main, EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERNAL
 from slocc2mn.stateio import state_from_json
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "slocc2mn" / "schemas"
@@ -176,6 +177,24 @@ def test_internal_limit_is_unsupported_not_usage(capsys, tmp_path, command):
     code, _, err = run_cli(capsys, command, str(out))
     assert code == EXIT_FAILED
     assert err.startswith("unsupported: ")
+
+
+def test_internal_check_failure_is_internal_error(capsys, tmp_path, monkeypatch):
+    # a failed internal consistency check is neither a usage error nor a
+    # traceback
+    out = tmp_path / "g.json"
+    run_cli(capsys, "gen", "GHZ", "--out", str(out))
+
+    def broken(_state):
+        raise AssertionError("residual ranks outside the four-way split")
+
+    # the package exports the function classify, which hides the module
+    classify_module = importlib.import_module("slocc2mn.classify")
+    monkeypatch.setattr(classify_module, "reduction_trace", broken)
+    code, stdout, stderr = run_cli(capsys, "classify", str(out))
+    assert code == EXIT_INTERNAL == 3
+    assert stdout == ""
+    assert stderr == "internal error: residual ranks outside the four-way split\n"
 
 
 def test_text_format_default(capsys, tmp_path):

@@ -2,20 +2,21 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slocc2mn.scalars import GaussianRational, ZERO, ONE
+from slocc2mn.scalars import GaussianRational, ZERO, ONE, _scalar
 from slocc2mn.polynomials import Poly, poly_gcd, square_free_part
 from slocc2mn.matrices import (
     Matrix,
     Pencil,
     certified_nullspace,
     poly_matrix_det,
-    primitive_vector,
     stack_vectorized,
+    _primitive_ints,
 )
 
 
@@ -30,6 +31,16 @@ def random_matrix(rng, rows, cols, imag=True, span=6):
 
 
 ONE_POLY = Poly.constant(ONE)
+
+
+def certified_vectors(m):
+    """certified_nullspace(m) as scalar tuples, checking its integer form:
+    each vector is (pairs, den) with den > 0 and no content left."""
+    out = []
+    for ints, den in certified_nullspace(m):
+        assert den > 0 and gcd(den, *[x for pair in ints for x in pair]) == 1
+        out.append(tuple(_scalar(a, b, den) for a, b in ints))
+    return out
 
 
 def to_complex(m):
@@ -98,7 +109,7 @@ def test_certified_nullspace_equals_plain_nullspace():
     rng = random.Random(24)
     for _ in range(30):
         m = random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6))
-        fast = certified_nullspace(m)
+        fast = certified_vectors(m)
         slow = m.nullspace()
         assert len(fast) == len(slow)
         for v in fast:
@@ -132,11 +143,13 @@ def test_inverse():
         Matrix([[ZERO, ZERO], [ZERO, ZERO]]).inverse()
 
 
-def test_primitive_vector_scales_to_coprime_integers():
-    v = primitive_vector(
-        [GaussianRational(1, 0) / 2, GaussianRational(3, 0) / 2, ZERO]
-    )
-    assert list(v) == [GaussianRational(1), GaussianRational(3), ZERO]
+def test_primitive_ints_scales_to_coprime_integers():
+    assert _primitive_ints([(2, 0), (6, 0), (0, 0)]) == [(1, 0), (3, 0), (0, 0)]
+    # the sign makes the first nonzero pair's real part positive, or its
+    # imaginary part when the real part is zero
+    assert _primitive_ints([(0, 0), (-4, 2), (6, 8)]) == [(0, 0), (2, -1), (-3, -4)]
+    assert _primitive_ints([(0, -4), (2, 2)]) == [(0, 2), (-1, -1)]
+    assert _primitive_ints([(0, 0)]) == [(0, 0)]
 
 
 def test_poly_matrix_det_matches_laplace():
@@ -435,7 +448,7 @@ def test_kernel_matches_fraction_oracle(m):
         assert m.det() == GaussianRational(*det)
     expected_null = _oracle_nullspace(r_rows, pivots, m.cols)
     assert m.nullspace() == expected_null
-    assert certified_nullspace(m) == expected_null
+    assert certified_vectors(m) == expected_null
     r, got_pivots, t = m.rref()
     assert got_pivots == pivots
     assert r == Matrix([[GaussianRational(*x) for x in row] for row in r_rows])

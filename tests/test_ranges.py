@@ -267,6 +267,8 @@ def test_partner_rank_on_pencils_singular_at_every_slope():
 
 
 def test_quadric_profile_deterministic_and_invariant():
+    # invariant on Theta4 and Theta5, the pair the classifier reads it for;
+    # not on every label (see QUADRIC_VALUES)
     s = make_canonical(ClassLabel("Theta4", 2))
     ref = quadric_profile(s)
     assert quadric_profile(s) == ref
@@ -309,3 +311,87 @@ def test_independent_slices_match_greedy_choice():
         idx, mats = _independent_slices(pool)
         assert list(idx) == chosen
         assert list(mats) == kept
+
+
+# quadric_profile of each canonical state, then of its images under
+# random_ilo seeds 1, 2 and 3: every library label with parameter <= 4, the
+# benchmark's large labels and both Phi examples.  The classifier's canonical
+# tables and verdicts read these values, so a change to the tier's sampling
+# (its order, its random draws, its arithmetic) must leave them as they are.
+# The rows whose columns differ show that the pair is not ILO-invariant.
+QUADRIC_VALUES = {
+    "GHZ": ((1, 2), (1, 2), (1, 2), (1, 2)),
+    "W": ((2, 2), (2, 2), (2, 2), (2, 2)),
+    "Psi1": ((3, 3), (3, 3), (3, 3), (3, 3)),
+    "Psi2": ((5, 3), (5, 3), (5, 3), (5, 3)),
+    "Psi3": ((2, 2), (2, 2), (2, 2), (2, 2)),
+    "Psi4": ((5, 3), (5, 3), (5, 3), (5, 3)),
+    "Psi5": ((3, 2), (3, 2), (3, 2), (3, 2)),
+    "Psi6": ((4, 3), (4, 3), (4, 3), (4, 3)),
+    "Upsilon0(2)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Upsilon0(3)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Upsilon0(4)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Upsilon0(6)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Upsilon1(1)": ((0, 0), (0, 0), (2, 2), (2, 2)),
+    "Upsilon1(2)": ((0, 0), (0, 0), (3, 2), (3, 2)),
+    "Upsilon1(3)": ((0, 0), (0, 0), (4, 2), (4, 2)),
+    "Upsilon1(4)": ((0, 0), (0, 0), (5, 2), (5, 2)),
+    "Upsilon2(1)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Upsilon2(2)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Upsilon2(3)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Upsilon2(4)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Upsilon2(5)": ((0, 0), (0, 0), (0, 0), (0, 0)),
+    "Theta0(1)": ((1, 2), (3, 2), (5, 3), (5, 3)),
+    "Theta0(2)": ((1, 2), (4, 2), (7, 4), (7, 4)),
+    "Theta0(3)": ((1, 2), (5, 2), (9, 4), (9, 4)),
+    "Theta0(4)": ((1, 2), (6, 2), (11, 4), (11, 4)),
+    "Theta1(1)": ((0, 0), (0, 0), (5, 3), (5, 3)),
+    "Theta1(2)": ((0, 0), (0, 0), (7, 4), (7, 4)),
+    "Theta1(3)": ((0, 0), (0, 0), (9, 4), (9, 4)),
+    "Theta1(4)": ((0, 0), (0, 0), (11, 4), (11, 4)),
+    "Theta2(1)": ((1, 2), (3, 2), (3, 2), (3, 2)),
+    "Theta2(2)": ((4, 2), (4, 2), (4, 2), (4, 2)),
+    "Theta2(3)": ((5, 2), (5, 2), (5, 2), (5, 2)),
+    "Theta2(4)": ((6, 2), (6, 2), (6, 2), (6, 2)),
+    "Theta3(1)": ((3, 2), (3, 2), (5, 3), (5, 3)),
+    "Theta3(2)": ((4, 2), (4, 2), (7, 4), (7, 4)),
+    "Theta3(3)": ((5, 2), (5, 2), (9, 4), (9, 4)),
+    "Theta3(4)": ((6, 2), (6, 2), (11, 4), (11, 4)),
+    "Theta4(2)": ((1, 4), (1, 4), (1, 4), (1, 4)),
+    "Theta4(3)": ((1, 4), (1, 4), (1, 4), (1, 4)),
+    "Theta4(4)": ((1, 4), (1, 4), (1, 4), (1, 4)),
+    "Theta5(1)": ((1, 3), (1, 3), (1, 3), (1, 3)),
+    "Theta5(2)": ((1, 3), (1, 3), (1, 3), (1, 3)),
+    "Theta5(3)": ((1, 3), (1, 3), (1, 3), (1, 3)),
+    "Theta5(4)": ((1, 3), (1, 3), (1, 3), (1, 3)),
+    "Phi0Example": ((3, 2), (3, 2), (3, 2), (3, 2)),
+    "Phi1Example": ((4, 2), (4, 2), (4, 2), (4, 2)),
+}
+
+
+def test_quadric_profile_pinned_values():
+    wrong = {}
+    for text, want in QUADRIC_VALUES.items():
+        base = make_canonical(ClassLabel.parse(text))
+        got = (quadric_profile(base),) + tuple(
+            quadric_profile(random_ilo(base.dims, seed).apply(base)) for seed in (1, 2, 3)
+        )
+        if got != want:
+            wrong[text] = got
+    assert wrong == {}
+
+
+def test_quadric_profile_does_no_gaussian_rational_arithmetic(monkeypatch):
+    state = make_canonical(ClassLabel("Theta5", 4))
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        original = getattr(GaussianRational, name)
+        monkeypatch.setattr(
+            GaussianRational, name,
+            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args),
+        )
+    GaussianRational(1) * GaussianRational(2)  # the counter is live
+    assert calls == ["__mul__"]
+    calls.clear()
+    assert quadric_profile(state) == (1, 3)
+    assert calls == []

@@ -266,3 +266,13 @@ def test_integer_form_is_unique_and_matches_amps(s, k, order):
             assert sl == Matrix(expected)
     z = GaussianRational(Fraction(3, 7), 2)
     assert PureState(s.dims, {idx: v * z for idx, v in amps.items()}) == s
+
+
+def test_constructed_states_share_index_tuples():
+    # the public constructor interns its indices, so states of one shape hold
+    # one tuple per index between them, whatever type the caller used
+    s1 = PureState((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 2})
+    s2 = PureState((2, 2, 2), {(True, True, True): 3, (0, 0, 0): 1})
+    assert sorted(s1._ints) == sorted(s2._ints) == [(0, 0, 0), (1, 1, 1)]
+    assert all(type(i) is int for idx in s2._ints for i in idx)
+    assert {id(idx) for idx in s1._ints} == {id(idx) for idx in s2._ints}
