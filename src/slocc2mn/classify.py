@@ -1,17 +1,20 @@
 """SLOCC classification and equivalence decisions for 2 x M x N states.
 
-The classifier matches a tiered invariant vector — local ranks, signature,
-BC pencil rank profile, partner-rank multisets, and (as a last tie-breaker)
-the quadric profile of the AB product-direction locus — against the canonical
-library for the state's compressed shape; a state that is already compressed
-and given with its cached invariants is matched as it stands.  The quadric
+Every decision runs on the state's normal form: the state compressed to its
+local ranks, its parties then sorted in ascending order of rank.  The
+classifier matches a tiered invariant vector — local ranks, signature, BC
+pencil rank profile, partner-rank multisets, and (as a last tie-breaker) the
+quadric profile of the AB product-direction locus — of the normal form
+against the canonical library for its shape; a state given as cached
+invariants already in normal form is matched as it stands.  The quadric
 profile is not ILO-invariant in general; it is read only when the first
 three tiers leave more than one candidate, which among canonical states
 happens only for Theta4(m) against Theta5(m) (m = 2..5 checked), and on
 those two its keys, (1, 4) and (1, 3), are stable.  Reduction steps extract
-a product state from the AB-range and shrink the C dimension by one,
-producing an auditable elementary-ILO word.  Equivalence verdicts follow a fixed pipeline
-of invariant comparisons before attempting an explicit witness.
+a product state from the AB-range of the normal form and shrink the C
+dimension by one, producing an auditable elementary-ILO word.  Equivalence
+verdicts compare local ranks on the inputs, then the invariant tiers on both
+normal forms, before searching the normal forms for an explicit witness.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ class StateInvariants:
 
     def partner_key(self):
         def compute():
+            if self.ranks.r_a < 2:  # one-row partner matrices; ranks fix the class
+                return None
             out = []
             for party, pc in zip(PARTIES, self.signature.counts):
                 if pc.is_infinite:
@@ -246,23 +251,35 @@ def _sorted_party_order(dims) -> str:
     return "".join(PARTIES[q] for q in order)
 
 
+def _normal_form(s: PureState | StateInvariants) -> tuple[StateInvariants, str]:
+    """(invariants of the normal form, the party order that sorts it).  A
+    bare state is always compressed; a StateInvariants already in normal
+    form is returned as it stands, with the keys it has cached."""
+    if isinstance(s, StateInvariants):
+        ranks = s.ranks.as_tuple()
+        if s.state.dims == ranks and list(ranks) == sorted(ranks):
+            return s, "ABC"
+        s = s.state
+    # the compressed dims are the local ranks
+    comp, _ = compress_to_ranks(s, transform=False)
+    order = _sorted_party_order(comp.dims)
+    norm = comp.permute_parties(order)
+    return StateInvariants(norm, LocalRankProfile(*norm.dims)), order
+
+
 def reduction_trace(s: PureState) -> list[ReductionStep]:
     """Chain of reduction steps from a compressed (2, M, N) state down to a
     base case (stops when a local rank hits 1 or the shape leaves coverage,
-    and after MAX_REDUCTION_STEPS steps)."""
+    and after MAX_REDUCTION_STEPS steps).  Each step reduces the normal form
+    of the previous residual."""
     steps: list[ReductionStep] = []
     cur = s
     for _ in range(MAX_REDUCTION_STEPS):
-        # the compressed dims are the local ranks
-        comp, _ = compress_to_ranks(cur, transform=False)
-        if min(comp.dims) < 2:
-            break
-        comp = comp.permute_parties(_sorted_party_order(comp.dims))
-        d = comp.dims
-        if d[0] != 2 or not (2 <= d[1] <= d[2] <= 2 * d[1]):
+        norm = _normal_form(cur)[0].state
+        if norm.dims[0] < 2:
             break
         try:
-            step = extract_and_reduce(comp)
+            step = extract_and_reduce(norm)
         except ValueError:
             break
         steps.append(step)
@@ -275,32 +292,21 @@ def classify(
 ) -> ClassificationResult:
     """Assign a ClassLabel by invariant matching against the canonical library.
 
-    The state is compressed to its local ranks and its parties sorted by rank
-    before its invariants are computed.  A state may also be given as its
-    :class:`StateInvariants` (as :func:`decide_equivalence` takes it): when
-    its dims are already its local ranks in ascending order, that state is
-    classified as it stands and every key it has cached is reused; otherwise
-    it is compressed like a bare state.
+    The invariants are those of the state's normal form (see
+    :func:`_normal_form`): the state compressed to its local ranks, its
+    parties sorted by rank; ``permutation`` is that party order.  A state may
+    also be given as its :class:`StateInvariants` (as
+    :func:`decide_equivalence` passes it): one already in normal form is
+    classified as it stands and every key it has cached is reused.
     """
-    if isinstance(s, StateInvariants):
-        inv, s = s, s.state
-        ranks = inv.ranks.as_tuple()
-        if s.dims == ranks and list(ranks) == sorted(ranks) and ranks[0] >= 2:
-            return _match(s, inv, "ABC", want_proof)
-    # the compressed dims are the local ranks
-    comp, _ = compress_to_ranks(s, transform=False)
-    if min(comp.dims) < 2:
+    inv, order = _normal_form(s)
+    norm = inv.state
+    if norm.dims[0] < 2:
+        # the note gives the local ranks in the input's party order
+        ranks = tuple(norm.dims[order.index(p)] for p in PARTIES)
         return ClassificationResult(
-            label=ClassLabel("NotTrueTripartite"),
-            note=f"local ranks {comp.dims}",
+            label=ClassLabel("NotTrueTripartite"), note=f"local ranks {ranks}"
         )
-    order = _sorted_party_order(comp.dims)
-    norm = comp.permute_parties(order)
-    return _match(norm, StateInvariants(norm, LocalRankProfile(*norm.dims)), order, want_proof)
-
-
-def _match(norm: PureState, inv: StateInvariants, order: str, want_proof: bool):
-    """Classify a state whose dims are its local ranks, ascending, all >= 2."""
     if norm.dims[0] != 2:
         return ClassificationResult(
             label=ClassLabel("Unknown"), invariants=inv, permutation=order,
@@ -406,11 +412,15 @@ def _solve_bc_given_a(g: Matrix, t_slices, s_slices, m: int, n: int, rng):
 
 
 def _witness_same_dims(s1: PureState, s2: PureState, rng) -> OperatorTriple | None:
-    """Witness between compressed states of equal dims, pivoting on party A."""
+    """Witness between normal forms of equal dims, pivoting on party A."""
     dims = s1.dims
+    m, n = dims[1], dims[2]
+    if dims[0] == 1:
+        # both are |0> (x) T with T an invertible m x m matrix: B carries T1 to T2
+        t1, t2 = s1.slices("A")[0], s2.slices("A")[0]
+        return OperatorTriple(Matrix.identity(1), t2 @ t1.inverse(), Matrix.identity(n), check=False)
     if dims[0] != 2:
         return None
-    m, n = dims[1], dims[2]
     t1 = s1.slices("A")
     t2 = s2.slices("A")
     pen1 = Pencil(t1[0], t1[1])
@@ -481,48 +491,30 @@ def _witness_same_dims(s1: PureState, s2: PureState, rng) -> OperatorTriple | No
 
 
 def _embed_block(v: Matrix, dim: int) -> Matrix:
-    grid = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
-    for r in range(v.rows):
-        for c in range(v.cols):
-            grid[r][c] = v[r, c]
-    # zero the off-block parts of the leading rows/columns
-    for r in range(v.rows):
-        for c in range(v.cols, dim):
-            grid[r][c] = ZERO
-    for r in range(v.rows, dim):
-        for c in range(v.cols):
-            grid[r][c] = ZERO
+    """The square v as the leading block of a dim x dim matrix, the identity
+    on the rest."""
+    k = v.rows
+    grid = [[v[r, c] if r < k and c < k else (ONE if r == c else ZERO) for c in range(dim)]
+            for r in range(dim)]
     return Matrix(grid)
 
 
 def find_equivalence_witness(s1: PureState, s2: PureState) -> OperatorTriple | None:
-    """Explicit ILO triple carrying s1 to s2 up to a global scalar, or None."""
-    if s1.dims == s2.dims and s1.equals_up_to_scalar(s2):
-        return OperatorTriple.identity(s1.dims)
-    if s1.local_ranks().as_tuple() != s2.local_ranks().as_tuple():
-        return None
-    rng = random.Random(0)
+    """Explicit ILO triple carrying s1 to s2 up to a global scalar, or None.
+
+    s1 and s2 have equal dims and local ranks.  The search runs on their
+    normal forms; its triple is mapped back to the input's parties."""
     comp1, ch1 = compress_to_ranks(s1)
     comp2, ch2 = compress_to_ranks(s2)
-    if comp1.dims != comp2.dims:
-        return None
-    inner = None
-    if comp1.dims[0] == 2:
-        inner = _witness_same_dims(comp1, comp2, rng)
-    elif comp1.dims[1] == 2 or comp1.dims[2] == 2:
-        # pivot on whichever party has rank two
-        pivot = "B" if comp1.dims[1] == 2 else "C"
-        order = {"B": "BAC", "C": "CAB"}[pivot]
-        w = _witness_same_dims(
-            comp1.permute_parties(order), comp2.permute_parties(order), rng
-        )
-        if w is not None:
-            mats = {order[i]: [w.v_a, w.v_b, w.v_c][i] for i in range(3)}
-            inner = OperatorTriple(mats["A"], mats["B"], mats["C"], check=False)
+    order = _sorted_party_order(comp1.dims)
+    inner = _witness_same_dims(
+        comp1.permute_parties(order), comp2.permute_parties(order), random.Random(0)
+    )
     if inner is None:
         return None
+    # the search's parties A, B, C are the input's order[0], order[1], order[2]
+    inner_mats = dict(zip(order, (inner.v_a, inner.v_b, inner.v_c)))
     mats = []
-    inner_mats = inner.matrices()
     for q, party in enumerate(PARTIES):
         emb = _embed_block(inner_mats[party], s1.dims[q])
         mats.append(ch2[party].inverse() @ emb @ ch1[party])
@@ -541,9 +533,11 @@ def decide_equivalence(
     Equivalent exactly when an explicit verified witness is found, and
     Undecided otherwise.
 
-    Either side may be given as its :class:`StateInvariants` (for example an
-    entry of :func:`canonical_invariants`), whose cached keys are then reused,
-    by the class-label tier too (see :func:`classify`).
+    Local ranks are compared on the inputs, every later tier on their normal
+    forms, which equal ranks give one party order; equal ranks with different
+    dims raise ValueError.  Either side may be given as its StateInvariants
+    (for example an entry of :func:`canonical_invariants`): one in normal
+    form keeps its cached keys, for the class-label tier too.
     """
     inv1 = s1 if isinstance(s1, StateInvariants) else StateInvariants(s1)
     inv2 = s2 if isinstance(s2, StateInvariants) else StateInvariants(s2)
@@ -558,22 +552,22 @@ def decide_equivalence(
             kind="Inequivalent", separating_invariant="local ranks",
             detail=f"{inv1.ranks.as_tuple()} vs {inv2.ranks.as_tuple()}",
         )
+    if s1.dims != s2.dims:
+        raise ValueError(f"states of equal local ranks have different dims {s1.dims} and {s2.dims}")
+    inv1, inv2 = _normal_form(inv1)[0], _normal_form(inv2)[0]
     if inv1.signature.key() != inv2.signature.key():
         return EquivalenceVerdict(
             kind="Inequivalent", separating_invariant="signature",
             detail=f"{inv1.signature.render()} vs {inv2.signature.render()}",
         )
-    if (
-        inv1.bc_profile_key() is not None
-        and inv2.bc_profile_key() is not None
-        and inv1.bc_profile_key() != inv2.bc_profile_key()
-    ):
+    if inv1.bc_profile_key() != inv2.bc_profile_key():
         return EquivalenceVerdict(
             kind="Inequivalent", separating_invariant="pencil rank profile",
             detail=f"{inv1.bc_profile_key()} vs {inv2.bc_profile_key()}",
         )
     pk1, pk2 = inv1.partner_key(), inv2.partner_key()
-    if "irrational" not in pk1 and "irrational" not in pk2 and pk1 != pk2:
+    # with equal ranks both keys are None or neither is
+    if pk1 != pk2 and "irrational" not in pk1 + pk2:
         return EquivalenceVerdict(
             kind="Inequivalent", separating_invariant="partner-rank multiset",
             detail=f"{pk1} vs {pk2}",

@@ -196,8 +196,11 @@ def _two_row_pencil(sub: MatrixSubspace):
 
     Writing row pairs (a_i, b_i), coefficient vectors c with a rank-one element
     at slope t are the nullvectors of B - t A where A = [a_i], B = [b_i] as
-    K x k matrices; slope infinity corresponds to nullvectors of A.
+    K x k matrices; slope infinity corresponds to nullvectors of A.  Raises
+    UnsupportedSubspaceError unless the matrices have two rows.
     """
+    if sub.rows != 2:
+        raise UnsupportedSubspaceError(f"needs two-row matrices, got {sub.rows} rows")
     k = sub.dimension
     kk = sub.cols
     forms = [m._int_form() for m in sub.basis]
@@ -313,8 +316,6 @@ def exact_rank_one_in_span(sub: MatrixSubspace) -> ProductWitness | None:
             u, v = rank_one_factor(sub.basis[0])
             return ProductWitness(coeffs=(ONE, ZERO), u=u, v=v)
         return pc.witnesses[0] if pc.witnesses else None
-    if sub.rows != 2:
-        raise UnsupportedSubspaceError("rank-one sampling needs two-row matrices")
     locus = _two_row_locus(sub)
     if locus.generic_infinite:
         # B - t*A has a nullvector at every slope, t = 0 (where it is B) too
@@ -493,8 +494,6 @@ def quadric_profile(s: PureState):
     """
     _, mats = _independent_slices(s.slices("C"))
     sub = MatrixSubspace._of_independent(mats)
-    if sub.rows != 2:
-        raise ValueError("quadric profile implemented for two-row ranges only")
     locus = _two_row_locus(sub)
     a_rows = locus.a_mat._int_form()[0]
     b_rows = locus.b_mat._int_form()[0]

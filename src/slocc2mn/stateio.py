@@ -110,12 +110,14 @@ def load_state(path: str) -> PureState:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StateFileError(f"cannot read {path!r}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise StateFileError(f"{path}: JSON nested too deeply") from exc
     return state_from_json(obj)
 
 

@@ -8,6 +8,7 @@ from slocc2mn.scalars import GaussianRational, ONE
 from slocc2mn.matrices import Matrix
 from slocc2mn.states import PureState, compress_to_ranks
 from slocc2mn.operators import OperatorTriple, random_ilo
+from slocc2mn.ranges import UnsupportedSubspaceError
 from slocc2mn.families import (
     ClassLabel,
     make_canonical,
@@ -194,6 +195,66 @@ def test_witness_found_across_embeddings():
     w = find_equivalence_witness(big, moved)
     assert w is not None
     assert w.apply(big).equals_up_to_scalar(moved)
+
+
+def _library_labels_m2():
+    return covered_labels(max_m=2) + [ClassLabel("Phi0Example"), ClassLabel("Phi1Example")]
+
+
+def _padded(s):
+    """s with one unused basis vector for party A."""
+    return PureState((s.dims[0] + 1, s.dims[1], s.dims[2]), dict(s.amps))
+
+
+def test_permuted_and_padded_states_equivalent_to_their_images():
+    # decisions run on the normal form, so neither the party order nor an
+    # unused basis vector changes the verdict
+    for label in _library_labels_m2():
+        base = make_canonical(label)
+        for s in [base.permute_parties(o) for o in ("BAC", "CAB", "CBA")] + [_padded(base)]:
+            moved = random_ilo(s.dims, 0).apply(s)
+            verdict = decide_equivalence(s, moved)
+            assert verdict.kind == "Equivalent", (label.render(), s.dims, verdict.detail)
+            assert verdict.witness.apply(s).equals_up_to_scalar(moved)
+
+
+INEQUIVALENT_GROUPS = (
+    [f"Psi{i}" for i in range(1, 7)],
+    [f"Theta{i}(2)" for i in range(6)],
+    ["Upsilon1(1)", "Upsilon2(1)"],
+    ["GHZ", "W"],
+)
+
+
+def test_permuted_inequivalent_pairs_separated_by_the_same_invariant():
+    for group in INEQUIVALENT_GROUPS:
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                s1, s2 = (make_canonical(ClassLabel.parse(n)) for n in (a, b))
+                ref = decide_equivalence(s1, s2)
+                got = decide_equivalence(s1.permute_parties("CAB"), s2.permute_parties("CAB"))
+                assert ref.kind == got.kind == "Inequivalent", (a, b)
+                assert got.separating_invariant == ref.separating_invariant, (a, b)
+
+
+def test_partner_key_needs_two_row_partner_matrices():
+    # with party C (rank 3) first, the partner matrices have three rows
+    s = make_canonical(ClassLabel("Upsilon1", 1)).permute_parties("CAB")
+    for state in (s, random_ilo(s.dims, 0).apply(s)):
+        with pytest.raises(UnsupportedSubspaceError):
+            StateInvariants(state).partner_key()
+
+
+def test_states_with_a_local_rank_one_decided_by_their_ranks():
+    # a local rank one leaves a bipartite state, which its ranks fix
+    for kets in ([(0, 0, 0)], [(0, 0, 0), (1, 0, 1)], [(0, 0, 0), (0, 1, 1), (0, 2, 2)]):
+        s = PureState.from_kets((2, 3, 3), kets)
+        moved = random_ilo(s.dims, 5).apply(s)
+        verdict = decide_equivalence(s, moved)
+        assert verdict.kind == "Equivalent", kets
+        assert verdict.witness.apply(s).equals_up_to_scalar(moved)
+    res = classify(PureState.from_kets((2, 2, 2), [(0, 0, 0), (1, 0, 1)]))
+    assert (res.label.family, res.note) == ("NotTrueTripartite", "local ranks (2, 1, 2)")
 
 
 def test_canonical_invariants_cached_and_complete():

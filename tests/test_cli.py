@@ -12,7 +12,8 @@ import jsonschema
 import pytest
 
 from slocc2mn.cli import main, EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERNAL
-from slocc2mn.stateio import state_from_json
+from slocc2mn.states import PureState
+from slocc2mn.stateio import state_from_json, state_to_json
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "slocc2mn" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -138,6 +139,37 @@ def test_equiv_command_inequivalent(capsys, tmp_path):
     assert code == EXIT_OK
     assert report["result"]["verdict"] == "Inequivalent"
     assert report["result"]["separating_invariant"] == "signature"
+
+
+def test_equiv_different_dims_is_usage_error(capsys, tmp_path):
+    # equal local ranks, different dims: a usage error naming both dims
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    run_cli(capsys, "gen", "Psi1", "--out", str(a))
+    s = state_from_json(json.loads(a.read_text()))
+    padded = PureState((2, 3, 4), dict(s.amps))
+    b.write_text(json.dumps(state_to_json(padded)))
+    code, out, err = run_cli(capsys, "equiv", str(a), str(b))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (
+        "error: states of equal local ranks have different dims (2, 3, 3) and (2, 3, 4)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"[" * 100_000, "error: {path}: JSON nested too deeply"),
+        (b'{"dims": \xff}', "error: cannot read '{path}': 'utf-8' codec can't decode"),
+    ],
+)
+def test_unreadable_state_file_is_usage_error(capsys, tmp_path, content, message):
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "classify", str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith(message.format(path=path))
 
 
 def test_verify_command(capsys):

@@ -61,6 +61,16 @@ def test_load_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(StateFileError, match="invalid JSON"):
         load_state(str(bad))
+    # nested past the recursion limit, and bytes that are not UTF-8: each
+    # error names the file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(StateFileError, match=f"{deep}: JSON nested too deeply"):
+        load_state(str(deep))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"dims": [2, 2, 2], \xff}')
+    with pytest.raises(StateFileError, match=f"cannot read '{binary}': 'utf-8' codec"):
+        load_state(str(binary))
 
 
 @pytest.mark.parametrize(
