@@ -5,8 +5,9 @@ of the other two parties is a subspace of bipartite vectors, viewed here as a
 subspace of matrices; product states are its rank-one elements.  Counting is
 exact throughout: finite counts come from gcd degree drops, infinities from
 exact degeneracy tests, and ranks at irrational pencil slopes from
-:meth:`.matrices.Pencil.ranks_over`.  Every witness is exact; a point at an
-irrational slope is counted without one.
+:meth:`.matrices.Pencil.ranks_over`.  Counting builds no witness: a count
+keeps its exact points (roots, slopes) and builds their exact witnesses the
+first time they are read; a point at an irrational slope has none.
 
 For two-row ranges :meth:`.matrices.Pencil.rank_profile` is the one search
 for rank drops of the pencil B - t*A: its exceptional points are the rank-one
@@ -26,6 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 from math import lcm
 
 from .scalars import ZERO, ONE, _int_row
@@ -96,13 +99,18 @@ class ProductCount:
     """Finite(n) or Infinite count of product states in a subspace.
 
     ``exact`` says every counted point has a Gaussian-rational witness; the
-    count is exact either way.
+    count is exact either way.  ``witnesses`` are built by ``build`` from the
+    points the count kept, the first time they are read.
     """
 
     kind: str  # 'finite' | 'infinite'
     count: int = 0
-    witnesses: tuple[ProductWitness, ...] = ()
     exact: bool = True
+    build: Callable[[], tuple] = field(default=tuple, repr=False, compare=False)
+
+    @cached_property
+    def witnesses(self) -> tuple[ProductWitness, ...]:
+        return self.build()
 
     @property
     def is_infinite(self) -> bool:
@@ -142,36 +150,20 @@ def _count_pencil_span(sub: MatrixSubspace) -> ProductCount:
     if g.is_zero():
         # every pencil element has rank <= 1
         return ProductCount(kind="infinite")
-    witnesses = []
-    count = 0
-    exact = True
-    if g.degree > 0:
-        # the distinct roots, Gaussian-rational and irrational: deg of the
-        # square-free part
-        roots, rest = exact_roots_of(g)
-        count += len(roots) + sum(f.degree for f in rest)
-        for t in roots:
-            u, v = rank_one_factor(pen.at(t))
-            witnesses.append(ProductWitness(coeffs=(ONE, t), u=u, v=v))
-        exact = not rest
-    if m1.rank() <= 1:
-        count += 1
-        u, v = rank_one_factor(m1)
-        witnesses.append(ProductWitness(coeffs=(ZERO, ONE), u=u, v=v))
-    return ProductCount(kind="finite", count=count, witnesses=tuple(witnesses), exact=exact)
+    # the distinct roots, Gaussian-rational and irrational: deg of the
+    # square-free part
+    roots, rest = exact_roots_of(g) if g.degree > 0 else ([], [])
+    at_infinity = m1.rank() <= 1
 
+    def build():
+        # (coefficients, element) at the roots, then at infinity; the pencil
+        # is built again so that the count keeps only its two matrices
+        pen = Pencil(m0, m1)
+        points = [((ONE, t), pen.at(t)) for t in roots] + [((ZERO, ONE), m1)] * at_infinity
+        return tuple(ProductWitness(c, *rank_one_factor(m)) for c, m in points)
 
-@dataclass
-class RankOnePoint:
-    """Rank-one elements of a two-row subspace at one pencil parameter.
-
-    ``parameter`` is a Gaussian-rational slope or the string 'infinity'.
-    ``null_basis`` spans the coefficient vectors (over the subspace basis)
-    whose elements are rank one at this parameter.
-    """
-
-    parameter: object
-    null_basis: list
+    count = len(roots) + at_infinity + sum(f.degree for f in rest)
+    return ProductCount(kind="finite", count=count, exact=not rest, build=build)
 
 
 @dataclass
@@ -180,15 +172,15 @@ class RankOneLocus:
 
     ``pencil`` is B - t*A.  Unless it drops rank at every slope
     (``generic_infinite``), its rank-one slopes are the exceptional points of
-    ``pencil.rank_profile()``, one per root; ``points`` holds the
-    Gaussian-rational and infinite ones with their null bases.
+    ``pencil.rank_profile()``, one per root; ``points`` holds the parameters
+    of the Gaussian-rational ones and the string 'infinity'.
     """
 
     generic_infinite: bool
     a_mat: Matrix
     b_mat: Matrix
     pencil: Pencil
-    points: list[RankOnePoint] = field(default_factory=list)
+    points: list = field(default_factory=list)
 
 
 def _two_row_pencil(sub: MatrixSubspace):
@@ -224,7 +216,7 @@ def _two_row_pencil(sub: MatrixSubspace):
 
 def _two_row_locus(sub: MatrixSubspace) -> RankOneLocus:
     """Rank-one locus of a two-row subspace, read off the rank profile of
-    its pencil B - t*A; nullspaces are computed at exact slopes only."""
+    its pencil B - t*A; no nullspace is computed."""
     a_mat, b_mat, pen = _two_row_pencil(sub)
     k = sub.dimension
     # with more basis elements than columns there is a nullvector at every slope
@@ -234,20 +226,20 @@ def _two_row_locus(sub: MatrixSubspace) -> RankOneLocus:
     # the generic rank is k, so a slope is exceptional iff it has a nullvector
     for p in pen.rank_profile().exceptional:
         if p.location == "infinity":
-            locus.points.append(RankOnePoint(parameter="infinity", null_basis=a_mat.nullspace()))
+            locus.points.append("infinity")
         elif not isinstance(p.parameter, Poly):
-            nb = pen.at(p.parameter).nullspace()
-            locus.points.append(RankOnePoint(parameter=p.parameter, null_basis=nb))
+            locus.points.append(p.parameter)
     return locus
 
 
-def _locus_witness(locus: RankOneLocus, point: RankOnePoint):
-    c = point.null_basis[0]
-    if point.parameter == "infinity":
-        v = locus.b_mat.apply_vector(c)
-        return ProductWitness(coeffs=tuple(c), u=(ZERO, ONE), v=tuple(v))
-    v = locus.a_mat.apply_vector(c)
-    return ProductWitness(coeffs=tuple(c), u=(ONE, point.parameter), v=tuple(v))
+def _locus_witness(locus: RankOneLocus, t):
+    """The witness at slope t (or 'infinity'), from the first null vector
+    there."""
+    if t == "infinity":
+        c = locus.a_mat.nullspace()[0]
+        return ProductWitness(coeffs=tuple(c), u=(ZERO, ONE), v=tuple(locus.b_mat.apply_vector(c)))
+    c = locus.pencil.at(t).nullspace()[0]
+    return ProductWitness(coeffs=tuple(c), u=(ONE, t), v=tuple(locus.a_mat.apply_vector(c)))
 
 
 def _count_two_row(sub: MatrixSubspace) -> ProductCount:
@@ -262,9 +254,15 @@ def _count_two_row(sub: MatrixSubspace) -> ProductCount:
     if any(p.rank <= sub.dimension - 2 for p in exceptional):
         # a degenerate slope carries a multi-dimensional product family
         return ProductCount(kind="infinite")
-    w = tuple(_locus_witness(locus, p) for p in locus.points)
     n = len(exceptional)
-    return ProductCount(kind="finite", count=n, witnesses=w, exact=len(w) == n)
+    points = locus.points
+
+    def build():
+        # the pencil is built again so that the count keeps only its basis
+        fresh = RankOneLocus(False, *_two_row_pencil(sub))
+        return tuple(_locus_witness(fresh, t) for t in points)
+
+    return ProductCount(kind="finite", count=n, exact=len(points) == n, build=build)
 
 
 def count_product_states(sub: MatrixSubspace) -> ProductCount:
@@ -280,9 +278,9 @@ def count_product_states(sub: MatrixSubspace) -> ProductCount:
     if k == 1:
         m = sub.basis[0]
         if m.rank() <= 1:
-            u, v = rank_one_factor(m)
             return ProductCount(
-                kind="finite", count=1, witnesses=(ProductWitness(coeffs=(ONE,), u=u, v=v),)
+                kind="finite", count=1,
+                build=lambda: (ProductWitness((ONE,), *rank_one_factor(m)),),
             )
         return ProductCount(kind="finite", count=0)
     if k > (rows - 1) * cols or k > rows * (cols - 1):
@@ -528,8 +526,7 @@ def quadric_profile(s: PureState):
     sources = [(locus.pencil.at(t), a_rows) for t in slopes]
     sources.append((locus.a_mat, b_rows))
     sources += [
-        (locus.pencil.at(p.parameter), a_rows)
-        for p in locus.points if p.parameter != "infinity"
+        (locus.pencil.at(t), a_rows) for t in locus.points if t != "infinity"
     ]
     for m, rows in sources:
         basis = [_primitive_ints(ints) for ints, _ in m._null_ints()]

@@ -28,7 +28,7 @@ import random
 
 from .scalars import GaussianRational, ZERO
 from .matrices import Matrix, _eliminate, _int_row, _null_vectors
-from .states import PureState, LocalRankProfile
+from .states import PureState, LocalRankProfile, compress_to_ranks
 from .operators import random_scalar
 from .families import (
     ClassLabel,
@@ -285,10 +285,14 @@ def _expression_sweep(trials: int, rng: random.Random) -> dict:
                 state = make_expression(which, params)
             except ValueError:
                 continue
-            if state.local_ranks().as_tuple() != (2, 3, 3):
+            # the compressed dims are the local ranks; (2, 3, 3) is sorted,
+            # so classify matches the compressed state as it stands
+            comp, _ = compress_to_ranks(state, transform=False)
+            if comp.dims != (2, 3, 3):
                 continue  # the theorem classifies true tripartite states only
             hits += 1
-            label = classify(state, want_proof=False).label
+            inv = StateInvariants(comp, LocalRankProfile(*comp.dims))
+            label = classify(inv, want_proof=False).label
             if label not in allowed:
                 return {"ok": False, "which": which, "unexpected": label.render()}
             census.add(label.render())

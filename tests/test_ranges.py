@@ -9,6 +9,7 @@ from slocc2mn.matrices import Matrix
 from slocc2mn.polynomials import Poly, exact_roots_of, square_free_part
 from slocc2mn.states import PureState
 from slocc2mn.operators import random_ilo
+from slocc2mn import ranges
 from slocc2mn.ranges import (
     MatrixSubspace,
     UnsupportedSubspaceError,
@@ -23,8 +24,9 @@ from slocc2mn.ranges import (
     ProductWitness,
     _independent_slices,
 )
-from slocc2mn.classify import StateInvariants
-from slocc2mn.families import ClassLabel, make_canonical
+from slocc2mn.classify import StateInvariants, canonical_invariants
+from slocc2mn.families import ClassLabel, make_canonical, SMALL_FAMILIES, PARAMETRIC_FAMILIES
+from slocc2mn.verify import verify_theorem
 
 
 def mat(rows):
@@ -105,15 +107,37 @@ def test_count_zero_product_points():
     assert count.kind == "finite" and count.count == 0
 
 
+def _library_labels_m2():
+    labels = [ClassLabel(n) for n in SMALL_FAMILIES if not n.startswith("Phi")]
+    for name in PARAMETRIC_FAMILIES:
+        lo = 2 if name in ("Upsilon0", "Theta4") else 1
+        labels += [ClassLabel(name, m) for m in (1, 2) if m >= lo]
+    return labels
+
+
 def test_witnesses_are_rank_one_members():
-    s = make_canonical(ClassLabel("Psi6"))
-    for party in "ABC":
-        count = count_product_states(range_subspace(s, party))
-        if count.kind != "finite":
-            continue
-        sub = range_subspace(s, party)
-        for w in count.witnesses:
-            assert member(sub, w.coeffs).rank() == 1
+    # every library label with m <= 2, canonical and under two ILOs, and the
+    # surd state (two irrational points each in its B and C ranges); the
+    # witnesses are built when first read, from the points the count kept
+    inputs = [(_surd_state(), {"B": 2, "C": 2})]
+    for label in _library_labels_m2():
+        s = make_canonical(label)
+        inputs += [(s, {})] + [(random_ilo(s.dims, seed).apply(s), {}) for seed in (1, 2)]
+    for s, irrational in inputs:
+        for party in "ABC":
+            sub = range_subspace(s, party)
+            count = count_product_states(sub)
+            if count.is_infinite:
+                continue
+            w = count.witnesses
+            assert len(w) == count.count - irrational.get(party, 0)
+            assert count.exact == (party not in irrational)
+            assert count.witnesses is w
+            assert count_product_states(sub).witnesses == w
+            for x in w:
+                elem = member(sub, x.coeffs)
+                assert elem.rank() == 1
+                assert Matrix([[a * b for b in x.v] for a in x.u]) == elem
 
 
 def test_exact_rank_one_in_span():
@@ -163,16 +187,46 @@ def _state_from_slices(party_slices, dims):
     return PureState(dims, amps)
 
 
-def test_surd_state_signature_and_profile_are_exact():
+def _surd_state():
     # A-slices T0 = [[0,2,0],[1,0,0],[0,0,1]], T1 = diag(1,1,0):
     # det(T0 + t T1) = t^2 - 2, so two rank drops sit at irrational roots
-    s = _state_from_slices([[[0, 2, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]], (2, 3, 3))
+    return _state_from_slices([[[0, 2, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]], (2, 3, 3))
+
+
+def test_surd_state_signature_and_profile_are_exact():
+    s = _surd_state()
     assert bc_pencil(s).rank_profile().key() == (3, (2, 2, 2))
     sig = slocc_signature(s)
     assert sig.render() == "[0,3,3]"
     # a_B and a_C each count two irrational points, which have no witness
     assert [c.exact for c in sig.counts] == [True, False, False]
     assert [len(c.witnesses) for c in sig.counts] == [0, 1, 1]
+
+
+class _WitnessBuilt(Exception):
+    pass
+
+
+def test_counting_builds_no_witness(monkeypatch):
+    # a count keeps its points and builds no witness until one is read: the
+    # signatures and theorem 2's sweep succeed with both witness builders
+    # raising, and the partner tier still reaches them.  The canonical
+    # table's own witnesses are read first, as its fill reads them.
+    for inv in canonical_invariants((2, 3, 3)).values():
+        inv.partner_key()
+
+    def built(*args):
+        raise _WitnessBuilt
+
+    monkeypatch.setattr(ranges, "rank_one_factor", built)
+    monkeypatch.setattr(ranges, "_locus_witness", built)
+    states = [make_canonical(ClassLabel(f"Psi{i}")) for i in range(1, 7)] + [_surd_state()]
+    assert [slocc_signature(s).render() for s in states] == [
+        "[0,3,3]", "[0,inf,inf]", "[1,inf,inf]", "[0,1,1]", "[1,inf,inf]", "[0,2,2]", "[0,3,3]"
+    ]
+    assert verify_theorem("2", trials=3, seed=0)["ok"] is True
+    with pytest.raises(_WitnessBuilt):
+        StateInvariants(make_canonical(ClassLabel("Upsilon1", 1))).partner_key()
 
 
 def _two_row_basis(m0, m1):
