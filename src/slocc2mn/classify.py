@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .scalars import GaussianRational, ZERO, ONE
 from .matrices import Matrix, Pencil
-from .polynomials import Poly
 from .states import PureState, PARTIES, LocalRankProfile, compress_to_ranks
 from .operators import (
     OperatorTriple,
@@ -38,6 +37,7 @@ from .ranges import (
     range_subspace,
     _range_of,
     exact_rank_one_in_span,
+    exact_points,
     slocc_signature,
     partner_rank,
     quadric_profile,
@@ -351,26 +351,6 @@ class EquivalenceVerdict:
     detail: str = ""
 
 
-def _distinguished_points(pen: Pencil):
-    """Projective pencil parameters with dropped rank, with their ranks.
-
-    Returns (points, all_exact); each point is ((alpha, beta), rank) meaning
-    the member alpha*T0 + beta*T1.  Irrational points (their parameter a
-    polynomial) are left out, and all_exact is then False.
-    """
-    prof = pen.rank_profile()
-    points = []
-    exact = True
-    for p in prof.exceptional:
-        if p.location == "infinity":
-            points.append(((ZERO, ONE), p.rank))
-        elif isinstance(p.parameter, Poly):
-            exact = False
-        else:
-            points.append(((ONE, GaussianRational.coerce(p.parameter)), p.rank))
-    return points, exact
-
-
 def _solve_bc_given_a(g: Matrix, t_slices, s_slices, m: int, n: int, rng):
     """Solve P @ T'_i = S_i @ R linearly; return (P, R) invertible or None."""
     tp = [
@@ -423,10 +403,9 @@ def _witness_same_dims(s1: PureState, s2: PureState, rng) -> OperatorTriple | No
         return None
     t1 = s1.slices("A")
     t2 = s2.slices("A")
-    pen1 = Pencil(t1[0], t1[1])
-    pen2 = Pencil(t2[0], t2[1])
-    pts1, exact1 = _distinguished_points(pen1)
-    pts2, exact2 = _distinguished_points(pen2)
+    # the projective parameters of the rank drops of each A-pencil
+    pts1, exact1 = exact_points(Pencil(t1[0], t1[1]).rank_profile())
+    pts2, exact2 = exact_points(Pencil(t2[0], t2[1]).rank_profile())
 
     candidates: list[Matrix] = []
     if exact1 and exact2 and pts1 and len(pts1) == len(pts2):

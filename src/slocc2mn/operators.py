@@ -127,34 +127,23 @@ def random_ilo(dims, seed: int) -> OperatorTriple:
 
 
 def extend_to_invertible(vectors, dim: int) -> Matrix:
-    """Invertible matrix whose leading columns are the given independent kets."""
-    cols = [list(v) for v in vectors]
-    basis = list(cols)
-    chosen = []
-    from .matrices import Matrix as _M
-
-    for e in range(dim):
-        cand = [ONE if r == e else ZERO for r in range(dim)]
-        trial = basis + [cand]
-        if _M(trial).rank() == len(trial):
-            basis.append(cand)
-            chosen.append(cand)
-        if len(basis) == dim:
-            break
-    if len(basis) != dim:
+    """Invertible matrix whose columns are the pivot columns of
+    [vectors | I]: the given independent kets, then the first unit kets
+    independent of them."""
+    n = len(vectors)
+    grid = [[v[r] for v in vectors] + [ONE if c == r else ZERO for c in range(dim)]
+            for r in range(dim)]
+    _, pivots, _ = Matrix(grid).rref(transform=False)
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("vectors are dependent; cannot extend")
-    return _M(basis).transpose()
+    return Matrix([[row[p] for p in pivots] for row in grid])
 
 
 def mapping_vector_to_basis(v, dim: int, target: int = 0) -> Matrix:
     """Invertible matrix sending ket `v` to the computational ket |target>."""
-    ext = extend_to_invertible([list(v)], dim)  # column 0 is v
-    inv = ext.inverse()  # sends v -> e0
-    if target == 0:
-        return inv
-    # permute e0 into position `target`
-    perm = ElementaryFactor(party="A", kind="swap", i=0, j=target).to_matrix(dim)
-    return perm @ inv
+    rows = list(extend_to_invertible([v], dim).inverse().entries)  # sends v -> e0
+    rows[0], rows[target] = rows[target], rows[0]  # e0 -> e_target
+    return Matrix(rows)
 
 
 def decompose_elementary(party: str, m: Matrix):

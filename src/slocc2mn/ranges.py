@@ -6,13 +6,17 @@ subspace of matrices; product states are its rank-one elements.  Counting is
 exact throughout: finite counts come from gcd degree drops, infinities from
 exact degeneracy tests, and ranks at irrational pencil slopes from
 :meth:`.matrices.Pencil.ranks_over`.  Counting builds no witness: a count
-keeps its exact points (roots, slopes) and builds their exact witnesses the
-first time they are read; a point at an irrational slope has none.
+keeps its exact points (roots, slopes), and its ``points()`` yields their
+exact witnesses one at a time when read; a point at an irrational slope has
+none.  That is the one route from a range to its rank-one elements: the
+partner tier reads them all, the reduction's pivot
+(:func:`exact_rank_one_in_span`) only the first.
 
 For two-row ranges :meth:`.matrices.Pencil.rank_profile` is the one search
 for rank drops of the pencil B - t*A: its exceptional points are the rank-one
-slopes, and :func:`partner_rank` is decided by exact rank comparisons there
-and at t = 0..g, g the generic rank.  No sampled slope decides either.
+slopes, read by :func:`exact_points` (the one reader of a rank profile), and
+:func:`partner_rank` is decided by exact rank comparisons there and at
+t = 0..g, g the generic rank.  No sampled slope decides either.
 
 :func:`quadric_profile` is the one sampled quantity here: exact and seeded,
 but read off a sample that depends on the basis, so it is not ILO-invariant
@@ -25,17 +29,18 @@ other tier (checked up to m = 5); on those two it is stable, (1, 4) and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Iterator
 from math import lcm
 
-from .scalars import ZERO, ONE, _int_row
+from .scalars import GaussianRational, ZERO, ONE, _int_row
 from .polynomials import Poly, poly_gcd_many, exact_roots_of
 from .matrices import (
     Matrix,
     Pencil,
+    PencilRankProfile,
     stack_vectorized,
     certified_nullspace,
     _eliminate,
@@ -99,18 +104,20 @@ class ProductCount:
     """Finite(n) or Infinite count of product states in a subspace.
 
     ``exact`` says every counted point has a Gaussian-rational witness; the
-    count is exact either way.  ``witnesses`` are built by ``build`` from the
-    points the count kept, the first time they are read.
+    count is exact either way.  ``points()`` yields exact rank-one elements
+    one at a time, built from what the count kept: one per Gaussian-rational
+    point of a finite count, and for an infinite count first the element
+    :func:`exact_rank_one_in_span` pivots on.  ``witnesses`` caches them all.
     """
 
     kind: str  # 'finite' | 'infinite'
     count: int = 0
     exact: bool = True
-    build: Callable[[], tuple] = field(default=tuple, repr=False, compare=False)
+    points: Callable[[], Iterator] = field(default=lambda: iter(()), repr=False, compare=False)
 
     @cached_property
     def witnesses(self) -> tuple[ProductWitness, ...]:
-        return self.build()
+        return tuple(self.points())
 
     @property
     def is_infinite(self) -> bool:
@@ -135,52 +142,39 @@ def rank_one_factor(m: Matrix):
     raise ValueError("zero matrix has no rank-one factorization")
 
 
+def _pencil_witnesses(m0: Matrix, m1: Matrix, points):
+    """The witness at each projective point (alpha, beta) of span{M0, M1}:
+    the factors of its member alpha*M0 + beta*M1 (alpha is 1 or 0)."""
+    pen = Pencil(m0, m1)
+    for alpha, beta in points:
+        yield ProductWitness((alpha, beta), *rank_one_factor(pen.at(beta) if alpha else m1))
+
+
 def _count_pencil_span(sub: MatrixSubspace) -> ProductCount:
     """Product states in span{M0, M1}: rank-one points of the projective line.
 
-    An irrational root is counted without a witness.
+    An irrational root is counted without a witness.  An infinite count
+    yields M0 first.
     """
     m0, m1 = sub.basis
-    pen = Pencil(m0, m1)
-    if min(sub.rows, sub.cols) < 2:
-        # single-row or single-column ambient: every nonzero element is rank one
-        return ProductCount(kind="infinite")
-    # the minors are computed as the gcd reads them, up to the first unit
-    g = poly_gcd_many(pen.minor_polynomials(2))
+    # the minors are computed as the gcd reads them, up to the first unit;
+    # one-row or one-column matrices have none
+    g = poly_gcd_many(Pencil(m0, m1).minor_polynomials(2)) if min(m0.shape()) > 1 else Poly()
     if g.is_zero():
         # every pencil element has rank <= 1
-        return ProductCount(kind="infinite")
+        every = partial(_pencil_witnesses, m0, m1, [(ONE, ZERO)])
+        return ProductCount(kind="infinite", points=every)
     # the distinct roots, Gaussian-rational and irrational: deg of the
     # square-free part
     roots, rest = exact_roots_of(g) if g.degree > 0 else ([], [])
-    at_infinity = m1.rank() <= 1
-
-    def build():
-        # (coefficients, element) at the roots, then at infinity; the pencil
-        # is built again so that the count keeps only its two matrices
-        pen = Pencil(m0, m1)
-        points = [((ONE, t), pen.at(t)) for t in roots] + [((ZERO, ONE), m1)] * at_infinity
-        return tuple(ProductWitness(c, *rank_one_factor(m)) for c, m in points)
-
-    count = len(roots) + at_infinity + sum(f.degree for f in rest)
-    return ProductCount(kind="finite", count=count, exact=not rest, build=build)
-
-
-@dataclass
-class RankOneLocus:
-    """Full description of the rank-one locus of a two-row matrix subspace.
-
-    ``pencil`` is B - t*A.  Unless it drops rank at every slope
-    (``generic_infinite``), its rank-one slopes are the exceptional points of
-    ``pencil.rank_profile()``, one per root; ``points`` holds the parameters
-    of the Gaussian-rational ones and the string 'infinity'.
-    """
-
-    generic_infinite: bool
-    a_mat: Matrix
-    b_mat: Matrix
-    pencil: Pencil
-    points: list = field(default_factory=list)
+    # the roots, then infinity; the closure keeps the two matrices, not the
+    # pencil
+    points = [(ONE, t) for t in roots] + [(ZERO, ONE)] * (m1.rank() <= 1)
+    count = len(points) + sum(f.degree for f in rest)
+    return ProductCount(
+        kind="finite", count=count, exact=not rest,
+        points=partial(_pencil_witnesses, m0, m1, points),
+    )
 
 
 def _two_row_pencil(sub: MatrixSubspace):
@@ -214,64 +208,71 @@ def _two_row_pencil(sub: MatrixSubspace):
     return a_mat, b_mat, Pencil(b_mat, neg_a)
 
 
-def _two_row_locus(sub: MatrixSubspace) -> RankOneLocus:
-    """Rank-one locus of a two-row subspace, read off the rank profile of
-    its pencil B - t*A; no nullspace is computed."""
-    a_mat, b_mat, pen = _two_row_pencil(sub)
-    k = sub.dimension
-    # with more basis elements than columns there is a nullvector at every slope
-    if k > sub.cols or pen.generic_rank() < k:
-        return RankOneLocus(generic_infinite=True, a_mat=a_mat, b_mat=b_mat, pencil=pen)
-    locus = RankOneLocus(generic_infinite=False, a_mat=a_mat, b_mat=b_mat, pencil=pen)
-    # the generic rank is k, so a slope is exceptional iff it has a nullvector
-    for p in pen.rank_profile().exceptional:
+def exact_points(profile: PencilRankProfile):
+    """(points, all_exact): the exceptional points of a pencil's rank
+    profile as ((alpha, beta), rank), the member alpha*M0 + beta*M1 of the
+    pencil M0 + t*M1, in the profile's order.  Irrational points are left
+    out, and all_exact is then False."""
+    points = []
+    for p in profile.exceptional:
         if p.location == "infinity":
-            locus.points.append("infinity")
+            points.append(((ZERO, ONE), p.rank))
         elif not isinstance(p.parameter, Poly):
-            locus.points.append(p.parameter)
-    return locus
+            points.append(((ONE, GaussianRational.coerce(p.parameter)), p.rank))
+    return points, len(points) == len(profile.exceptional)
 
 
-def _locus_witness(locus: RankOneLocus, t):
-    """The witness at slope t (or 'infinity'), from the first null vector
-    there."""
-    if t == "infinity":
-        c = locus.a_mat.nullspace()[0]
-        return ProductWitness(coeffs=tuple(c), u=(ZERO, ONE), v=tuple(locus.b_mat.apply_vector(c)))
-    c = locus.pencil.at(t).nullspace()[0]
-    return ProductWitness(coeffs=tuple(c), u=(ONE, t), v=tuple(locus.a_mat.apply_vector(c)))
+def _slope_witness(a_mat: Matrix, b_mat: Matrix, pen: Pencil, point) -> ProductWitness:
+    """The witness at the projective slope (alpha, beta) of B - t*A, from
+    the first null vector there (of A at infinity)."""
+    alpha, beta = point
+    if not alpha:
+        c = a_mat.nullspace()[0]
+        return ProductWitness(coeffs=tuple(c), u=(ZERO, ONE), v=tuple(b_mat.apply_vector(c)))
+    c = pen.at(beta).nullspace()[0]
+    return ProductWitness(coeffs=tuple(c), u=(ONE, beta), v=tuple(a_mat.apply_vector(c)))
+
+
+def _slope_witnesses(sub: MatrixSubspace, points):
+    """The witness at each slope, the pencil built again from the basis."""
+    a_mat, b_mat, pen = _two_row_pencil(sub)
+    for point in points:
+        yield _slope_witness(a_mat, b_mat, pen, point)
 
 
 def _count_two_row(sub: MatrixSubspace) -> ProductCount:
     """One point per rank-one slope, so per exceptional point of the pencil
     (irrational ones without a witness); infinite when a slope has nullity
-    >= 2."""
-    locus = _two_row_locus(sub)
-    if locus.generic_infinite:
-        # rank-one elements exist at every pencil slope
-        return ProductCount(kind="infinite")
-    exceptional = locus.pencil.rank_profile().exceptional
-    if any(p.rank <= sub.dimension - 2 for p in exceptional):
+    >= 2.  When B - t*A has a null vector at every slope the count is
+    infinite and yields the one at t = 0."""
+    k = sub.dimension
+    # with more basis elements than columns there is a nullvector at every
+    # slope, and the pencil is not built
+    pen = _two_row_pencil(sub)[2] if k <= sub.cols else None
+    if pen is None or pen.generic_rank() < k:
+        return ProductCount(kind="infinite", points=partial(_slope_witnesses, sub, [(ONE, ZERO)]))
+    # the generic rank is k, so a slope is exceptional iff it has a nullvector
+    profile = pen.rank_profile()
+    points, exact = exact_points(profile)
+    walk = partial(_slope_witnesses, sub, [p for p, _ in points])
+    if any(p.rank <= k - 2 for p in profile.exceptional):
         # a degenerate slope carries a multi-dimensional product family
-        return ProductCount(kind="infinite")
-    n = len(exceptional)
-    points = locus.points
+        return ProductCount(kind="infinite", points=walk)
+    return ProductCount(kind="finite", count=len(profile.exceptional), exact=exact, points=walk)
 
-    def build():
-        # the pencil is built again so that the count keeps only its basis
-        fresh = RankOneLocus(False, *_two_row_pencil(sub))
-        return tuple(_locus_witness(fresh, t) for t in points)
 
-    return ProductCount(kind="finite", count=n, exact=len(points) == n, build=build)
+def _unsupported(message: str):
+    raise UnsupportedSubspaceError(message)
 
 
 def count_product_states(sub: MatrixSubspace) -> ProductCount:
     """Count the rank-one elements (up to scale of each factor) of a subspace.
 
     Supported shapes: one-dimensional subspaces, two-dimensional subspaces of
-    arbitrary matrices (a pencil), two-row ambient matrices with any basis
-    size, and dimension-saturated subspaces (always infinite).  Anything else
-    raises UnsupportedSubspaceError.
+    arbitrary matrices (a pencil), matrices with two rows or (through the
+    transposes) two columns with any basis size, and other dimension-
+    saturated subspaces (always infinite; reading their points raises
+    UnsupportedSubspaceError).  Anything else raises UnsupportedSubspaceError.
     """
     k = sub.dimension
     rows, cols = sub.rows, sub.cols
@@ -280,48 +281,32 @@ def count_product_states(sub: MatrixSubspace) -> ProductCount:
         if m.rank() <= 1:
             return ProductCount(
                 kind="finite", count=1,
-                build=lambda: (ProductWitness((ONE,), *rank_one_factor(m)),),
+                points=lambda: iter((ProductWitness((ONE,), *rank_one_factor(m)),)),
             )
         return ProductCount(kind="finite", count=0)
-    if k > (rows - 1) * cols or k > rows * (cols - 1):
-        # saturated: the subspace meets the rank-one variety along a positive-
-        # dimensional family for every value of the free parameter
-        return ProductCount(kind="infinite")
     if k == 2:
         return _count_pencil_span(sub)
     if rows == 2:
         return _count_two_row(sub)
-    raise UnsupportedSubspaceError(
-        f"counting not supported for a {k}-dimensional subspace of {rows}x{cols} matrices"
-    )
+    if cols == 2:
+        # u v^T is rank one iff v u^T is
+        pc = _count_two_row(MatrixSubspace._of_independent([m.transpose() for m in sub.basis]))
+        return replace(pc, points=lambda: (
+            ProductWitness(w.coeffs, w.v, w.u) for w in pc.points()))
+    shape = f"a {k}-dimensional subspace of {rows}x{cols} matrices"
+    if k > (rows - 1) * cols or k > rows * (cols - 1):
+        # saturated: the subspace meets the rank-one variety along a positive-
+        # dimensional family for every value of the free parameter
+        none = partial(_unsupported, f"no point is built in {shape}")
+        return ProductCount(kind="infinite", points=none)
+    raise UnsupportedSubspaceError(f"counting not supported for {shape}")
 
 
 def exact_rank_one_in_span(sub: MatrixSubspace) -> ProductWitness | None:
-    """Some exact rank-one element of the subspace, or None.
-
-    Unlike count_product_states this also serves subspaces with infinitely
-    many product elements, picking an arbitrary exact one.
-    """
-    if sub.dimension == 1:
-        m = sub.basis[0]
-        if m.rank() <= 1:
-            u, v = rank_one_factor(m)
-            return ProductWitness(coeffs=(ONE,), u=u, v=v)
-        return None
-    if sub.dimension == 2:
-        pc = _count_pencil_span(sub)
-        if pc.is_infinite:
-            u, v = rank_one_factor(sub.basis[0])
-            return ProductWitness(coeffs=(ONE, ZERO), u=u, v=v)
-        return pc.witnesses[0] if pc.witnesses else None
-    locus = _two_row_locus(sub)
-    if locus.generic_infinite:
-        # B - t*A has a nullvector at every slope, t = 0 (where it is B) too
-        c = locus.b_mat.nullspace()[0]
-        return ProductWitness(coeffs=tuple(c), u=(ONE, ZERO), v=tuple(locus.a_mat.apply_vector(c)))
-    if locus.points:
-        return _locus_witness(locus, locus.points[0])
-    return None
+    """Some exact rank-one element of the subspace, or None: the first point
+    its count yields, an arbitrary exact one when there are infinitely
+    many."""
+    return next(count_product_states(sub).points(), None)
 
 
 # -- ranges of a tripartite state --------------------------------------------
@@ -490,11 +475,10 @@ def quadric_profile(s: PureState):
     on Gaussian integers: the rows of A and B share one denominator
     (:func:`_two_row_pencil`), which a sample's primitive form drops.
     """
-    _, mats = _independent_slices(s.slices("C"))
-    sub = MatrixSubspace._of_independent(mats)
-    locus = _two_row_locus(sub)
-    a_rows = locus.a_mat._int_form()[0]
-    b_rows = locus.b_mat._int_form()[0]
+    sub = range_subspace(s, "C")
+    a_mat, b_mat, pen = _two_row_pencil(sub)
+    a_rows = a_mat._int_form()[0]
+    b_rows = b_mat._int_form()[0]
     rng = random.Random(4099)
     n = sub.cols
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
@@ -523,11 +507,13 @@ def quadric_profile(s: PureState):
               Fraction(3, 2), 5, -5, 7, Fraction(2, 3), -7, 11]
     # (null basis, rows mapping it to second factors): B - tA at each slope,
     # then A (slope infinity), then the exceptional Gaussian-rational slopes
-    sources = [(locus.pencil.at(t), a_rows) for t in slopes]
-    sources.append((locus.a_mat, b_rows))
-    sources += [
-        (locus.pencil.at(t), a_rows) for t in locus.points if t != "infinity"
-    ]
+    sources = [(pen.at(t), a_rows) for t in slopes]
+    sources.append((a_mat, b_rows))
+    k = sub.dimension
+    if k <= sub.cols and pen.generic_rank() == k:
+        # the rank-one slopes are the exceptional ones (see _count_two_row)
+        points, _ = exact_points(pen.rank_profile())
+        sources += [(pen.at(beta), a_rows) for (alpha, beta), _ in points if alpha]
     for m, rows in sources:
         basis = [_primitive_ints(ints) for ints, _ in m._null_ints()]
         if basis:

@@ -12,12 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-try:
-    # gmpy2 rationals are drop-in compatible with Fraction (same string form,
-    # equal hashes for equal values) and considerably faster on large operands.
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is an optional accelerator
-    Rational = Fraction
+# the exact rational type; perfbench records its name with each run
+Rational = Fraction
 
 
 class GaussianRational:
@@ -30,10 +26,10 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if type(re) is not Rational:
-            re = Rational(re)
-        if type(im) is not Rational:
-            im = Rational(im)
+        if type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not Fraction:
+            im = Fraction(im)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -54,7 +50,7 @@ class GaussianRational:
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction, Rational)):
+        if isinstance(value, (int, Fraction)):
             return GaussianRational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
 
@@ -167,8 +163,8 @@ def _int_row(values):
 def _scalar(re, im, den=1) -> GaussianRational:
     """The Gaussian rational (re + im*i) / den."""
     if den == 1:
-        return GaussianRational._make(Rational(re), Rational(im))
-    return GaussianRational._make(Rational(re, den), Rational(im, den))
+        return GaussianRational._make(Fraction(re), Fraction(im))
+    return GaussianRational._make(Fraction(re, den), Fraction(im, den))
 
 
 def format_scalar(z: GaussianRational) -> str:

@@ -13,7 +13,8 @@ import pytest
 
 from slocc2mn.cli import main, EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERNAL
 from slocc2mn.states import PureState
-from slocc2mn.stateio import state_from_json, state_to_json
+from slocc2mn.stateio import dump_state, state_from_json, state_to_json
+from slocc2mn.families import ClassLabel, make_canonical
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "slocc2mn" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -72,6 +73,20 @@ def test_signature_command(capsys, tmp_path):
     assert report["result"]["local_ranks"] == [2, 2, 2]
     assert report["result"]["exact"] is True
     assert "bc_pencil_profile" in report["result"]
+
+
+def test_signature_when_the_qubit_is_not_party_a(capsys, tmp_path):
+    # Psi1 with the qubit as party B: its C range is three-dimensional in the
+    # 3 x 2 matrices, counted through the transposes
+    p = tmp_path / "p.json"
+    dump_state(make_canonical(ClassLabel("Psi1")).permute_parties("BAC"), str(p))
+    code, report, err = run_json(capsys, "signature", str(p))
+    assert code == EXIT_OK, err
+    assert report["result"]["signature"] == "[3,0,3]"
+    assert report["result"]["exact"] is True
+    code, report, _ = run_json(capsys, "classify", str(p))
+    assert code == EXIT_OK
+    assert report["result"]["label"] == "Psi1"
 
 
 def test_signature_not_true_tripartite(capsys, tmp_path):

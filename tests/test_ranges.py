@@ -1,5 +1,6 @@
 """Range subspaces, product-state counting, and derived invariants."""
 
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,9 @@ from slocc2mn.ranges import (
     _independent_slices,
 )
 from slocc2mn.classify import StateInvariants, canonical_invariants
-from slocc2mn.families import ClassLabel, make_canonical, SMALL_FAMILIES, PARAMETRIC_FAMILIES
+from slocc2mn.families import (
+    ClassLabel, make_canonical, all_labels_for_shape, SMALL_FAMILIES, PARAMETRIC_FAMILIES,
+)
 from slocc2mn.verify import verify_theorem
 
 
@@ -141,10 +144,50 @@ def test_witnesses_are_rank_one_members():
 
 
 def test_exact_rank_one_in_span():
-    s = make_canonical(ClassLabel("Upsilon0", 2))
-    sub = range_subspace(s, "C")
+    # the C range of every library label with m <= 2, canonical and under two
+    # ILOs, plus a saturated one (Upsilon0(2): four slices of 2 x 2 matrices):
+    # the pivot is the first point the count yields, a rank-one member
+    inputs = [range_subspace(make_canonical(ClassLabel("Upsilon0", 2)), "C")]
+    for label in _library_labels_m2():
+        s = make_canonical(label)
+        inputs += [range_subspace(s, "C")]
+        inputs += [range_subspace(random_ilo(s.dims, seed).apply(s), "C") for seed in (1, 2)]
+    assert inputs[0].dimension > inputs[0].cols
+    found = 0
+    for sub in inputs:
+        w = exact_rank_one_in_span(sub)
+        count = count_product_states(sub)
+        if count.witnesses:
+            assert w == count.witnesses[0]
+        if w is None:
+            assert not count.witnesses
+            continue
+        found += 1
+        elem = member(sub, w.coeffs)
+        assert elem.rank() == 1
+        assert Matrix([[a * b for b in w.v] for a in w.u]) == elem
+    assert found > len(inputs) // 2
+    # a saturated subspace with no side of length 2 (seven of the 3 x 3 unit
+    # matrices) counts as infinite, but no point of it is built
+    units = [mat([[int((r, c) == (i, j)) for c in range(3)] for r in range(3)])
+             for i in range(3) for j in range(3)]
+    saturated = subspace(*units[:7])
+    assert count_product_states(saturated).is_infinite
+    with pytest.raises(UnsupportedSubspaceError):
+        exact_rank_one_in_span(saturated)
+
+
+def test_exact_rank_one_in_span_factors_one_point(monkeypatch):
+    # the GHZ A range holds two product states; the pivot factors only the
+    # first of them
+    calls = []
+    original = ranges.rank_one_factor
+    monkeypatch.setattr(ranges, "rank_one_factor", lambda m: calls.append(m) or original(m))
+    sub = range_subspace(make_canonical(ClassLabel("GHZ")), "A")
+    assert count_product_states(sub).count == 2
+    assert calls == []
     w = exact_rank_one_in_span(sub)
-    assert w is not None
+    assert len(calls) == 1
     assert member(sub, w.coeffs).rank() == 1
 
 
@@ -160,6 +203,30 @@ def test_signature_invariant_under_ilo():
         for seed in (1, 2):
             g = random_ilo(s.dims, seed)
             assert slocc_signature(g.apply(s)).key() == ref
+    # every label of 2x2x2 to 2x4x4 under an ILO and all six party orders:
+    # the qubit is not always party A, so ranges of two-column matrices are
+    # counted through their transposes
+    labels = [
+        label for m in (2, 3, 4) for n in range(m, 5) for label in all_labels_for_shape((2, m, n))
+    ]
+    assert len(labels) == 16
+    mismatches = []
+    for label in labels:
+        s = make_canonical(label)
+        s = random_ilo(s.dims, 3).apply(s)
+        ref = slocc_signature(s).key()
+        for order in map("".join, itertools.permutations("ABC")):
+            t = s.permute_parties(order)
+            sig = slocc_signature(t)
+            if sig.key() != tuple(ref["ABC".index(p)] for p in order):
+                mismatches.append((label.render(), order))
+            for party, count in zip("ABC", sig.counts):
+                sub = range_subspace(t, party)
+                for w in count.witnesses:
+                    elem = member(sub, w.coeffs)
+                    assert elem.rank() == 1
+                    assert Matrix([[a * b for b in w.v] for a in w.u]) == elem
+    assert mismatches == []
 
 
 def test_bc_pencil_shape():
@@ -219,7 +286,7 @@ def test_counting_builds_no_witness(monkeypatch):
         raise _WitnessBuilt
 
     monkeypatch.setattr(ranges, "rank_one_factor", built)
-    monkeypatch.setattr(ranges, "_locus_witness", built)
+    monkeypatch.setattr(ranges, "_slope_witness", built)
     states = [make_canonical(ClassLabel(f"Psi{i}")) for i in range(1, 7)] + [_surd_state()]
     assert [slocc_signature(s).render() for s in states] == [
         "[0,3,3]", "[0,inf,inf]", "[1,inf,inf]", "[0,1,1]", "[1,inf,inf]", "[0,2,2]", "[0,3,3]"
