@@ -106,8 +106,9 @@ class ProductCount:
     ``exact`` says every counted point has a Gaussian-rational witness; the
     count is exact either way.  ``points()`` yields exact rank-one elements
     one at a time, built from what the count kept: one per Gaussian-rational
-    point of a finite count, and for an infinite count first the element
-    :func:`exact_rank_one_in_span` pivots on.  ``witnesses`` caches them all.
+    point of a finite count; of an infinite count only a sample, first the
+    element :func:`exact_rank_one_in_span` pivots on (it raises when none is
+    built, as does reading ``witnesses``, which is ``tuple(points())`` cached).
     """
 
     kind: str  # 'finite' | 'infinite'
@@ -240,29 +241,33 @@ def _slope_witnesses(sub: MatrixSubspace, points):
         yield _slope_witness(a_mat, b_mat, pen, point)
 
 
+def _rank_one_profile(sub: MatrixSubspace, pen: Pencil | None = None):
+    """The rank profile of B - t*A (built unless given as ``pen``) of a
+    two-row range, whose exceptional points are its rank-one slopes; None
+    when B - t*A has a nullvector at every slope (more basis elements than
+    columns, when the pencil is not built, or a generic rank below k)."""
+    k = sub.dimension
+    if k > sub.cols:
+        return None
+    pen = pen or _two_row_pencil(sub)[2]
+    return pen.rank_profile() if pen.generic_rank() == k else None
+
+
 def _count_two_row(sub: MatrixSubspace) -> ProductCount:
     """One point per rank-one slope, so per exceptional point of the pencil
     (irrational ones without a witness); infinite when a slope has nullity
     >= 2.  When B - t*A has a null vector at every slope the count is
     infinite and yields the one at t = 0."""
     k = sub.dimension
-    # with more basis elements than columns there is a nullvector at every
-    # slope, and the pencil is not built
-    pen = _two_row_pencil(sub)[2] if k <= sub.cols else None
-    if pen is None or pen.generic_rank() < k:
+    profile = _rank_one_profile(sub)
+    if profile is None:
         return ProductCount(kind="infinite", points=partial(_slope_witnesses, sub, [(ONE, ZERO)]))
-    # the generic rank is k, so a slope is exceptional iff it has a nullvector
-    profile = pen.rank_profile()
     points, exact = exact_points(profile)
     walk = partial(_slope_witnesses, sub, [p for p, _ in points])
     if any(p.rank <= k - 2 for p in profile.exceptional):
         # a degenerate slope carries a multi-dimensional product family
         return ProductCount(kind="infinite", points=walk)
     return ProductCount(kind="finite", count=len(profile.exceptional), exact=exact, points=walk)
-
-
-def _unsupported(message: str):
-    raise UnsupportedSubspaceError(message)
 
 
 def count_product_states(sub: MatrixSubspace) -> ProductCount:
@@ -296,9 +301,9 @@ def count_product_states(sub: MatrixSubspace) -> ProductCount:
     shape = f"a {k}-dimensional subspace of {rows}x{cols} matrices"
     if k > (rows - 1) * cols or k > rows * (cols - 1):
         # saturated: the subspace meets the rank-one variety along a positive-
-        # dimensional family for every value of the free parameter
-        none = partial(_unsupported, f"no point is built in {shape}")
-        return ProductCount(kind="infinite", points=none)
+        # dimensional family for every value of the free parameter; no point
+        # is built, and reading one raises as for any range without two rows
+        return ProductCount(kind="infinite", points=partial(_two_row_pencil, sub))
     raise UnsupportedSubspaceError(f"counting not supported for {shape}")
 
 
@@ -509,10 +514,9 @@ def quadric_profile(s: PureState):
     # then A (slope infinity), then the exceptional Gaussian-rational slopes
     sources = [(pen.at(t), a_rows) for t in slopes]
     sources.append((a_mat, b_rows))
-    k = sub.dimension
-    if k <= sub.cols and pen.generic_rank() == k:
-        # the rank-one slopes are the exceptional ones (see _count_two_row)
-        points, _ = exact_points(pen.rank_profile())
+    profile = _rank_one_profile(sub, pen)
+    if profile is not None:
+        points, _ = exact_points(profile)
         sources += [(pen.at(beta), a_rows) for (alpha, beta), _ in points if alpha]
     for m, rows in sources:
         basis = [_primitive_ints(ints) for ints, _ in m._null_ints()]

@@ -153,6 +153,8 @@ def test_exact_rank_one_in_span():
         inputs += [range_subspace(s, "C")]
         inputs += [range_subspace(random_ilo(s.dims, seed).apply(s), "C") for seed in (1, 2)]
     assert inputs[0].dimension > inputs[0].cols
+    assert count_product_states(inputs[0]).witnesses
+    assert exact_rank_one_in_span(inputs[0]) is not None
     found = 0
     for sub in inputs:
         w = exact_rank_one_in_span(sub)
