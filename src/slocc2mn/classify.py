@@ -10,7 +10,10 @@ invariants already in normal form is matched as it stands.  The quadric
 profile is not ILO-invariant in general; it is read only when the first
 three tiers leave more than one candidate, which among canonical states
 happens only for Theta4(m) against Theta5(m) (m = 2..5 checked), and on
-those two its keys, (1, 4) and (1, 3), are stable.  Reduction steps extract
+those two its keys, (1, 4) and (1, 3), are stable.  For M, N >= 3 one rank
+profile of the qubit's pencil, cached on :class:`StateInvariants`, serves the
+signature and the pencil, partner and quadric tiers; M = 2 states count their
+ranges by 2 x 2 minors.  Reduction steps extract
 a product state from the AB-range of the normal form and shrink the C
 dimension by one, producing an auditable elementary-ILO word.  Equivalence
 verdicts compare local ranks on the inputs, then the invariant tiers on both
@@ -35,9 +38,9 @@ from .operators import (
 )
 from .ranges import (
     range_subspace,
-    _range_of,
     exact_rank_one_in_span,
     exact_points,
+    qubit_pencil,
     slocc_signature,
     partner_rank,
     quadric_profile,
@@ -63,8 +66,12 @@ class StateInvariants:
         return self._get("ranks", self.state.local_ranks)
 
     @property
+    def qubit(self) -> Pencil | None:
+        return self._get("qubit", lambda: qubit_pencil(self.state, self.ranks))
+
+    @property
     def signature(self) -> Signature:
-        return self._get("signature", lambda: slocc_signature(self.state, self.ranks))
+        return self._get("signature", lambda: slocc_signature(self.state, self.ranks, self.qubit))
 
     def signature_key(self):
         return (self.ranks.as_tuple(), self.signature.key())
@@ -73,8 +80,8 @@ class StateInvariants:
         def compute():
             if self.ranks.r_a != 2:
                 return None
-            sub = _range_of(self.state, "A", 2)
-            return Pencil(sub.basis[0], sub.basis[1]).rank_profile().key()
+            pen = self.qubit or Pencil(*range_subspace(self.state, "A", 2).basis)
+            return pen.rank_profile().key()
 
         return self._get("bc_profile", compute)
 
@@ -92,7 +99,7 @@ class StateInvariants:
                     out.append("irrational")
                 else:
                     out.append(tuple(sorted(
-                        partner_rank(self.state, party, w) for w in pc.witnesses
+                        partner_rank(self.state, party, w, self.qubit) for w in pc.witnesses
                     )))
             return tuple(out)
 
@@ -103,7 +110,7 @@ class StateInvariants:
             if self.ranks.r_a != 2:
                 return None
             try:
-                return quadric_profile(self.state)
+                return quadric_profile(self.state, self.qubit)
             except ValueError:
                 return None
 

@@ -703,10 +703,11 @@ class Pencil:
 
         The gcd of the k x k minors divides det(L (A + tB) R) for every
         constant k x rows matrix L and cols x k matrix R (Cauchy-Binet), so
-        the gcd of two random compressions is a multiple of it.  Callers must
-        verify each candidate root (rank or nullspace at the point); spurious
-        roots are filtered there.  Falls back to the exact minor gcd when the
-        random compressions degenerate.
+        the gcd of two random compressions is a multiple of it; a side of
+        length k is not compressed, as det(L X) = det(L) det(X) for square L.
+        Callers must verify each candidate root (rank or nullspace at the
+        point); spurious roots are filtered there.  Falls back to the exact
+        minor gcd when the random compressions degenerate.
         """
         rows, cols = self.shape()
         if k <= 0 or k > min(rows, cols):
@@ -723,10 +724,13 @@ class Pencil:
         acc = Poly()
         hits = 0
         for _ in range(6):
-            lm = [[(rng.randint(-4, 4), 0) for _ in range(rows)] for _ in range(k)]
-            rm = [[(rng.randint(-4, 4), 0) for _ in range(k)] for _ in range(cols)]
-            ca = _int_matmul(_int_matmul(lm, a_int), rm)
-            cb = _int_matmul(_int_matmul(lm, b_int), rm)
+            ca, cb = a_int, b_int
+            if k < rows:
+                lm = [[(rng.randint(-4, 4), 0) for _ in range(rows)] for _ in range(k)]
+                ca, cb = _int_matmul(lm, ca), _int_matmul(lm, cb)
+            if k < cols:
+                rm = [[(rng.randint(-4, 4), 0) for _ in range(k)] for _ in range(cols)]
+                ca, cb = _int_matmul(ca, rm), _int_matmul(cb, rm)
             coeffs = _poly_det_ints(
                 [[[x, y] for x, y in zip(ra, rb)] for ra, rb in zip(ca, cb)], k
             )

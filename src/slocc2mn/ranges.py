@@ -16,7 +16,12 @@ For two-row ranges :meth:`.matrices.Pencil.rank_profile` is the one search
 for rank drops of the pencil B - t*A: its exceptional points are the rank-one
 slopes, read by :func:`exact_points` (the one reader of a rank profile), and
 :func:`partner_rank` is decided by exact rank comparisons there and at
-t = 0..g, g the generic rank.  No sampled slope decides either.
+t = 0..g, g the generic rank.  No sampled slope decides either.  It runs
+once for a 2 x M x N state with M, N >= 3 whose dims are its local ranks:
+its C-range pencil T1 - t*T0 (T0, T1 the qubit's slices) is the B-range one
+transposed and holds the A range's rank-one points, so the profile of
+:func:`qubit_pencil` serves all three counts and the partner and quadric tiers.
+M = 2 states count their pencil spans by 2 x 2 minors.
 
 :func:`quadric_profile` is the one sampled quantity here: exact and seeded,
 but read off a sample that depends on the basis, so it is not ILO-invariant
@@ -151,19 +156,31 @@ def _pencil_witnesses(m0: Matrix, m1: Matrix, points):
         yield ProductWitness((alpha, beta), *rank_one_factor(pen.at(beta) if alpha else m1))
 
 
-def _count_pencil_span(sub: MatrixSubspace) -> ProductCount:
-    """Product states in span{M0, M1}: rank-one points of the projective line.
-
-    An irrational root is counted without a witness.  An infinite count
-    yields M0 first.
-    """
+def _count_pencil_span(sub: MatrixSubspace, pen: Pencil | None = None) -> ProductCount:
+    """Product states in span{M0, M1}: rank-one points of the projective line,
+    read off the rank profile of ``pen`` = M1 - t*M0 when given, else off the
+    2 x 2 minors.  An irrational root is counted without a witness.  An
+    infinite count yields M0 first."""
     m0, m1 = sub.basis
+    every = partial(_pencil_witnesses, m0, m1, [(ONE, ZERO)])
+    if pen is not None:
+        profile = pen.rank_profile()
+        if profile.generic_rank <= 1:
+            return ProductCount(kind="infinite", points=every)
+        low = tuple(p for p in profile.exceptional if p.rank <= 1)
+        slopes, exact = exact_points(replace(profile, exceptional=low))
+        # the slope t is the point s = -1/t of M0 + s*M1: t = infinity is
+        # s = 0, and t = 0 is s = infinity, last
+        roots = sorted((-b.inverse() if a else ZERO for (a, b), _ in slopes if b or not a),
+                       key=lambda r: (r.re, r.im))
+        points = [(ONE, r) for r in roots] + [(ZERO, ONE)] * any(not b for (_, b), _ in slopes)
+        return ProductCount(kind="finite", count=len(low), exact=exact,
+                            points=partial(_pencil_witnesses, m0, m1, points))
     # the minors are computed as the gcd reads them, up to the first unit;
     # one-row or one-column matrices have none
     g = poly_gcd_many(Pencil(m0, m1).minor_polynomials(2)) if min(m0.shape()) > 1 else Poly()
     if g.is_zero():
         # every pencil element has rank <= 1
-        every = partial(_pencil_witnesses, m0, m1, [(ONE, ZERO)])
         return ProductCount(kind="infinite", points=every)
     # the distinct roots, Gaussian-rational and irrational: deg of the
     # square-free part
@@ -253,13 +270,13 @@ def _rank_one_profile(sub: MatrixSubspace, pen: Pencil | None = None):
     return pen.rank_profile() if pen.generic_rank() == k else None
 
 
-def _count_two_row(sub: MatrixSubspace) -> ProductCount:
-    """One point per rank-one slope, so per exceptional point of the pencil
-    (irrational ones without a witness); infinite when a slope has nullity
-    >= 2.  When B - t*A has a null vector at every slope the count is
-    infinite and yields the one at t = 0."""
+def _count_two_row(sub: MatrixSubspace, pen: Pencil | None = None) -> ProductCount:
+    """One point per rank-one slope, so per exceptional point of B - t*A (or
+    of ``pen``, of the same profile), irrational ones without a witness;
+    infinite when a slope has nullity >= 2.  When B - t*A has a null vector
+    at every slope the count is infinite and yields the one at t = 0."""
     k = sub.dimension
-    profile = _rank_one_profile(sub)
+    profile = _rank_one_profile(sub, pen)
     if profile is None:
         return ProductCount(kind="infinite", points=partial(_slope_witnesses, sub, [(ONE, ZERO)]))
     points, exact = exact_points(profile)
@@ -317,16 +334,10 @@ def exact_rank_one_in_span(sub: MatrixSubspace) -> ProductWitness | None:
 # -- ranges of a tripartite state --------------------------------------------
 
 
-def range_subspace(s: PureState, absent_party: str) -> MatrixSubspace:
+def range_subspace(s: PureState, absent_party: str, rank: int | None = None) -> MatrixSubspace:
     """Range of the reduced state of the two parties other than absent_party,
-    as a subspace of (first party) x (second party) matrices."""
-    _, chosen = _independent_slices(s.slices(absent_party))
-    return MatrixSubspace._of_independent(chosen)
-
-
-def _range_of(s: PureState, absent_party: str, rank: int) -> MatrixSubspace:
-    """range_subspace(s, absent_party) given that party's local rank.  When
-    the rank is the party's dimension its slices are independent, so they
+    as a subspace of (first party) x (second party) matrices.  When ``rank``,
+    that party's local rank, is its dimension, its slices are independent and
     form the basis as they stand, without an elimination."""
     slices = s.slices(absent_party)
     if len(slices) != rank:
@@ -352,13 +363,28 @@ class Signature:
         return "[" + ",".join(c.render() for c in self.counts) + "]"
 
 
-def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None) -> Signature:
-    """Local ranks (computed unless given) and the three product counts."""
+def qubit_pencil(s: PureState, ranks: LocalRankProfile) -> Pencil | None:
+    """The qubit's slice pencil as T1 - t*T0, the C-range pencil of
+    :func:`_two_row_pencil`, for a 2 x M x N state with M, N >= 3 whose dims
+    are its local ranks; None for any other state."""
+    dims = s.dims
+    if dims[0] != 2 or min(dims[1:]) < 3 or ranks.as_tuple() != dims:
+        return None
+    return _two_row_pencil(range_subspace(s, "C", dims[2]))[2]
+
+
+def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None, qubit=None) -> Signature:
+    """Local ranks (computed unless given) and the three product counts, all
+    three read off the rank profile of the state's :func:`qubit_pencil`
+    (``qubit``, when given, with its profile cached) when it has one."""
     ranks = ranks or s.local_ranks()
-    counts = tuple(
-        count_product_states(_range_of(s, party, rank))
-        for party, rank in zip(PARTIES, ranks.as_tuple())
-    )
+    subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, ranks.as_tuple())]
+    qubit = qubit or qubit_pencil(s, ranks)
+    if qubit is None:
+        counts = tuple(count_product_states(sub) for sub in subs)
+    else:
+        counts = (_count_pencil_span(subs[0], qubit),
+                  _count_two_row(subs[1], qubit), _count_two_row(subs[2], qubit))
     return Signature(ranks=ranks, counts=counts)
 
 
@@ -382,7 +408,7 @@ def _independent_slices(slices):
     return pivots, [slices[j] for j in pivots]
 
 
-def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
+def partner_rank(s: PureState, absent_party: str, witness: ProductWitness, qubit=None):
     """Schmidt rank of the witness's conjugate adjoint state.
 
     The witness u (x) v lies in the range over the party pair (Y, Z); the
@@ -399,7 +425,8 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
     there iff it raises it generically; then some (g+1)-minor holding the
     phi row is a nonzero polynomial of degree <= g, so one of t = 0..g shows
     it.  The exceptional points are compared one by one, exactly, the
-    irrational ones by :meth:`.matrices.Pencil.ranks_over`.
+    irrational ones by :meth:`.matrices.Pencil.ranks_over`.  ``qubit``, the
+    state's :func:`qubit_pencil`, is B - t*A or its transpose, profile cached.
     """
     y_party, z_party = RANGE_PAIR[absent_party]
     v = witness.v
@@ -435,7 +462,7 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness):
         Matrix._from_ints(a_rows + [phi], dens + [v_den], k),
         Matrix._from_ints(b_rows + [[(0, 0)] * k], dens + [v_den], k),
     )
-    prof = pen.rank_profile()
+    prof = (qubit or pen).rank_profile()
     g = prof.generic_rank
     if g < k and any(with_phi.at(t).rank() > g for t in range(g + 1)):
         return 1
@@ -466,7 +493,7 @@ def _int_combination(coeffs, vectors):
     ]
 
 
-def quadric_profile(s: PureState):
+def quadric_profile(s: PureState, qubit: Pencil | None = None):
     """Projective invariant of the closure of product directions in the AB
     range (party C absent), as sampled.
 
@@ -479,6 +506,7 @@ def quadric_profile(s: PureState):
     general (the module docstring says where it is read).  All arithmetic is
     on Gaussian integers: the rows of A and B share one denominator
     (:func:`_two_row_pencil`), which a sample's primitive form drops.
+    ``qubit``, the state's :func:`qubit_pencil`, is B - t*A, profile cached.
     """
     sub = range_subspace(s, "C")
     a_mat, b_mat, pen = _two_row_pencil(sub)
@@ -514,7 +542,7 @@ def quadric_profile(s: PureState):
     # then A (slope infinity), then the exceptional Gaussian-rational slopes
     sources = [(pen.at(t), a_rows) for t in slopes]
     sources.append((a_mat, b_rows))
-    profile = _rank_one_profile(sub, pen)
+    profile = _rank_one_profile(sub, qubit or pen)
     if profile is not None:
         points, _ = exact_points(profile)
         sources += [(pen.at(beta), a_rows) for (alpha, beta), _ in points if alpha]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from slocc2mn.scalars import GaussianRational, ONE
-from slocc2mn.matrices import Matrix
+from slocc2mn.matrices import Matrix, Pencil
 from slocc2mn.states import PureState, compress_to_ranks
 from slocc2mn.operators import OperatorTriple, random_ilo
 from slocc2mn.ranges import UnsupportedSubspaceError
@@ -25,6 +25,7 @@ from slocc2mn.classify import (
     find_equivalence_witness,
     canonical_invariants,
     StateInvariants,
+    _TIERS,
 )
 
 
@@ -83,6 +84,31 @@ def test_classify_reuses_given_invariants():
             got = classify(inv, want_proof=False)
             assert (got.label, got.permutation) == (ref.label, ref.permutation) == (label, "ABC")
             assert got.invariants is inv
+
+
+def test_classify_searches_the_qubit_pencil_once(monkeypatch):
+    # the signature and the pencil, partner and quadric tiers read one rank
+    # profile of the input's qubit pencil, so classify makes one rank-drop
+    # search for the input; Theta2(2) reaches the partner tier
+    searches = []
+    search = Pencil.minor_root_multiple
+
+    def counted(self, k):
+        searches.append(k)
+        return search(self, k)
+
+    for label in (ClassLabel("Psi3"), ClassLabel("Theta2", 2)):
+        s = make_canonical(label)
+        for inv in canonical_invariants(s.dims).values():
+            for _, tier in _TIERS:
+                tier(inv)
+        monkeypatch.setattr(Pencil, "minor_root_multiple", counted)
+        searches.clear()
+        res = classify(random_ilo(s.dims, 7).apply(s), want_proof=False)
+        monkeypatch.undo()
+        assert res.label == label
+        assert len(searches) == 1
+    assert "partner" in res.invariants._cache
 
 
 def test_classify_invariants_fall_back_to_compression():

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from slocc2mn.cli import main, EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERNAL
+from slocc2mn.matrices import MINOR_SIDE_CAP, InternalLimitError, Pencil
 from slocc2mn.states import PureState
 from slocc2mn.stateio import dump_state, state_from_json, state_to_json
 from slocc2mn.families import ClassLabel, make_canonical
@@ -217,13 +218,43 @@ def test_missing_file_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["classify", "signature"])
-def test_internal_limit_is_unsupported_not_usage(capsys, tmp_path, command):
-    # Upsilon0(9) is 2 x 9 x 18: its pencils pass the minor-enumeration cap
-    out = tmp_path / "u9.json"
-    assert run_cli(capsys, "gen", "Upsilon0", "--m", "9", "--out", str(out))[0] == EXIT_OK
+def test_internal_limit_is_unsupported_not_usage(capsys, tmp_path, monkeypatch, command):
+    # the minor-enumeration cap, forced on GHZ, whose pencil spans are
+    # counted by their 2 x 2 minors
+    out = tmp_path / "g.json"
+    run_cli(capsys, "gen", "GHZ", "--out", str(out))
+
+    def capped(self, k):
+        raise InternalLimitError(f"minor enumeration capped at side {MINOR_SIDE_CAP}")
+
+    monkeypatch.setattr(Pencil, "minor_polynomials", capped)
     code, _, err = run_cli(capsys, command, str(out))
     assert code == EXIT_FAILED
     assert err.startswith("unsupported: ")
+
+
+def test_minor_cap_is_unsupported_when_the_qubit_is_not_party_a(capsys, tmp_path):
+    # Upsilon0(9) with its qubit as party B: its C range is the span of two
+    # 9 x 18 matrices, whose 2 x 2 minors pass the cap of 8
+    out = tmp_path / "u9.json"
+    dump_state(make_canonical(ClassLabel("Upsilon0", 9)).permute_parties("BAC"), str(out))
+    code, _, err = run_cli(capsys, "signature", str(out))
+    assert code == EXIT_FAILED
+    assert err.startswith("unsupported: minor enumeration capped")
+
+
+def test_upsilon0_9_is_past_the_minor_cap(capsys, tmp_path):
+    # the signature and the pencil tiers read the rank profile of the qubit's
+    # pencil, which enumerates no minors: Upsilon0(9), 2 x 9 x 18, is counted
+    # and classified although its sides pass the cap of 8
+    out = tmp_path / "u9.json"
+    assert run_cli(capsys, "gen", "Upsilon0", "--m", "9", "--out", str(out))[0] == EXIT_OK
+    code, report, _ = run_json(capsys, "signature", str(out))
+    assert code == EXIT_OK
+    assert report["result"]["signature"] == "[0,0,inf]"
+    code, report, _ = run_json(capsys, "classify", str(out))
+    assert code == EXIT_OK
+    assert report["result"]["label"] == "Upsilon0(9)"
 
 
 def test_internal_check_failure_is_internal_error(capsys, tmp_path, monkeypatch):

@@ -4,11 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.matrices import Matrix
 from slocc2mn.polynomials import Poly, exact_roots_of, square_free_part
-from slocc2mn.states import PureState
+from slocc2mn.states import PureState, LocalRankProfile
 from slocc2mn.operators import random_ilo
 from slocc2mn import ranges
 from slocc2mn.ranges import (
@@ -229,6 +230,51 @@ def test_signature_invariant_under_ilo():
                     assert elem.rank() == 1
                     assert Matrix([[a * b for b in w.v] for a in w.u]) == elem
     assert mismatches == []
+
+
+@st.composite
+def qubit_states(draw):
+    """2 x M x N states, 3 <= M <= N <= 2M and M <= 4, with small and often
+    zero Gaussian-integer amplitudes, so that rank drops of every depth,
+    irrational ones and infinite counts all occur."""
+    m = draw(st.integers(3, 4))
+    n = draw(st.integers(m, 2 * m))
+    zeros = [0] * draw(st.integers(1, 6))
+    re, im = st.sampled_from(zeros + [1, -1, 2]), st.sampled_from(zeros * 2 + [1, -1])
+    amps = {}
+    for idx in itertools.product(range(2), range(m), range(n)):
+        z = GaussianRational(draw(re), draw(im))
+        if not z.is_zero():
+            amps[idx] = z
+    assume(amps)
+    return PureState((2, m, n), amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qubit_states(), st.integers(0, 2**32 - 1))
+def test_shared_profile_matches_counting_each_range(s, seed):
+    # the signature read off the qubit pencil's one rank profile against each
+    # range counted on its own, on the state and an ILO image: the same
+    # counts, exact flags and witnesses; the pencil tiers read the profile too,
+    # and their keys match those computed without it
+    assume(s.local_ranks().as_tuple() == s.dims)
+    for t in (s, random_ilo(s.dims, seed).apply(s)):
+        inv = StateInvariants(t, LocalRankProfile(*t.dims))
+        assert inv.qubit is not None
+        for party, count in zip("ABC", inv.signature.counts):
+            sub = range_subspace(t, party)
+            oracle = count_product_states(sub)
+            assert (count.key(), count.exact) == (oracle.key(), oracle.exact)
+            assert count.witnesses == oracle.witnesses
+            for w in count.witnesses:
+                elem = member(sub, w.coeffs)
+                assert elem.rank() == 1
+                assert Matrix([[a * b for b in w.v] for a in w.u]) == elem
+        plain = StateInvariants(t, LocalRankProfile(*t.dims))
+        plain._cache["qubit"] = None  # every tier builds its own pencil
+        assert inv.bc_profile_key() == plain.bc_profile_key()
+        assert inv.partner_key() == plain.partner_key()
+        assert inv.quadric_key() == plain.quadric_key()
 
 
 def test_bc_pencil_shape():
