@@ -315,8 +315,9 @@ def classify(
             label=ClassLabel("NotTrueTripartite"), note=f"local ranks {ranks}"
         )
     if norm.dims[0] != 2:
+        # no qubit: the signature cannot be counted, so no invariants either
         return ClassificationResult(
-            label=ClassLabel("Unknown"), invariants=inv, permutation=order,
+            label=ClassLabel("Unknown"), permutation=order,
             note=f"smallest local rank {norm.dims[0]} > 2 is outside coverage",
         )
     table = canonical_invariants(norm.dims)
@@ -521,7 +522,8 @@ def decide_equivalence(
 
     Local ranks are compared on the inputs, every later tier on their normal
     forms, which equal ranks give one party order; equal ranks with different
-    dims raise ValueError.  Either side may be given as its StateInvariants
+    dims raise ValueError, and equal ranks whose smallest is 3 or more leave
+    the pair Undecided.  Either side may be given as its StateInvariants
     (for example an entry of :func:`canonical_invariants`): one in normal
     form keeps its cached keys, for the class-label tier too.
     """
@@ -540,6 +542,11 @@ def decide_equivalence(
         )
     if s1.dims != s2.dims:
         raise ValueError(f"states of equal local ranks have different dims {s1.dims} and {s2.dims}")
+    low = min(inv1.ranks.as_tuple())
+    if low > 2:  # no qubit: neither the invariants nor the witness search apply
+        return EquivalenceVerdict(
+            kind="Undecided", detail=f"smallest local rank {low} > 2 is outside 2 x M x N"
+        )
     inv1, inv2 = _normal_form(inv1)[0], _normal_form(inv2)[0]
     if inv1.signature.key() != inv2.signature.key():
         return EquivalenceVerdict(

@@ -3,10 +3,10 @@
 Commands: gen, signature, classify, equiv, perturb, verify.  Every command
 honors ``--format json|text``; JSON output follows schemas/report.schema.json.
 ``perturb`` and ``verify`` draw from ``--seed``; the others are deterministic.
-Exit codes: 0 success, 1 verification failure or an input past an internal
-limit (reported as ``unsupported:``), 2 usage or parse errors, 3 a failed
-internal consistency check (an ``AssertionError``, reported as
-``internal error:``).
+Exit codes: 0 success, 1 verification failure or a range the product-state
+counter does not handle, such as in ``signature`` of a 3x3x3 state (reported
+as ``unsupported:``), 2 usage or parse errors, 3 a failed internal
+consistency check (an ``AssertionError``, reported as ``internal error:``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 import time
 
 from .families import ClassLabel, make_canonical, SMALL_FAMILIES, PARAMETRIC_FAMILIES
-from .matrices import InternalLimitError
 from .polynomials import Poly
 from .operators import random_ilo
 from .ranges import (
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InternalLimitError, UnsupportedSubspaceError) as exc:
+    except UnsupportedSubspaceError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except ValueError as exc:

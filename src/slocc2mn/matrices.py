@@ -1,9 +1,10 @@
 """Dense matrices over Gaussian rationals, and matrix pencils A + t*B.
 
-Everything here is exact: rank, reduced row echelon form, nullspace, inverses
-and minor polynomials never round, and the rank of a pencil at an irrational
-parameter value comes from an elimination modulo the polynomial the value is
-a root of (:meth:`Pencil.ranks_over`), so no floating point is used.
+Everything here is exact and deterministic: rank, reduced row echelon form,
+nullspace, inverses and minor polynomials never round, and the rank of a
+pencil at an irrational parameter value comes from an elimination modulo the
+polynomial the value is a root of (:meth:`Pencil.ranks_over`), so no floating
+point is used.
 
 All elimination goes through one kernel, :func:`_eliminate`.  It works on rows
 of Gaussian integers stored as ``(re, im)`` pairs of Python ints; a matrix
@@ -22,7 +23,6 @@ form, so the minor gcds never leave the integers.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from math import factorial, gcd, lcm, prod
 
@@ -30,15 +30,6 @@ from .scalars import GaussianRational, ZERO, ONE, _int_row, _scalar
 from .polynomials import (
     Poly, poly_gcd, poly_gcd_many, exact_roots_of, _imaginary_unit_mod, _poly_mul, _poly_sub,
 )
-
-MINOR_SIDE_CAP = 8
-
-
-class InternalLimitError(ValueError):
-    """An input past an internal limit of this implementation, such as
-    :data:`MINOR_SIDE_CAP`: not a usage error.  A ``ValueError``, so the
-    library's fallbacks that catch one treat it as before."""
-
 
 # -- the Gaussian-integer kernel ----------------------------------------------
 
@@ -558,6 +549,12 @@ def poly_matrix_det(rows_of_polys) -> Poly:
     return Poly._from_ints(_poly_det_ints(rows, bound), den)
 
 
+def _pivot_rows(rows, cols) -> tuple[int, ...]:
+    """Indices of the first pivot rows of the Gaussian-integer ``rows``
+    restricted to the columns ``cols``: as many as the columns' rank."""
+    return tuple(_eliminate([[row[j] for row in rows] for j in cols], len(rows))[0])
+
+
 def _int_matmul(x, y):
     """Product of two Gaussian-integer matrices given as rows of pairs."""
     cols = list(zip(*y))
@@ -603,14 +600,14 @@ class PencilRankProfile:
 class Pencil:
     """One-parameter matrix family A + t*B with equal-shape exact members."""
 
-    __slots__ = ("a", "b", "_generic_rank", "_profile", "_ints")
+    __slots__ = ("a", "b", "_pivots", "_profile", "_ints")
 
     def __init__(self, a: Matrix, b: Matrix):
         if a.shape() != b.shape():
             raise ValueError("pencil members must share a shape")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_generic_rank", None)
+        object.__setattr__(self, "_pivots", None)
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_ints", None)
 
@@ -668,8 +665,6 @@ class Pencil:
             raise ValueError("minor size must be positive")
         if k > min(rows, cols):
             raise ValueError("minor size exceeds matrix shape")
-        if min(rows, cols) > MINOR_SIDE_CAP:
-            raise InternalLimitError(f"minor enumeration capped at side {MINOR_SIDE_CAP}")
         a_rows, b_rows, dens = self._int_form()
 
         def minor(rsel, csel):
@@ -698,50 +693,40 @@ class Pencil:
         return poly_gcd_many(self.minor_polynomials(k))
 
     def minor_root_multiple(self, k: int) -> Poly:
-        """A nonzero monic polynomial whose root set contains every root of
-        minor_gcd(k), usually equal to it up to spurious factors.
+        """A monic multiple of minor_gcd(k) whose roots are all roots of it
+        or spurious; zero when every k x k minor vanishes identically.
 
-        The gcd of the k x k minors divides det(L (A + tB) R) for every
-        constant k x rows matrix L and cols x k matrix R (Cauchy-Binet), so
-        the gcd of two random compressions is a multiple of it; a side of
-        length k is not compressed, as det(L X) = det(L) det(X) for square L.
-        Callers must verify each candidate root (rank or nullspace at the
-        point); spurious roots are filtered there.  Falls back to the exact
-        minor gcd when the random compressions degenerate.
+        Every k x k minor vanishes wherever A + tB has rank below k, so the
+        gcd of any two of them is such a multiple.  The two are read at the
+        first t = 0, 1, ... where :meth:`generic_rank` saw rank k or more:
+        the first k pivot columns there and the first k pivot rows among
+        them, once in order and once with rows and columns reversed.  Both
+        are nonzero at t, so neither vanishes identically.  A square pencil
+        of side k gives its determinant alone.  Callers check each candidate
+        root by the rank at it, which drops the spurious ones.
         """
         rows, cols = self.shape()
         if k <= 0 or k > min(rows, cols):
             raise ValueError("bad minor size")
+
+        def minor(rsel, csel):
+            return poly_matrix_det([[self.entry_poly(i, j) for j in csel] for i in rsel])
+
         if k == rows == cols:
-            d = poly_matrix_det([[self.entry_poly(i, j) for j in range(k)] for i in range(k)])
-            return d.monic() if not d.is_zero() else self.minor_gcd(k)
-        rng = random.Random(0x5BCA + 977 * k + 31 * rows + cols)
-        # one scale for all of A and B keeps L (A + tB) R a constant multiple
-        a_rows, b_rows, dens = self._int_form()
-        big = lcm(*dens)
-        a_int = [[(x * (big // d), y * (big // d)) for x, y in r] for r, d in zip(a_rows, dens)]
-        b_int = [[(x * (big // d), y * (big // d)) for x, y in r] for r, d in zip(b_rows, dens)]
-        acc = Poly()
-        hits = 0
-        for _ in range(6):
-            ca, cb = a_int, b_int
-            if k < rows:
-                lm = [[(rng.randint(-4, 4), 0) for _ in range(rows)] for _ in range(k)]
-                ca, cb = _int_matmul(lm, ca), _int_matmul(lm, cb)
-            if k < cols:
-                rm = [[(rng.randint(-4, 4), 0) for _ in range(k)] for _ in range(cols)]
-                ca, cb = _int_matmul(ca, rm), _int_matmul(cb, rm)
-            coeffs = _poly_det_ints(
-                [[[x, y] for x, y in zip(ra, rb)] for ra, rb in zip(ca, cb)], k
-            )
-            d = Poly._from_ints(coeffs)
-            if d.is_zero():
-                continue
-            acc = d.monic() if acc.is_zero() else poly_gcd_many([acc, d])
-            hits += 1
-            if acc.degree == 0 or hits >= 2:
-                return acc
-        return self.minor_gcd(k)
+            return minor(range(k), range(k)).monic()
+        if k > self.generic_rank():
+            return Poly()
+        t = next(t for t, piv in enumerate(self._pivots) if len(piv) >= k)
+        at_t = self.at(GaussianRational(t))._int_form()[0]
+        flipped = [row[::-1] for row in reversed(at_t)]
+        csel = self._pivots[t][:k]
+        fsel = _eliminate(list(flipped), cols)[0][:k]
+        frows = _pivot_rows(flipped, fsel)
+        selections = {
+            (_pivot_rows(at_t, csel), csel),
+            (tuple(rows - 1 - i for i in frows), tuple(cols - 1 - j for j in fsel)),
+        }
+        return poly_gcd_many(minor(*sel) for sel in selections)
 
     def generic_rank(self) -> int:
         """Rank over the rational-function field: the largest rank at
@@ -749,17 +734,19 @@ class Pencil:
 
         Exact: a g x g minor that is not identically zero has degree at most
         g <= min(rows, cols) in t, so it vanishes at no more than g of these
-        min(rows, cols) + 1 points.
+        min(rows, cols) + 1 points.  The pivot columns of each point are kept
+        for :meth:`minor_root_multiple`.
         """
-        if self._generic_rank is None:
+        if self._pivots is None:
             full = min(self.shape())
-            best = 0
+            pivots = []
             for t in range(full + 1):
-                best = max(best, self.at(GaussianRational(t)).rank())
-                if best == full:
+                at_t = self.at(GaussianRational(t))._int_form()[0]
+                pivots.append(tuple(_eliminate(list(at_t), self.a.cols)[0]))
+                if len(pivots[-1]) == full:
                     break
-            object.__setattr__(self, "_generic_rank", best)
-        return self._generic_rank
+            object.__setattr__(self, "_pivots", pivots)
+        return max(map(len, self._pivots))
 
     def ranks_over(self, f: Poly) -> list[tuple[Poly, int]]:
         """Rank of A + alpha*B at the roots alpha of the square-free ``f``, as
@@ -809,9 +796,11 @@ class Pencil:
 
         Exceptional finite points are the distinct roots of the gcd of the
         generic-rank-sized minors; the point at infinity is exceptional when
-        rank(B) is below the generic rank.  Gaussian-rational roots are
-        evaluated one by one; the irrational ones get their ranks from
-        :meth:`ranks_over`, one point per root, the factor as parameter.
+        rank(B) is below the generic rank.  The candidates are the roots of
+        :meth:`minor_root_multiple`, and each is kept only where the rank
+        drops.  Gaussian-rational roots are evaluated one by one; the
+        irrational ones get their ranks from :meth:`ranks_over`, one point per
+        root, the factor as parameter.
         """
         if self._profile is not None:
             return self._profile
@@ -820,9 +809,7 @@ class Pencil:
         g = self.generic_rank()
         points = []
         if g > 0:
-            gcd = self.minor_root_multiple(g)
-            if gcd.is_zero():
-                raise AssertionError("all generic-size minors vanish; generic rank wrong")
+            gcd = self.minor_root_multiple(g)  # nonzero, as g is the generic rank
             if gcd.degree > 0:
                 exact, rest = exact_roots_of(gcd)
                 for r in exact:

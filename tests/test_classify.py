@@ -9,6 +9,7 @@ from slocc2mn.matrices import Matrix, Pencil
 from slocc2mn.states import PureState, compress_to_ranks
 from slocc2mn.operators import OperatorTriple, random_ilo
 from slocc2mn.ranges import UnsupportedSubspaceError
+from slocc2mn.verify import random_full_rank_state
 from slocc2mn.families import (
     ClassLabel,
     make_canonical,
@@ -281,6 +282,22 @@ def test_states_with_a_local_rank_one_decided_by_their_ranks():
         assert verdict.witness.apply(s).equals_up_to_scalar(moved)
     res = classify(PureState.from_kets((2, 2, 2), [(0, 0, 0), (1, 0, 1)]))
     assert (res.label.family, res.note) == ("NotTrueTripartite", "local ranks (2, 1, 2)")
+
+
+def test_states_without_a_qubit_are_unknown_and_undecided():
+    # local ranks (3, 3, 3): no range of the state can be counted, and the
+    # witness search needs a qubit, so both answers are honest non-answers
+    s = random_full_rank_state((3, 3, 3), random.Random(1))
+    res = classify(s)
+    assert (res.label.family, res.invariants) == ("Unknown", None)
+    assert res.note == "smallest local rank 3 > 2 is outside coverage"
+    verdict = decide_equivalence(s, random_ilo(s.dims, 3).apply(s))
+    assert (verdict.kind, verdict.witness) == ("Undecided", None)
+    assert verdict.detail == "smallest local rank 3 > 2 is outside 2 x M x N"
+    # the ranks still separate, and a state is still equal to itself
+    other = random_full_rank_state((3, 3, 4), random.Random(1))
+    assert decide_equivalence(s, other).separating_invariant == "local ranks"
+    assert decide_equivalence(s, s).kind == "Equivalent"
 
 
 def test_canonical_invariants_cached_and_complete():

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,11 @@ import jsonschema
 import pytest
 
 from slocc2mn.cli import main, EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERNAL
-from slocc2mn.matrices import MINOR_SIDE_CAP, InternalLimitError, Pencil
 from slocc2mn.states import PureState
 from slocc2mn.stateio import dump_state, state_from_json, state_to_json
 from slocc2mn.families import ClassLabel, make_canonical
+from slocc2mn.operators import random_ilo
+from slocc2mn.verify import random_full_rank_state
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "slocc2mn" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -217,36 +219,65 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read" in err
 
 
-@pytest.mark.parametrize("command", ["classify", "signature"])
-def test_internal_limit_is_unsupported_not_usage(capsys, tmp_path, monkeypatch, command):
-    # the minor-enumeration cap, forced on GHZ, whose pencil spans are
-    # counted by their 2 x 2 minors
-    out = tmp_path / "g.json"
-    run_cli(capsys, "gen", "GHZ", "--out", str(out))
+def test_upsilon0_9_signature_when_the_qubit_is_not_party_a(capsys, tmp_path):
+    # with the qubit as party B or C, a range of Upsilon0(9) is the span of
+    # two 9 x 18 matrices, counted by all of its 2 x 2 minors
+    u9 = make_canonical(ClassLabel("Upsilon0", 9))
+    expected = {"ABC": "[0,0,inf]", "BAC": "[0,0,inf]", "CBA": "[inf,0,0]", "ACB": "[0,inf,0]"}
+    for order, signature in expected.items():
+        out = tmp_path / f"u9-{order}.json"
+        dump_state(u9.permute_parties(order), str(out))
+        code, report, _ = run_json(capsys, "signature", str(out))
+        assert code == EXIT_OK
+        assert report["result"]["signature"] == signature
 
-    def capped(self, k):
-        raise InternalLimitError(f"minor enumeration capped at side {MINOR_SIDE_CAP}")
 
-    monkeypatch.setattr(Pencil, "minor_polynomials", capped)
-    code, _, err = run_cli(capsys, command, str(out))
+def _full_rank_333(tmp_path, name="s333.json"):
+    # local ranks (3, 3, 3): no qubit, so outside 2 x M x N
+    state = random_full_rank_state((3, 3, 3), random.Random(1))
+    assert state.local_ranks().as_tuple() == (3, 3, 3)
+    out = tmp_path / name
+    dump_state(state, str(out))
+    return state, out
+
+
+def test_signature_without_a_qubit_is_unsupported(capsys, tmp_path):
+    # the counter handles no three-dimensional range of 3 x 3 matrices
+    _, out = _full_rank_333(tmp_path)
+    code, stdout, err = run_cli(capsys, "signature", str(out))
     assert code == EXIT_FAILED
-    assert err.startswith("unsupported: ")
+    assert stdout == ""
+    assert err.startswith("unsupported: counting not supported")
 
 
-def test_minor_cap_is_unsupported_when_the_qubit_is_not_party_a(capsys, tmp_path):
-    # Upsilon0(9) with its qubit as party B: its C range is the span of two
-    # 9 x 18 matrices, whose 2 x 2 minors pass the cap of 8
-    out = tmp_path / "u9.json"
-    dump_state(make_canonical(ClassLabel("Upsilon0", 9)).permute_parties("BAC"), str(out))
-    code, _, err = run_cli(capsys, "signature", str(out))
-    assert code == EXIT_FAILED
-    assert err.startswith("unsupported: minor enumeration capped")
+def test_classify_without_a_qubit_is_unknown(capsys, tmp_path):
+    _, out = _full_rank_333(tmp_path)
+    code, report, _ = run_json(capsys, "classify", str(out))
+    assert code == EXIT_OK
+    assert report["result"]["label"] == "Unknown"
+    assert report["result"]["note"].endswith("outside coverage")
+    assert "invariants" not in report["result"]
+    code, text, _ = run_cli(capsys, "classify", str(out))
+    assert code == EXIT_OK
+    assert text.splitlines() == [
+        "label: Unknown", "note: smallest local rank 3 > 2 is outside coverage",
+    ]
+
+
+def test_equiv_without_a_qubit_is_undecided(capsys, tmp_path):
+    state, out1 = _full_rank_333(tmp_path)
+    out2 = tmp_path / "image.json"
+    dump_state(random_ilo(state.dims, 3).apply(state), str(out2))
+    code, report, _ = run_json(capsys, "equiv", str(out1), str(out2))
+    assert code == EXIT_OK
+    assert report["result"]["verdict"] == "Undecided"
+    assert "outside 2 x M x N" in report["result"]["detail"]
 
 
 def test_upsilon0_9_is_past_the_minor_cap(capsys, tmp_path):
     # the signature and the pencil tiers read the rank profile of the qubit's
     # pencil, which enumerates no minors: Upsilon0(9), 2 x 9 x 18, is counted
-    # and classified although its sides pass the cap of 8
+    # and classified with its proof
     out = tmp_path / "u9.json"
     assert run_cli(capsys, "gen", "Upsilon0", "--m", "9", "--out", str(out))[0] == EXIT_OK
     code, report, _ = run_json(capsys, "signature", str(out))

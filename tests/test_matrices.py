@@ -6,10 +6,10 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE, _scalar
-from slocc2mn.polynomials import Poly, poly_gcd, square_free_part
+from slocc2mn.polynomials import Poly, exact_roots_of, poly_gcd, square_free_part
 from slocc2mn.matrices import (
     Matrix,
     Pencil,
@@ -202,24 +202,132 @@ def test_pencil_generic_rank_needs_min_plus_one_points():
     assert Pencil(b, b.scale(GaussianRational(2))).generic_rank() == 1
 
 
-def test_pencil_minor_gcd_divides_root_multiple():
-    rng = random.Random(30)
-    for _ in range(15):
-        a = random_matrix(rng, 3, 5, imag=False, span=3)
-        b = random_matrix(rng, 3, 5, imag=False, span=3)
-        pen = Pencil(a, b)
-        for k in (2, 3):
-            g = pen.minor_gcd(k)
-            cand = pen.minor_root_multiple(k)
-            if g.is_zero():
-                assert cand.is_zero() or cand.degree >= 0
-                continue
-            if cand.is_zero():
-                continue
-            # the true minor gcd divides the candidate multiple, so every
-            # genuine rank-drop parameter survives the compression
-            assert (cand % poly_gcd(cand, g)).is_zero()
-            assert poly_gcd(cand, g).degree == g.degree
+def _gaussian(re, im=0, den=1):
+    return GaussianRational(Fraction(re, den), im)
+
+
+def _unimodular(draw, n):
+    """A lower times an upper unitriangular matrix: invertible, det 1."""
+    entry = st.builds(_gaussian, st.integers(-2, 2), st.sampled_from([0, 0, 1, -1]))
+    low = Matrix.from_entries(n, n, lambda i, j: ONE if i == j else draw(entry) if i > j else ZERO)
+    up = Matrix.from_entries(n, n, lambda i, j: ONE if i == j else draw(entry) if i < j else ZERO)
+    return low @ up
+
+
+def _block(kind, x):
+    """(A, B) of one diagonal block of A + t*B; each comment says where its
+    rank drops."""
+    if kind == "rational":  # t - x: rank 0 at x
+        return [[-x]], [[ONE]]
+    if kind == "quadratic":  # [[t, x], [1, t]]: rank 1 at the roots of t^2 - x
+        return [[ZERO, x], [ONE, ZERO]], [[ONE, ZERO], [ZERO, ONE]]
+    if kind == "jordan":  # [[t - x, 1], [0, t - x]]: rank 1 at x, twice a root
+        return [[-x, ONE], [ZERO, -x]], [[ONE, ZERO], [ZERO, ONE]]
+    if kind == "constant":  # 1: B loses rank, so the point at infinity drops
+        return [[ONE]], [[ZERO]]
+    if kind == "row":  # [t, 1]: rank 1 everywhere
+        return [[ZERO, ONE]], [[ONE, ZERO]]
+    return [[ZERO], [ONE]], [[ONE], [ZERO]]  # the column [t, 1]^T
+
+
+@st.composite
+def planted_pencils(draw):
+    """Pencils up to 5 x 7 with planted rank drops at Gaussian-rational
+    points and at surds (roots of t^2 - x for x = 2, 3, 5, ...), zero rows and
+    columns, A or B made zero, all mixed by invertible integer L and R."""
+    points = st.builds(_gaussian, st.integers(-3, 3), st.integers(-1, 1), st.integers(1, 2))
+    squares = st.sampled_from([2, 3, 5, -2, -1, 1, GaussianRational(0, 2), GaussianRational(1, 1)])
+    kinds = st.sampled_from(["rational", "quadratic", "jordan", "constant", "row", "column"])
+    blocks = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        x = draw(squares if kind == "quadratic" else points)
+        blocks.append(_block(kind, GaussianRational.coerce(x)))
+    rows = sum(len(a) for a, _ in blocks)
+    cols = sum(len(a[0]) for a, _ in blocks)
+    assume(rows <= 5 and cols <= 7)
+    rows += draw(st.integers(0, 5 - rows))  # zero rows
+    cols += draw(st.integers(0, 7 - cols))  # zero columns
+    pair = []
+    for half in (0, 1):
+        grid = [[ZERO] * cols for _ in range(rows)]
+        i = j = 0
+        for blk in blocks:
+            for di, row in enumerate(blk[half]):
+                grid[i + di][j:j + len(row)] = row
+            i, j = i + len(blk[half]), j + len(blk[half][0])
+        pair.append(Matrix(grid))
+    dropped = draw(st.sampled_from([None, None, None, 0, 1]))
+    if dropped is not None and not pair[1 - dropped].is_zero():
+        pair[dropped] = Matrix([[ZERO] * cols for _ in range(rows)])
+    assume(not (pair[0].is_zero() and pair[1].is_zero()))
+    left, right = _unimodular(draw, rows), _unimodular(draw, cols)
+    return Pencil(*(left @ m @ right for m in pair))
+
+
+def _profile_form(prof):
+    """(key, sorted (rank, parameter) of the Gaussian-rational and infinite
+    points, {rank: product of the distinct irrational factors})."""
+    exact = sorted((p.rank, str(p.parameter)) for p in prof.exceptional
+                   if not isinstance(p.parameter, Poly))
+    factors = {}
+    for p in prof.exceptional:
+        if isinstance(p.parameter, Poly):
+            factors.setdefault(p.rank, set()).add(p.parameter)
+    surds = {}
+    for rank, fs in factors.items():
+        surds[rank] = ONE_POLY
+        for f in fs:
+            surds[rank] = surds[rank] * f
+    return prof.key(), exact, surds
+
+
+def _oracle_profile_form(pen, gcds):
+    """:func:`_profile_form` of the rank profile, from the full minor gcds:
+    the generic rank g is the largest k with a nonzero k x k minor, the finite
+    exceptional points are the roots of gcds[g - 1], and at a root the rank is
+    below j exactly where gcds[j - 1] vanishes."""
+    g = max((k for k, d in enumerate(gcds, 1) if not d.is_zero()), default=0)
+    exact, surds = [], {}
+    if g and gcds[g - 1].degree > 0:
+        roots, rest = exact_roots_of(gcds[g - 1])
+        exact = [(pen.at(r).rank(), str(r)) for r in roots]
+        for f in rest:
+            below = [ONE_POLY] + [poly_gcd(f, gcds[j - 1]) for j in range(1, g)] + [f]
+            for rank in range(g):
+                part = below[rank + 1] // below[rank]
+                if part.degree > 0:
+                    surds[rank] = part.monic()
+    rb = pen.b.rank()
+    if rb < g:
+        exact.append((rb, "None"))
+    ranks = [rk for rk, _ in exact] + [rk for rk, f in surds.items() for _ in range(f.degree)]
+    return (g, tuple(sorted(ranks))), sorted(exact), surds
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_pencils(), st.data())
+def test_pencil_minor_gcd_divides_root_multiple(pen, data):
+    rows, cols = pen.shape()
+    gcds = [pen.minor_gcd(k) for k in range(1, min(rows, cols) + 1)]
+    for k, g in enumerate(gcds, 1):
+        cand = pen.minor_root_multiple(k)
+        # zero exactly when every k x k minor vanishes identically; otherwise
+        # a multiple of the true minor gcd, so no rank-drop point is lost
+        assert cand.is_zero() == g.is_zero()
+        if not g.is_zero():
+            assert (cand % g).is_zero()
+    form = _profile_form(pen.rank_profile())
+    assert form == _oracle_profile_form(pen, gcds)
+    # the profile is a property of the pencil's equivalence class
+    row_order = data.draw(st.permutations(range(rows)))
+    col_order = data.draw(st.permutations(range(cols)))
+    left, right = _unimodular(data.draw, rows), _unimodular(data.draw, cols)
+    moved = [
+        Matrix.from_entries(rows, cols, lambda i, j: m[row_order[i], col_order[j]])
+        for m in (pen.a, pen.b)
+    ]
+    assert _profile_form(Pencil(*moved).rank_profile()) == form
+    assert _profile_form(Pencil(*(left @ m @ right for m in moved)).rank_profile()) == form
 
 
 def test_pencil_rank_profile_diagonal_example():

@@ -125,3 +125,24 @@ def test_benchmark_names_resolve():
         if n not in vars(classify.StateInvariants)
     ]
     assert missing == []
+
+
+EXACT_KERNELS = ("scalars", "polynomials", "matrices", "states")
+
+
+def test_exact_kernels_draw_no_random_numbers():
+    """The exact kernels are deterministic: none of them imports ``random``,
+    so a rank, root or rank profile never depends on a draw."""
+    importers = []
+    for name in EXACT_KERNELS:
+        path = PACKAGE / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "random" or m.startswith("random.") for m in modules):
+                importers.append(name)
+    assert importers == []
