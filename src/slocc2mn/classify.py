@@ -12,8 +12,9 @@ three tiers leave more than one candidate, which among canonical states
 happens only for Theta4(m) against Theta5(m) (m = 2..5 checked), and on
 those two its keys, (1, 4) and (1, 3), are stable.  For M, N >= 3 one rank
 profile of the qubit's pencil, cached on :class:`StateInvariants`, serves the
-signature and the pencil, partner and quadric tiers; M = 2 states count their
-ranges by 2 x 2 minors.  Reduction steps extract
+signature and the pencil, partner and quadric tiers; a 2 x 2 x N state counts
+its A range by 2 x 2 minors and shares that count with its B range, whose
+rank-one points correspond one to one.  Reduction steps extract
 a product state from the AB-range of the normal form and shrink the C
 dimension by one, producing an auditable elementary-ILO word.  Equivalence
 verdicts compare local ranks on the inputs, then the invariant tiers on both
@@ -152,11 +153,15 @@ class ReductionStep:
 
 @dataclass
 class ClassificationResult:
+    """``proof_complete`` is False when :func:`reduction_trace` cut the proof
+    at MAX_REDUCTION_STEPS with a residual still to reduce."""
+
     label: ClassLabel
     proof: list[ReductionStep] = field(default_factory=list)
     invariants: StateInvariants | None = None
     permutation: str = "ABC"
     note: str = ""
+    proof_complete: bool = True
 
 
 def apply_ilo_word(s: PureState, word) -> PureState:
@@ -274,24 +279,26 @@ def _normal_form(s: PureState | StateInvariants) -> tuple[StateInvariants, str]:
     return StateInvariants(norm, LocalRankProfile(*norm.dims)), order
 
 
-def reduction_trace(s: PureState) -> list[ReductionStep]:
-    """Chain of reduction steps from a compressed (2, M, N) state down to a
-    base case (stops when a local rank hits 1 or the shape leaves coverage,
-    and after MAX_REDUCTION_STEPS steps).  Each step reduces the normal form
-    of the previous residual."""
+def reduction_trace(s: PureState) -> tuple[list[ReductionStep], bool]:
+    """(steps, complete): the chain of reduction steps from a compressed
+    (2, M, N) state down to a base case.  It stops when a local rank hits 1
+    or the shape leaves coverage (complete), or after MAX_REDUCTION_STEPS
+    steps while the last residual still has a qubit (cut, not complete).
+    Each step reduces the normal form of the previous residual."""
     steps: list[ReductionStep] = []
     cur = s
-    for _ in range(MAX_REDUCTION_STEPS):
+    while True:
         norm = _normal_form(cur)[0].state
         if norm.dims[0] < 2:
-            break
+            return steps, True
+        if len(steps) == MAX_REDUCTION_STEPS:
+            return steps, False
         try:
             step = extract_and_reduce(norm)
         except ValueError:
-            break
+            return steps, True
         steps.append(step)
         cur = step.residual
-    return steps
 
 
 def classify(
@@ -333,9 +340,10 @@ def classify(
         val = tier_fn(inv)
         candidates = [L for L in candidates if tier_fn(table[L]) == val]
     if len(candidates) == 1:
-        proof = reduction_trace(norm) if want_proof else []
+        proof, complete = reduction_trace(norm) if want_proof else ([], True)
         return ClassificationResult(
-            label=candidates[0], proof=proof, invariants=inv, permutation=order
+            label=candidates[0], proof=proof, invariants=inv, permutation=order,
+            proof_complete=complete,
         )
     note = (
         "no canonical class matches the invariant vector"

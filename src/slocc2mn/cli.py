@@ -165,6 +165,7 @@ def cmd_classify(args) -> int:
         "label": res.label.render(),
         "note": res.note,
         "proof": _proof_to_json(res.proof),
+        "proof_complete": res.proof_complete,
     }
     if res.invariants is not None:
         inv = res.invariants
@@ -178,7 +179,8 @@ def cmd_classify(args) -> int:
     if "invariants" in result:
         lines.append(f"signature: {result['invariants']['signature']}")
     if result["proof"]:
-        lines.append(f"proof: {len(result['proof'])} reduction step(s)")
+        cut = "" if res.proof_complete else ", cut at the step limit"
+        lines.append(f"proof: {len(result['proof'])} reduction step(s){cut}")
     _emit(args, {"state": args.state}, result, t0, lines)
     return EXIT_OK
 

@@ -21,7 +21,11 @@ once for a 2 x M x N state with M, N >= 3 whose dims are its local ranks:
 its C-range pencil T1 - t*T0 (T0, T1 the qubit's slices) is the B-range one
 transposed and holds the A range's rank-one points, so the profile of
 :func:`qubit_pencil` serves all three counts and the partner and quadric tiers.
-M = 2 states count their pencil spans by 2 x 2 minors.
+A 2 x 2 x N state whose dims are its local ranks counts its A range once, by
+the gcd of its 2 x 2 minors, which stops at its first unit; its B range has
+the same rank-one points, through the left null vectors of the A points'
+first factors (:func:`_shared_count`), and its C range is counted on its own.
+Other pencil spans are counted by their 2 x 2 minors.
 
 :func:`quadric_profile` is the one sampled quantity here: exact and seeded,
 but read off a sample that depends on the basis, so it is not ILO-invariant
@@ -193,6 +197,29 @@ def _count_pencil_span(sub: MatrixSubspace, pen: Pencil | None = None) -> Produc
         kind="finite", count=count, exact=not rest,
         points=partial(_pencil_witnesses, m0, m1, points),
     )
+
+
+def _left_null_points(count: ProductCount):
+    """The projective point (c0, c1), c0 1 or 0, of the left null vector
+    c = (u1, -u0) of the first factor u of each element ``count`` yields."""
+    for w in count.points():
+        u0, u1 = w.u
+        yield (ONE, -u0 / u1) if u1 else (ZERO, ONE)
+
+
+def _shared_count(a_count: ProductCount, sub: MatrixSubspace) -> ProductCount:
+    """The B-range count of a 2 x 2 x N state whose dims are its local ranks,
+    read off ``a_count``, the count of its A range; ``sub`` is the B range.
+
+    With A-slices T0, T1 and B-slices S0, S1 (row j of T_i is row i of S_j),
+    a rank-one alpha*T0 + beta*T1 = u v^T has the left null vector
+    c = (u1, -u0), and c0*S0 + c1*S1 is rank one, its rows in the ratio
+    (beta, -alpha).  A c null at two points would annihilate T0 and T1 both,
+    so c0*S0 + c1*S1 = 0, against B-rank 2: the map is a bijection, and the
+    count carries over in kind, number and exactness, irrational points
+    without a witness.  The witnesses are built as read, one per A point."""
+    s0, s1 = sub.basis
+    return replace(a_count, points=lambda: _pencil_witnesses(s0, s1, _left_null_points(a_count)))
 
 
 def _two_row_pencil(sub: MatrixSubspace):
@@ -374,17 +401,23 @@ def qubit_pencil(s: PureState, ranks: LocalRankProfile) -> Pencil | None:
 
 
 def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None, qubit=None) -> Signature:
-    """Local ranks (computed unless given) and the three product counts, all
+    """Local ranks (computed unless given) and the three product counts: all
     three read off the rank profile of the state's :func:`qubit_pencil`
-    (``qubit``, when given, with its profile cached) when it has one."""
+    (``qubit``, when given, with its profile cached) when it has one; for a
+    2 x 2 x N state whose dims are its local ranks, the A count by 2 x 2
+    minors, shared with the B range (:func:`_shared_count`); otherwise each
+    range counted by :func:`count_product_states`."""
     ranks = ranks or s.local_ranks()
     subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, ranks.as_tuple())]
     qubit = qubit or qubit_pencil(s, ranks)
-    if qubit is None:
-        counts = tuple(count_product_states(sub) for sub in subs)
-    else:
+    if qubit is not None:
         counts = (_count_pencil_span(subs[0], qubit),
                   _count_two_row(subs[1], qubit), _count_two_row(subs[2], qubit))
+    elif s.dims[:2] == (2, 2) and ranks.as_tuple() == s.dims:
+        a_count = count_product_states(subs[0])
+        counts = (a_count, _shared_count(a_count, subs[1]), count_product_states(subs[2]))
+    else:
+        counts = tuple(count_product_states(sub) for sub in subs)
     return Signature(ranks=ranks, counts=counts)
 
 

@@ -25,11 +25,10 @@ Three layers of checks live here:
 from __future__ import annotations
 
 import random
+from math import lcm
 
-from .scalars import GaussianRational, ZERO
-from .matrices import Matrix, _eliminate, _int_row, _null_vectors
+from .matrices import Matrix, _eliminate, _null_vectors
 from .states import PureState, LocalRankProfile, compress_to_ranks
-from .operators import random_scalar
 from .families import (
     ClassLabel,
     FamilyParams,
@@ -78,15 +77,17 @@ def _obstruction_system(m: int, w, x, y, z) -> Matrix:
     """Constraint matrix on rows m-1, m, m+1 of the middle-party operator.
 
     Unknown ordering: variable (r, i) -> r*(m+2)+i where r in {0,1,2} stands
-    for operator row m-1+r and i runs over the m+2 columns.  Every equation
-    is linear in (w, x, y, z), so the rows are written on Gaussian integers
-    with the four entries scaled by their common denominator; the solution
-    space is unchanged.
+    for operator row m-1+r and i runs over the m+2 columns.  The entries
+    (w, x, y, z) are rationals given as (numerator, denominator) pairs.
+    Every equation is linear in them, so the rows are written on Gaussian
+    integers with the four entries scaled by their least common denominator;
+    the solution space is unchanged.
     """
     width = m + 2
     nvars = 3 * width
-    (w, x, y, z), _ = _int_row([GaussianRational.coerce(v) for v in (w, x, y, z)])
-    neg_w, neg_x = (-w[0], -w[1]), (-x[0], -x[1])
+    den = lcm(w[1], x[1], y[1], z[1])
+    w, x, y, z = [(p * (den // q), 0) for p, q in (w, x, y, z)]
+    neg_w, neg_x = (-w[0], 0), (-x[0], 0)
 
     def var(r: int, i: int) -> int:
         return r * width + i
@@ -128,33 +129,38 @@ def _solution_support(m: int, w, x, y, z) -> list:
     ]
 
 
-def _nonzero_scalar(rng: random.Random) -> GaussianRational:
+def _draw_rational(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:
+    """(numerator, denominator) of one real draw of
+    :func:`~slocc2mn.operators.random_scalar`, drawn again while zero when
+    ``nonzero``."""
     while True:
-        v = random_scalar(rng, allow_imag=False)
-        if not v.is_zero():
-            return v
+        p, q = rng.randint(-3, 3), rng.randint(1, 3)
+        if p or not nonzero:
+            return p, q
 
 
 _OBSTRUCTION_CASES = ("wxyz_nonzero", "x_zero", "y_zero")
 
 
 def _draw_operator_entries(case: str, rng: random.Random):
-    """Entries (w, x, y, z) of an invertible 2x2 block matching the case."""
+    """Entries (w, x, y, z) of an invertible 2x2 block matching the case, as
+    (numerator, denominator) pairs."""
     while True:
-        w = _nonzero_scalar(rng)
-        z = _nonzero_scalar(rng)
+        w = _draw_rational(rng, nonzero=True)
+        z = _draw_rational(rng, nonzero=True)
         if case == "wxyz_nonzero":
-            x = _nonzero_scalar(rng)
-            y = _nonzero_scalar(rng)
+            x = _draw_rational(rng, nonzero=True)
+            y = _draw_rational(rng, nonzero=True)
         elif case == "x_zero":
-            x = ZERO
-            y = random_scalar(rng, allow_imag=False)
+            x = (0, 1)
+            y = _draw_rational(rng)
         elif case == "y_zero":
-            y = ZERO
-            x = random_scalar(rng, allow_imag=False)
+            y = (0, 1)
+            x = _draw_rational(rng)
         else:
             raise ValueError(f"unknown case {case!r}")
-        if not (w * z - x * y).is_zero():
+        # w z - x y is nonzero, cross-multiplied by the four denominators
+        if w[0] * z[0] * x[1] * y[1] != x[0] * y[0] * w[1] * z[1]:
             return w, x, y, z
 
 

@@ -22,6 +22,7 @@ from slocc2mn.classify import (
     decide_equivalence,
     extract_and_reduce,
     reduction_trace,
+    MAX_REDUCTION_STEPS,
     apply_ilo_word,
     find_equivalence_witness,
     canonical_invariants,
@@ -140,15 +141,26 @@ def test_reduction_step_contract():
 
 def test_reduction_trace_terminates_on_base_case():
     s = make_canonical(ClassLabel("Theta1", 2))
-    steps = reduction_trace(s)
-    assert steps
+    steps, complete = reduction_trace(s)
+    assert steps and complete
     last = steps[-1].residual
     assert min(last.local_ranks().as_tuple()) < 2 or last.dims[0] != 2
 
 
+def test_proof_cut_at_the_step_limit_is_marked_incomplete():
+    # perturbed Upsilon0(7) needs 13 reduction steps; the trace stops at the
+    # limit with a residual that still has a qubit
+    c = make_canonical(ClassLabel("Upsilon0", 7))
+    res = classify(random_ilo(c.dims, 7).apply(c))
+    assert res.label == ClassLabel("Upsilon0", 7)
+    assert len(res.proof) == MAX_REDUCTION_STEPS
+    assert not res.proof_complete
+    assert min(res.proof[-1].residual.local_ranks().as_tuple()) == 2
+
+
 def test_classify_proof_replays_exactly():
     res = classify(make_canonical(ClassLabel("Upsilon1", 2)))
-    assert res.proof
+    assert res.proof and res.proof_complete
     for step in res.proof:
         assert step.residual.dims[2] == step.input_dims[2] - 1
 

@@ -306,6 +306,19 @@ def test_internal_check_failure_is_internal_error(capsys, tmp_path, monkeypatch)
     assert stderr == "internal error: residual ranks outside the four-way split\n"
 
 
+def test_classify_reports_a_proof_cut_at_the_step_limit(capsys, tmp_path):
+    # perturbed Upsilon0(7) needs 13 reduction steps, one over the limit
+    gen, moved = tmp_path / "u7.json", tmp_path / "moved.json"
+    run_cli(capsys, "gen", "Upsilon0", "--m", "7", "--out", str(gen))
+    run_cli(capsys, "perturb", str(gen), "--seed", "7", "--out", str(moved))
+    code, report, _ = run_json(capsys, "classify", str(moved))
+    assert code == EXIT_OK
+    assert report["result"]["proof_complete"] is False
+    assert len(report["result"]["proof"]) == 12
+    code, text, _ = run_cli(capsys, "classify", str(moved))
+    assert "proof: 12 reduction step(s), cut at the step limit" in text.splitlines()
+
+
 def test_text_format_default(capsys, tmp_path):
     out = tmp_path / "g.json"
     run_cli(capsys, "gen", "GHZ", "--out", str(out))

@@ -277,6 +277,65 @@ def test_shared_profile_matches_counting_each_range(s, seed):
         assert inv.quadric_key() == plain.quadric_key()
 
 
+@st.composite
+def two_qubit_states(draw):
+    """(2 x 2 x N state, planted rank-one points of its A range), N = 2, 3, 4.
+
+    The A-slices are two rank-one matrices (points 0 and infinity), one
+    rank-one matrix and a random one, two random ones, or, for N = 2, the
+    pencil [[t, x], [1, t]], rank one at the roots of t^2 - x (irrational for
+    x = 2, 3, 5, -2); then an ILO moves the points."""
+    n = draw(st.integers(2, 4))
+    entry = st.integers(-2, 2)
+
+    def vector(size):
+        return draw(st.lists(entry, min_size=size, max_size=size))
+
+    def rank_one():
+        u, v = vector(2), vector(n)
+        return [[a * b for b in v] for a in u]
+
+    def random_slice():
+        return [vector(n) for _ in range(2)]
+
+    planted = draw(st.sampled_from([0, 1, 2] + ["surd"] * (n == 2)))
+    if planted == "surd":
+        x = draw(st.sampled_from([2, 3, 5, -2, -1, 1]))
+        slices = [[[0, x], [1, 0]], [[1, 0], [0, 1]]]
+        planted = 2
+    else:
+        slices = [rank_one() for _ in range(planted)] + [random_slice() for _ in range(2 - planted)]
+    amps = {
+        (i, j, k): GaussianRational(x)
+        for i, sl in enumerate(slices) for j, row in enumerate(sl) for k, x in enumerate(row) if x
+    }
+    assume(amps)
+    s = PureState((2, 2, n), amps)
+    assume(s.local_ranks().as_tuple() == s.dims)
+    return random_ilo(s.dims, draw(st.integers(0, 2**32 - 1))).apply(s), planted
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_qubit_states())
+def test_shared_b_count_matches_counting_the_b_range(planted_state):
+    # the B count of a full-rank 2 x 2 x N state is read off its A count; it
+    # equals the B range counted on its own, point for point
+    s, planted = planted_state
+    a_count, b_count, _ = slocc_signature(s).counts
+    sub = range_subspace(s, "B")
+    oracle = count_product_states(sub)
+    assert (b_count.kind, b_count.count, b_count.exact) == (oracle.kind, oracle.count, oracle.exact)
+    assert (a_count.kind, a_count.count, a_count.exact) == (oracle.kind, oracle.count, oracle.exact)
+    assert a_count.count >= planted
+    # the same projective points, (1, t) or (0, 1), each a rank-one member
+    assert {w.coeffs for w in b_count.witnesses} == {w.coeffs for w in oracle.witnesses}
+    assert len(b_count.witnesses) == len(oracle.witnesses)
+    for w in b_count.witnesses:
+        elem = member(sub, w.coeffs)
+        assert elem.rank() == 1
+        assert Matrix([[a * b for b in w.v] for a in w.u]) == elem
+
+
 def test_bc_pencil_shape():
     s = make_canonical(ClassLabel("Theta2", 2))  # 2 x 4 x 6
     pen = bc_pencil(s)

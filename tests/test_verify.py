@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from slocc2mn.families import ClassLabel, make_canonical
 from slocc2mn.matrices import Matrix
 from slocc2mn.operators import random_scalar
 from slocc2mn.ranges import slocc_signature
-from slocc2mn.scalars import GaussianRational, ZERO, ONE
+from slocc2mn.scalars import GaussianRational, ZERO
 from slocc2mn.states import PureState
 from slocc2mn.verify import (
     term_rank,
@@ -55,7 +56,7 @@ def test_obstruction_diagonal_operator_forces_zero_rows():
     # the solution block to vanish outside nothing -- check directly that the
     # nullspace support has term rank <= 2
     m = 2
-    system = _obstruction_system(m, ONE, ZERO, ZERO, ONE)
+    system = _obstruction_system(m, (1, 1), (0, 1), (0, 1), (1, 1))
     basis = system.nullspace()
     width = m + 2
     support = [
@@ -66,7 +67,9 @@ def test_obstruction_diagonal_operator_forces_zero_rows():
 
 
 def _rational_obstruction_system(m, w, x, y, z) -> Matrix:
-    """The obstruction constraints built from GaussianRational entries."""
+    """The obstruction constraints built from GaussianRational entries; the
+    (numerator, denominator) pairs the sampler draws are read as fractions."""
+    w, x, y, z = (GaussianRational(Fraction(p, q)) for p, q in (w, x, y, z))
     width = m + 2
     rows = []
 
@@ -104,6 +107,41 @@ def test_integer_obstruction_support_matches_rational_nullspace():
                     _obstruction_system(m, w, x, y, z).nullspace()
                     == _rational_obstruction_system(m, w, x, y, z).nullspace()
                 )
+
+
+def _oracle_operator_entries(case, rng):
+    """The appendix sampler on GaussianRational entries: random_scalar draws
+    without imaginary parts, retried until w z - x y is nonzero."""
+
+    def nonzero():
+        while True:
+            v = random_scalar(rng, allow_imag=False)
+            if not v.is_zero():
+                return v
+
+    while True:
+        w, z = nonzero(), nonzero()
+        if case == "wxyz_nonzero":
+            x, y = nonzero(), nonzero()
+        elif case == "x_zero":
+            x, y = ZERO, random_scalar(rng, allow_imag=False)
+        else:
+            y, x = ZERO, random_scalar(rng, allow_imag=False)
+        if not (w * z - x * y).is_zero():
+            return w, x, y, z
+
+
+def test_integer_operator_draws_match_the_rational_sampler():
+    # the same random stream gives the same entries, and the same stream
+    # position after each draw
+    for case in _OBSTRUCTION_CASES:
+        rng, oracle_rng = random.Random(63), random.Random(63)
+        for _ in range(200):
+            pairs = _draw_operator_entries(case, rng)
+            assert [GaussianRational(Fraction(p, q)) for p, q in pairs] == list(
+                _oracle_operator_entries(case, oracle_rng)
+            )
+        assert rng.random() == oracle_rng.random()
 
 
 def test_appendix_report_structure_and_success():
