@@ -498,10 +498,18 @@ def _interpolate(values):
 def _poly_det_ints(rows, bound: int):
     """Coefficients of the determinant of a square matrix whose entries are
     Gaussian-integer polynomials (lists of pairs, constant first), given a
-    bound on its degree: evaluation at 0..bound and interpolation."""
+    bound on its degree: a closed form for sides 2 and 3 (the 3 x 3 one
+    expanded along its first row), above that evaluation at 0..bound and
+    interpolation."""
     if len(rows) == 2:
         (p, q), (r, s) = rows
         return _poly_sub(_poly_mul(p, s), _poly_mul(q, r))
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        cof_a = _poly_sub(_poly_mul(e, i), _poly_mul(f, h))
+        cof_b = _poly_sub(_poly_mul(d, i), _poly_mul(f, g))
+        cof_c = _poly_sub(_poly_mul(d, h), _poly_mul(e, g))
+        return _poly_sub(_poly_mul(a, cof_a), _poly_sub(_poly_mul(b, cof_b), _poly_mul(c, cof_c)))
     values = []
     for t in range(bound + 1):
         mat = []

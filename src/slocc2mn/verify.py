@@ -16,7 +16,9 @@ Three layers of checks live here:
   read from the classifier's canonical invariant table
   (:func:`.classify.canonical_invariants`), so each canonical state's
   invariants are computed once and shared with ``classify``, whose class
-  label for a pair is matched on those same cached keys.
+  label for a pair is matched on those same cached keys.  The sweep draws
+  coefficients with replacement from a small grid, so states repeat; each
+  distinct state is classified once per sweep.
 * ``random_full_rank_state`` samples states with maximal local ranks for the
   census checks, drawing each amplitude as a Gaussian integer over the
   denominator 6 (no rational is built).
@@ -25,7 +27,7 @@ Three layers of checks live here:
 from __future__ import annotations
 
 import random
-from math import lcm
+from math import lcm, prod
 
 from .matrices import Matrix, _eliminate, _null_vectors
 from .states import PureState, LocalRankProfile, compress_to_ranks
@@ -212,9 +214,13 @@ def random_full_rank_state(dims, rng: random.Random) -> PureState:
 
     Each amplitude is ``randint(-3, 3) / randint(1, 3)``, the draws of
     :func:`~slocc2mn.operators.random_scalar` without its imaginary part,
-    built directly as an integer over the denominator 6.
+    built directly as an integer over the denominator 6.  Raises ValueError,
+    before any draw, for dims with no such state: one above the product of
+    the other two.
     """
     dims = tuple(dims)
+    if any(d * d > prod(dims) for d in dims):
+        raise ValueError(f"no {'x'.join(map(str, dims))} state has full local ranks")
     while True:
         ints = {}
         for i in range(dims[0]):
@@ -274,8 +280,14 @@ def _pairwise_separation(labels, table) -> list:
 
 
 def _expression_sweep(trials: int, rng: random.Random) -> dict:
+    """Classify ``trials`` true-tripartite draws of each expression I-V (V
+    once), coefficients drawn with replacement from {-2..2}^6, and match the
+    labels to the branch rule.  Each distinct state (up to scalar) is
+    classified once a call; a repeated draw reads its label back and counts
+    as a trial, so the stream and every count are as if it were classified."""
     grid = [-2, -1, 0, 1, 2]
     allowed = {ClassLabel(f"Psi{i}") for i in range(1, 7)}
+    labels = {}  # state -> its label, or None when it is not 2 x 3 x 3
     sweep = {}
     for which in ("I", "II", "III", "IV", "V"):
         hits = 0
@@ -291,14 +303,17 @@ def _expression_sweep(trials: int, rng: random.Random) -> dict:
                 state = make_expression(which, params)
             except ValueError:
                 continue
-            # the compressed dims are the local ranks; (2, 3, 3) is sorted,
-            # so classify matches the compressed state as it stands
-            comp, _ = compress_to_ranks(state, transform=False)
-            if comp.dims != (2, 3, 3):
+            if state not in labels:
+                # the compressed dims are the local ranks; (2, 3, 3) is
+                # sorted, so classify matches the compressed state as it stands
+                comp, _ = compress_to_ranks(state, transform=False)
+                labels[state] = None if comp.dims != (2, 3, 3) else classify(
+                    StateInvariants(comp, LocalRankProfile(*comp.dims)), want_proof=False
+                ).label
+            label = labels[state]
+            if label is None:
                 continue  # the theorem classifies true tripartite states only
             hits += 1
-            inv = StateInvariants(comp, LocalRankProfile(*comp.dims))
-            label = classify(inv, want_proof=False).label
             if label not in allowed:
                 return {"ok": False, "which": which, "unexpected": label.render()}
             census.add(label.render())

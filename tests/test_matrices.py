@@ -16,6 +16,7 @@ from slocc2mn.matrices import (
     certified_nullspace,
     poly_matrix_det,
     stack_vectorized,
+    _poly_det_ints,
     _primitive_ints,
 )
 
@@ -167,6 +168,45 @@ def test_poly_matrix_det_matches_laplace():
             for _ in range(n)
         ]
         assert poly_matrix_det(rows) == laplace_det(rows)
+
+
+_big_parts = st.one_of(st.just(0), st.integers(-10, 10), st.integers(-10**12, 10**12))
+_pairs = st.tuples(_big_parts, _big_parts)
+
+
+@st.composite
+def poly_det_inputs(draw):
+    """(rows, bound): a 3 x 3 matrix of Gaussian-integer polynomials as
+    ``_poly_det_ints`` takes them, with the degree bound its callers pass.
+
+    "pencil" rows are [constant, t-coefficient] pairs, as
+    Pencil.minor_polynomials builds them, bounded by the number of rows with
+    a t term; "poly" rows carry degree 0..2 entries (trailing zeros allowed),
+    bounded by the sum of the rows' degrees, as poly_matrix_det does.
+    """
+    form = draw(st.sampled_from(["pencil", "poly"]))
+    if form == "pencil":
+        entry = st.one_of(st.just([(0, 0), (0, 0)]), st.lists(_pairs, min_size=2, max_size=2))
+    else:
+        entry = st.one_of(st.just([]), st.just([(0, 0)]), st.lists(_pairs, max_size=3))
+    zero_row = [[(0, 0)] * 2 if form == "pencil" else [] for _ in range(3)]
+    rows = [draw(st.one_of(st.just(zero_row), st.lists(entry, min_size=3, max_size=3)))
+            for _ in range(3)]
+    if form == "pencil":
+        bound = sum(any(e[1] != (0, 0) for e in row) for row in rows)
+    else:
+        # a zero row adds nothing (poly_matrix_det returns before the call)
+        bound = sum(max(0, *(len(Poly._from_ints(e)._int_form()[0]) - 1 for e in row))
+                    for row in rows)
+    return rows, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_det_inputs())
+def test_poly_det_ints_three_by_three_matches_laplace(case):
+    rows, bound = case
+    want = laplace_det([[Poly._from_ints(e) for e in row] for row in rows])
+    assert Poly._from_ints(_poly_det_ints(rows, bound)) == want
 
 
 def test_poly_matrix_det_zero_row():

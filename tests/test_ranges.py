@@ -30,7 +30,7 @@ from slocc2mn.classify import StateInvariants, canonical_invariants
 from slocc2mn.families import (
     ClassLabel, make_canonical, all_labels_for_shape, SMALL_FAMILIES, PARAMETRIC_FAMILIES,
 )
-from slocc2mn.verify import verify_theorem
+from slocc2mn.verify import random_full_rank_state, verify_theorem
 
 
 def mat(rows):
@@ -334,6 +334,42 @@ def test_shared_b_count_matches_counting_the_b_range(planted_state):
         elem = member(sub, w.coeffs)
         assert elem.rank() == 1
         assert Matrix([[a * b for b in w.v] for a in w.u]) == elem
+
+
+_SATURATED_C_SHAPES = ((2, 2, 3), (2, 2, 4), (2, 3, 4), (2, 3, 5), (2, 3, 6))
+
+
+@st.composite
+def saturated_c_states(draw):
+    """A full-rank 2 x M x N state, N > M, of the shapes above: a canonical
+    library state or a random one, then possibly moved by an ILO."""
+    dims = draw(st.sampled_from(_SATURATED_C_SHAPES))
+    labels = all_labels_for_shape(dims)
+    pick = draw(st.sampled_from(labels + ["random"]))
+    if pick == "random":
+        s = random_full_rank_state(dims, random.Random(draw(st.integers(0, 2**32 - 1))))
+    else:
+        s = make_canonical(pick)
+    assume(s.local_ranks().as_tuple() == dims)
+    if draw(st.booleans()):
+        s = random_ilo(dims, draw(st.integers(0, 2**32 - 1))).apply(s)
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(saturated_c_states())
+def test_saturated_c_count_matches_counting_the_c_range(s):
+    # more C slices than columns: the signature calls the C range infinite
+    # without building it, as counting the range on its own does
+    c_count = slocc_signature(s).counts[2]
+    oracle = count_product_states(range_subspace(s, "C"))
+    assert c_count.kind == oracle.kind == "infinite"
+    # its first point is a rank-one member of the range its slices span
+    sub = range_subspace(s, "C", s.dims[2])
+    w = next(c_count.points())
+    elem = member(sub, w.coeffs)
+    assert elem.rank() == 1
+    assert Matrix([[a * b for b in w.v] for a in w.u]) == elem
 
 
 def test_bc_pencil_shape():

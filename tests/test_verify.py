@@ -15,6 +15,7 @@ from slocc2mn.operators import random_scalar
 from slocc2mn.ranges import slocc_signature
 from slocc2mn.scalars import GaussianRational, ZERO
 from slocc2mn.states import PureState
+from slocc2mn import verify
 from slocc2mn.verify import (
     term_rank,
     verify_appendix_theta45,
@@ -173,6 +174,17 @@ def test_random_full_rank_state():
         assert s.local_ranks().as_tuple() == dims
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 5), (5, 2, 2), (2, 7, 3), (1, 2, 3)])
+def test_random_full_rank_state_rejects_shapes_without_one(dims):
+    # one dim above the product of the other two: no local-rank profile can
+    # equal the dims, so the sampler raises before it draws anything
+    rng = random.Random(62)
+    before = rng.getstate()
+    with pytest.raises(ValueError):
+        random_full_rank_state(dims, rng)
+    assert rng.getstate() == before
+
+
 def _oracle_full_rank_state(dims, rng):
     """The census sampler on GaussianRational amplitudes: one random_scalar
     draw per index, retried until every local rank is full."""
@@ -263,6 +275,28 @@ def test_theorem_tables_match_fresh_invariants(which, m):
         assert pair["separated_by"] == fresh.separating_invariant
 
 
+def test_expression_sweep_compresses_each_distinct_state_once(monkeypatch):
+    built, compressed = [], []
+    make, compress = verify.make_expression, verify.compress_to_ranks
+
+    def recording_make(which, params):
+        built.append(make(which, params))
+        return built[-1]
+
+    def recording_compress(state, transform=True):
+        compressed.append(state)
+        return compress(state, transform)
+
+    monkeypatch.setattr(verify, "make_expression", recording_make)
+    monkeypatch.setattr(verify, "compress_to_ranks", recording_compress)
+    rep = verify_theorem("2", trials=60, seed=0)
+    assert rep["ok"]
+    # states compare up to scalar; draws repeat them, and each distinct one
+    # is compressed (and classified) exactly once
+    assert len(set(built)) < len(built)
+    assert len(compressed) == len(set(compressed)) == len(set(built))
+
+
 def test_census_two_by_two_by_three():
     rep = verify_theorem("two_by_two_by_three", trials=40, seed=0)
     assert rep["ok"]
@@ -279,6 +313,10 @@ def test_census_upsilon0():
 # criterion moved onto Gaussian-integer polynomials: the reports must not move
 GOLDEN_REPORTS = (
     ("theorem", "2", None, 3, 11, "70e83f7092d8a0ff2eba17ed5a11abdbbd65fbb37d45b75e5c6481277d61378f"),
+    # the benchmark's sweep size, taken before each distinct sweep state was
+    # classified once; both seeds give the same report
+    ("theorem", "2", None, 60, 0, "a3b6ab6c47238bdb1e38b8f6b74716bbf30495259c3d44758feb0d72b7877018"),
+    ("theorem", "2", None, 60, 1, "a3b6ab6c47238bdb1e38b8f6b74716bbf30495259c3d44758feb0d72b7877018"),
     ("theorem", "3", 2, 1, 0, "e585eeb3893b6f531dfd747eef768d6adf6e532912dd3414c0c18c0253e72f5a"),
     ("theorem", "4", 2, 3, 12, "582011ec7ce6091e3f36560bd42600a3e414c445e49cc5c620257ee26df7ed28"),
     ("theorem", "upsilon0", 2, 4, 13, "13fe2018578f97966eac2b915626c609f96c6036f3a20101a9e41484f5e38a52"),
