@@ -24,11 +24,8 @@ transposed and holds the A range's rank-one points, so the profile of
 A 2 x 2 x N state whose dims are its local ranks counts its A range once, by
 the gcd of its 2 x 2 minors, which stops at its first unit; its B range has
 the same rank-one points, through the left null vectors of the A points'
-first factors (:func:`_shared_count`).  A 2 x M x N state whose dims are its
-local ranks and N > M has N C slices of 2 x M matrices, more than columns:
-its C count is infinite by that dimension count alone
-(:func:`_null_at_every_slope`), and the C slices are built only if its
-points are read.  Other pencil spans are counted by their 2 x 2 minors.
+first factors (:func:`_shared_count`), and its C range is counted on its own.
+Other pencil spans are counted by their 2 x 2 minors.
 
 :func:`quadric_profile` is the one sampled quantity here: exact and seeded,
 but read off a sample that depends on the basis, so it is not ILO-invariant
@@ -300,21 +297,15 @@ def _rank_one_profile(sub: MatrixSubspace, pen: Pencil | None = None):
     return pen.rank_profile() if pen.generic_rank() == k else None
 
 
-def _null_at_every_slope(build: Callable[[], MatrixSubspace]) -> ProductCount:
-    """The infinite count of a two-row range whose B - t*A has a null vector at
-    every slope; it yields the one at t = 0, building the range then."""
-    return ProductCount(kind="infinite", points=lambda: _slope_witnesses(build(), [(ONE, ZERO)]))
-
-
 def _count_two_row(sub: MatrixSubspace, pen: Pencil | None = None) -> ProductCount:
     """One point per rank-one slope, so per exceptional point of B - t*A (or
     of ``pen``, of the same profile), irrational ones without a witness;
-    infinite when a slope has nullity >= 2 or B - t*A has a null vector at
-    every slope (:func:`_null_at_every_slope`)."""
+    infinite when a slope has nullity >= 2.  When B - t*A has a null vector
+    at every slope the count is infinite and yields the one at t = 0."""
     k = sub.dimension
     profile = _rank_one_profile(sub, pen)
     if profile is None:
-        return _null_at_every_slope(lambda: sub)
+        return ProductCount(kind="infinite", points=partial(_slope_witnesses, sub, [(ONE, ZERO)]))
     points, exact = exact_points(profile)
     walk = partial(_slope_witnesses, sub, [p for p, _ in points])
     if any(p.rank <= k - 2 for p in profile.exceptional):
@@ -415,24 +406,18 @@ def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None, qubit=N
     (``qubit``, when given, with its profile cached) when it has one; for a
     2 x 2 x N state whose dims are its local ranks, the A count by 2 x 2
     minors, shared with the B range (:func:`_shared_count`); otherwise each
-    range counted by :func:`count_product_states`.  A C range of more slices
-    than columns is infinite by dimension, built only when its points are read."""
+    range counted by :func:`count_product_states`."""
     ranks = ranks or s.local_ranks()
-    local = ranks.as_tuple()
-    subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, local[:2])]
+    subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, ranks.as_tuple())]
     qubit = qubit or qubit_pencil(s, ranks)
-    if local == s.dims and local[0] == 2 and 2 <= local[1] < local[2]:
-        c_count = _null_at_every_slope(partial(range_subspace, s, "C", local[2]))
-    else:
-        c_sub = range_subspace(s, "C", local[2])
-        c_count = count_product_states(c_sub) if qubit is None else _count_two_row(c_sub, qubit)
     if qubit is not None:
-        counts = (_count_pencil_span(subs[0], qubit), _count_two_row(subs[1], qubit), c_count)
-    elif s.dims[:2] == (2, 2) and local == s.dims:
+        counts = (_count_pencil_span(subs[0], qubit),
+                  _count_two_row(subs[1], qubit), _count_two_row(subs[2], qubit))
+    elif s.dims[:2] == (2, 2) and ranks.as_tuple() == s.dims:
         a_count = count_product_states(subs[0])
-        counts = (a_count, _shared_count(a_count, subs[1]), c_count)
+        counts = (a_count, _shared_count(a_count, subs[1]), count_product_states(subs[2]))
     else:
-        counts = (*map(count_product_states, subs), c_count)
+        counts = tuple(count_product_states(sub) for sub in subs)
     return Signature(ranks=ranks, counts=counts)
 
 

@@ -279,6 +279,9 @@ def _pairwise_separation(labels, table) -> list:
     return out
 
 
+_UNSEEN = object()  # a sweep state not yet classified
+
+
 def _expression_sweep(trials: int, rng: random.Random) -> dict:
     """Classify ``trials`` true-tripartite draws of each expression I-V (V
     once), coefficients drawn with replacement from {-2..2}^6, and match the
@@ -303,14 +306,14 @@ def _expression_sweep(trials: int, rng: random.Random) -> dict:
                 state = make_expression(which, params)
             except ValueError:
                 continue
-            if state not in labels:
+            label = labels.get(state, _UNSEEN)
+            if label is _UNSEEN:
                 # the compressed dims are the local ranks; (2, 3, 3) is
                 # sorted, so classify matches the compressed state as it stands
                 comp, _ = compress_to_ranks(state, transform=False)
-                labels[state] = None if comp.dims != (2, 3, 3) else classify(
+                label = labels[state] = None if comp.dims != (2, 3, 3) else classify(
                     StateInvariants(comp, LocalRankProfile(*comp.dims)), want_proof=False
                 ).label
-            label = labels[state]
             if label is None:
                 continue  # the theorem classifies true tripartite states only
             hits += 1

@@ -359,8 +359,8 @@ def saturated_c_states(draw):
 @settings(max_examples=60, deadline=None)
 @given(saturated_c_states())
 def test_saturated_c_count_matches_counting_the_c_range(s):
-    # more C slices than columns: the signature calls the C range infinite
-    # without building it, as counting the range on its own does
+    # more C slices than columns: the signature's C count is infinite, as
+    # counting the range on its own says
     c_count = slocc_signature(s).counts[2]
     oracle = count_product_states(range_subspace(s, "C"))
     assert c_count.kind == oracle.kind == "infinite"

@@ -314,7 +314,8 @@ def test_census_upsilon0():
 GOLDEN_REPORTS = (
     ("theorem", "2", None, 3, 11, "70e83f7092d8a0ff2eba17ed5a11abdbbd65fbb37d45b75e5c6481277d61378f"),
     # the benchmark's sweep size, taken before each distinct sweep state was
-    # classified once; both seeds give the same report
+    # classified once; both seeds give the same saturated report, so
+    # SWEEP_STREAM_DIGESTS pins the draws behind it
     ("theorem", "2", None, 60, 0, "a3b6ab6c47238bdb1e38b8f6b74716bbf30495259c3d44758feb0d72b7877018"),
     ("theorem", "2", None, 60, 1, "a3b6ab6c47238bdb1e38b8f6b74716bbf30495259c3d44758feb0d72b7877018"),
     ("theorem", "3", 2, 1, 0, "e585eeb3893b6f531dfd747eef768d6adf6e532912dd3414c0c18c0253e72f5a"),
@@ -325,6 +326,22 @@ GOLDEN_REPORTS = (
     ("appendix", None, 2, 4, 15, "f69eaab5aabe757e8521ae10e18a671c00b961e58b6b5646f0991994b2e7530a"),
     ("appendix", None, 3, 2, 16, "b7814a941df1c354cca65277e705f0069cbb459df02a36c0706523f4ba9c1100"),
 )
+
+
+# sha256 of repr(rng.getstate()) after a 60-trial sweep, taken before each
+# distinct sweep state was classified once: the sweep must make the same
+# draws, skipping the same non-2x3x3 states, whether or not it classifies them
+SWEEP_STREAM_DIGESTS = (
+    (0, "06eafffd96109655f2a78ffb8912fd40a2be8d7b320da44ab5e9bd78ad092914"),
+    (1, "8be81ee31080c7afd7a9977751c83ba46364303f4b6111f38ef70256bc4ecae5"),
+)
+
+
+@pytest.mark.parametrize("seed, digest", SWEEP_STREAM_DIGESTS)
+def test_expression_sweep_draws_match_golden_stream(seed, digest):
+    rng = random.Random(seed)
+    assert verify._expression_sweep(60, rng)
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("func, which, m, trials, seed, digest", GOLDEN_REPORTS)
