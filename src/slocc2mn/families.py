@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ZERO, _int_row
 from .states import PureState
 
 SMALL_FAMILIES = (
@@ -209,6 +209,16 @@ class FamilyParams:
         return FamilyParams(**{k: GaussianRational.coerce(v) for k, v in kw.items()})
 
 
+# the kets whose coefficient is one, per expression
+_UNIT_KETS = {
+    "I": ((0, 0, 0), (1, 1, 1)),
+    "II": ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    "III": ((0, 0, 0), (1, 1, 1)),
+    "IV": ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    "V": ((0, 2, 2), (1, 2, 1), (0, 0, 0), (1, 1, 0)),
+}
+
+
 def make_expression(which: str, params: FamilyParams) -> PureState:
     """Build one of the five 2x3x3 normal-form expressions.
 
@@ -217,46 +227,32 @@ def make_expression(which: str, params: FamilyParams) -> PureState:
     III: I  + (c|0> + d|1>)|2>(f|0> + g|1>)
     IV:  II + (c|0> + d|1>)|2>(f|0> + g|1>)
     V:   |022> + |121> + |000> + |110>
+
+    The amplitudes are built as Gaussian integers over one denominator: the
+    six coefficients over their least common denominator D, and for III and
+    IV, whose products c*f, c*g, d*f, d*g are over D^2, everything else
+    scaled up to D^2 as well.
     """
-    p = params
-    dims = (2, 3, 3)
-    amps: dict = {}
-
-    def add(i, j, k, v):
-        if not v.is_zero():
-            amps[(i, j, k)] = amps.get((i, j, k), ZERO) + v
-
-    one = GaussianRational(1)
-    if which in ("I", "III"):
-        if p.a.is_zero() and p.b.is_zero():
-            raise ValueError("bracket (a, b) must be nonzero")
-        add(0, 2, 2, p.a)
-        add(1, 2, 2, p.b)
-        add(0, 0, 0, one)
-        add(1, 1, 1, one)
-    elif which in ("II", "IV"):
-        if p.a.is_zero() and p.b.is_zero():
-            raise ValueError("bracket (a, b) must be nonzero")
-        add(0, 2, 2, p.a)
-        add(1, 2, 2, p.b)
-        add(0, 0, 1, one)
-        add(0, 1, 0, one)
-        add(1, 0, 0, one)
-    elif which == "V":
-        add(0, 2, 2, one)
-        add(1, 2, 1, one)
-        add(0, 0, 0, one)
-        add(1, 1, 0, one)
-        return PureState(dims, amps)
-    else:
+    if which not in _UNIT_KETS:
         raise ValueError(f"unknown expression {which!r}")
-    if which in ("III", "IV"):
-        if (p.c.is_zero() and p.d.is_zero()) or (p.f.is_zero() and p.g.is_zero()):
-            raise ValueError("brackets (c, d) and (f, g) must be nonzero")
-        for i, ci in ((0, p.c), (1, p.d)):
-            for k, fk in ((0, p.f), (1, p.g)):
-                add(i, 2, k, ci * fk)
-    return PureState(dims, amps)
+    if which == "V":
+        return PureState._from_ints((2, 3, 3), dict.fromkeys(_UNIT_KETS["V"], (1, 0)))
+    p = params
+    if p.a.is_zero() and p.b.is_zero():
+        raise ValueError("bracket (a, b) must be nonzero")
+    mixed = which in ("III", "IV")
+    if mixed and ((p.c.is_zero() and p.d.is_zero()) or (p.f.is_zero() and p.g.is_zero())):
+        raise ValueError("brackets (c, d) and (f, g) must be nonzero")
+    (a, b, c, d, f, g), den = _int_row([p.a, p.b, p.c, p.d, p.f, p.g])
+    scale = den if mixed else 1
+    ints = dict.fromkeys(_UNIT_KETS[which], (den * scale, 0))
+    ints[(0, 2, 2)] = (a[0] * scale, a[1] * scale)
+    ints[(1, 2, 2)] = (b[0] * scale, b[1] * scale)
+    if mixed:
+        for i, (cr, ci) in enumerate((c, d)):
+            for k, (fr, fi) in enumerate((f, g)):
+                ints[(i, 2, k)] = (cr * fr - ci * fi, cr * fi + ci * fr)
+    return PureState._from_ints((2, 3, 3), ints, den * scale)
 
 
 def expression_branch_label(which: str, params: FamilyParams) -> ClassLabel:

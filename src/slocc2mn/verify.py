@@ -8,7 +8,11 @@ Three layers of checks live here:
   (M+2)x(M+2) operator exactly and certifies, via a term-rank bound, that
   every solution is singular.  The constraint system is built and solved on
   Gaussian integers (the fraction-free kernel of :mod:`.matrices`); only the
-  support of its integer null vectors is read.
+  support of its integer null vectors is read.  The system is block diagonal
+  by operator column (only columns m-1 and m share equations), so it is
+  solved one block of 3 or 6 unknowns at a time: blocks that share no
+  unknown have independent solutions, and an unknown's support is read from
+  its own block alone.
 * ``verify_theorem`` re-derives the published classification tables: family
   signatures, pairwise separation with the invariant that witnesses it, the
   coefficient-branch sweep for the 2x3x3 expressions, and random-state
@@ -29,7 +33,7 @@ from __future__ import annotations
 import random
 from math import lcm, prod
 
-from .matrices import Matrix, _eliminate, _null_vectors
+from .matrices import _eliminate, _null_vectors
 from .states import PureState, LocalRankProfile, compress_to_ranks
 from .families import (
     ClassLabel,
@@ -75,60 +79,72 @@ def term_rank(support) -> int:
 # -- the Theta4 / Theta5 obstruction system -----------------------------------
 
 
-def _obstruction_system(m: int, w, x, y, z) -> Matrix:
-    """Constraint matrix on rows m-1, m, m+1 of the middle-party operator.
+def _obstruction_blocks(m: int, w, x, y, z) -> list:
+    """The constraints on rows m-1, m, m+1 of the middle-party operator, one
+    block of unknowns at a time, as ``(unknowns, rows)`` pairs.
 
-    Unknown ordering: variable (r, i) -> r*(m+2)+i where r in {0,1,2} stands
-    for operator row m-1+r and i runs over the m+2 columns.  The entries
-    (w, x, y, z) are rationals given as (numerator, denominator) pairs.
-    Every equation is linear in them, so the rows are written on Gaussian
-    integers with the four entries scaled by their least common denominator;
-    the solution space is unchanged.
+    Unknown (r, i) stands for operator row m-1+r, column i.  Every equation
+    reads one column i, except the two ``joined`` ones, which read columns
+    m-1 and m; so the system is block diagonal, with a 3-unknown block for
+    each column outside {m-1, m} and one 6-unknown block for those two
+    columns.  A block's rows are Gaussian-integer pairs over its
+    ``unknowns`` in order.
+    The entries (w, x, y, z) are rationals given as (numerator, denominator)
+    pairs.  Every equation is linear in them, so the rows carry the four
+    entries scaled by their least common denominator; the solution space is
+    unchanged.
     """
-    width = m + 2
-    nvars = 3 * width
     den = lcm(w[1], x[1], y[1], z[1])
     w, x, y, z = [(p * (den // q), 0) for p, q in (w, x, y, z)]
     neg_w, neg_x = (-w[0], 0), (-x[0], 0)
 
-    def var(r: int, i: int) -> int:
-        return r * width + i
+    def chain(coeff, neg, i):  # coeff * (r+1, i) = -neg * (r, i) for r = 1, 0
+        return [[(coeff, 2, i), (neg, 1, i)], [(coeff, 1, i), (neg, 0, i)]]
 
-    rows = []
+    def block(cols, equations):
+        unknowns = [(r, i) for r in range(3) for i in cols]
+        place = {u: n for n, u in enumerate(unknowns)}
+        rows = []
+        for terms in equations:
+            row = [(0, 0)] * len(unknowns)
+            for coeff, r, i in terms:  # the unknowns of one equation are distinct
+                row[place[r, i]] = coeff
+            rows.append(row)
+        return unknowns, rows
 
-    def eq(pairs):
-        row = [(0, 0)] * nvars
-        for coeff, r, i in pairs:  # the unknowns of one equation are distinct
-            row[var(r, i)] = coeff
-        rows.append(row)
-
-    upper = list(range(1, m - 1)) + [m, m + 1]
-    for i in upper:
-        eq([(y, 2, i), (neg_w, 1, i)])
-        eq([(y, 1, i), (neg_w, 0, i)])
-    for i in range(m):
-        eq([(z, 2, i), (neg_x, 1, i)])
-        eq([(z, 1, i), (neg_x, 0, i)])
-    eq([(z, 2, m), (y, 2, m - 1), (neg_x, 1, m), (neg_w, 1, m - 1)])
-    eq([(z, 1, m), (y, 1, m - 1), (neg_x, 0, m), (neg_w, 0, m - 1)])
-    return Matrix._from_ints(rows, [1] * len(rows), nvars)
+    joined = [
+        [(z, 2, m), (y, 2, m - 1), (neg_x, 1, m), (neg_w, 1, m - 1)],
+        [(z, 1, m), (y, 1, m - 1), (neg_x, 0, m), (neg_w, 0, m - 1)],
+    ]
+    blocks = []
+    for i in range(m + 2):
+        if i == m - 1:
+            blocks.append(block((m - 1, m), chain(z, neg_x, m - 1) + chain(y, neg_w, m) + joined))
+        elif i != m:  # column m is in the block of column m-1
+            # the w, y chain holds on columns 1..m+1, the x, z chain on 0..m-1
+            eqs = (chain(y, neg_w, i) if i else []) + (chain(z, neg_x, i) if i < m else [])
+            blocks.append(block((i,), eqs))
+    return blocks
 
 
 def _solution_support(m: int, w, x, y, z) -> list:
     """Which unknowns of the obstruction system are not forced to zero.
 
     Entry [r][i] is True when some solution has a nonzero at operator row
-    m-1+r, column i; read from the system's Gaussian-integer null vectors.
+    m-1+r, column i.  The blocks of :func:`_obstruction_blocks` share no
+    unknown and no equation, so the solution space is the product of the
+    blocks' solution spaces: an unknown is nonzero in some solution exactly
+    when it is nonzero in some null vector of its own block.  Each block is
+    solved on its own by fraction-free Gauss-Jordan, and the support read
+    from its Gaussian-integer null vectors.
     """
-    system = _obstruction_system(m, w, x, y, z)
-    rows = list(system._int_form()[0])
-    pivots, _ = _eliminate(rows, system.cols, reduced=True)
-    _, basis = _null_vectors(rows, pivots, system.cols)
-    width = m + 2
-    return [
-        [any(vec[r * width + i] != (0, 0) for vec in basis) for i in range(width)]
-        for r in range(3)
-    ]
+    support = [[False] * (m + 2) for _ in range(3)]
+    for unknowns, rows in _obstruction_blocks(m, w, x, y, z):
+        pivots, _ = _eliminate(rows, len(unknowns), reduced=True)
+        _, basis = _null_vectors(rows, pivots, len(unknowns))
+        for n, (r, i) in enumerate(unknowns):
+            support[r][i] = any(vec[n] != (0, 0) for vec in basis)
+    return support
 
 
 def _draw_rational(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:

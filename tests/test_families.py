@@ -1,8 +1,13 @@
 """Canonical family states, labels, and the 2x3x3 expression generators."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
-from slocc2mn.scalars import GaussianRational
+from slocc2mn.scalars import GaussianRational, ZERO
+from slocc2mn.states import PureState
 from slocc2mn.families import (
     SMALL_FAMILIES,
     PARAMETRIC_FAMILIES,
@@ -95,6 +100,62 @@ def test_expression_rejects_zero_brackets():
         make_expression("III", FamilyParams.of(a=1, b=1, c=0, d=0, f=1, g=1))
     with pytest.raises(ValueError):
         make_expression("nope", FamilyParams.of(a=1, b=1))
+
+
+def _oracle_expression(which, p):
+    """The five expressions built by GaussianRational additions, one ket at a
+    time."""
+    amps = {}
+
+    def add(i, j, k, v):
+        if not v.is_zero():
+            amps[(i, j, k)] = amps.get((i, j, k), ZERO) + v
+
+    one = GaussianRational(1)
+    if which == "V":
+        for idx in ((0, 2, 2), (1, 2, 1), (0, 0, 0), (1, 1, 0)):
+            add(*idx, one)
+        return PureState((2, 3, 3), amps)
+    if p.a.is_zero() and p.b.is_zero():
+        raise ValueError("bracket (a, b) must be nonzero")
+    add(0, 2, 2, p.a)
+    add(1, 2, 2, p.b)
+    if which in ("I", "III"):
+        for idx in ((0, 0, 0), (1, 1, 1)):
+            add(*idx, one)
+    else:
+        for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+            add(*idx, one)
+    if which in ("III", "IV"):
+        if (p.c.is_zero() and p.d.is_zero()) or (p.f.is_zero() and p.g.is_zero()):
+            raise ValueError("brackets (c, d) and (f, g) must be nonzero")
+        for i, ci in ((0, p.c), (1, p.d)):
+            for k, fk in ((0, p.f), (1, p.g)):
+                add(i, 2, k, ci * fk)
+    return PureState((2, 3, 3), amps)
+
+
+@pytest.mark.parametrize("which", ["I", "II", "III", "IV", "V"])
+def test_expression_matches_rational_oracle(which):
+    # every coefficient point of {-1, 0, 1}^6, then points with denominators
+    # and imaginary parts: the same amplitudes, not just the same state up
+    # to scalar, and a ValueError exactly where the oracle raises one
+    rng = random.Random(5)
+    odd = (ZERO, GaussianRational(Fraction(-1, 2)), GaussianRational(Fraction(2, 3), 1),
+           GaussianRational(0, Fraction(-1, 3)), GaussianRational(3, Fraction(5, 4)))
+    points = list(itertools.product((-1, 0, 1), repeat=6))
+    points += [[rng.choice(odd) for _ in range(6)] for _ in range(300)]
+    for point in points:
+        params = FamilyParams.of(**dict(zip("abcdfg", point)))
+        try:
+            expected = _oracle_expression(which, params)
+        except ValueError:
+            with pytest.raises(ValueError):
+                make_expression(which, params)
+            continue
+        state = make_expression(which, params)
+        assert state.dims == expected.dims
+        assert state.amps == expected.amps
 
 
 def test_expression_branch_rules_match_classifier():

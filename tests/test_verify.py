@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slocc2mn.classify import decide_equivalence
 from slocc2mn.families import ClassLabel, make_canonical
@@ -23,7 +24,7 @@ from slocc2mn.verify import (
     random_full_rank_state,
     _OBSTRUCTION_CASES,
     _draw_operator_entries,
-    _obstruction_system,
+    _obstruction_blocks,
     _solution_support,
 )
 
@@ -52,10 +53,24 @@ def test_term_rank_bounds_matrix_rank():
         assert m.rank() <= term_rank(support)
 
 
+def _obstruction_system(m, w, x, y, z) -> Matrix:
+    """The whole obstruction matrix, assembled from the per-column blocks the
+    verifier solves; unknown (r, i) is column r*(m+2)+i."""
+    width = m + 2
+    rows = []
+    for unknowns, block_rows in _obstruction_blocks(m, w, x, y, z):
+        for block_row in block_rows:
+            row = [(0, 0)] * (3 * width)
+            for (r, i), v in zip(unknowns, block_row):
+                row[r * width + i] = v
+            rows.append(row)
+    return Matrix._from_ints(rows, [1] * len(rows), 3 * width)
+
+
 def test_obstruction_diagonal_operator_forces_zero_rows():
-    # w = z = 1, x = y = 0: the constraints force both row m and row m+1 of
-    # the solution block to vanish outside nothing -- check directly that the
-    # nullspace support has term rank <= 2
+    # w = z = 1, x = y = 0: the constraints leave free only operator row m-1
+    # at column 0 and row m+1 at column m+1, and force row m to vanish, so
+    # the nullspace support has term rank 2
     m = 2
     system = _obstruction_system(m, (1, 1), (0, 1), (0, 1), (1, 1))
     basis = system.nullspace()
@@ -64,7 +79,13 @@ def test_obstruction_diagonal_operator_forces_zero_rows():
         [any(not vec[r * width + i].is_zero() for vec in basis) for i in range(width)]
         for r in range(3)
     ]
-    assert term_rank(support) <= 2
+    assert support == [
+        [True, False, False, False],
+        [False, False, False, False],
+        [False, False, False, True],
+    ]
+    assert _solution_support(m, (1, 1), (0, 1), (0, 1), (1, 1)) == support
+    assert term_rank(support) == 2
 
 
 def _rational_obstruction_system(m, w, x, y, z) -> Matrix:
@@ -108,6 +129,36 @@ def test_integer_obstruction_support_matches_rational_nullspace():
                     _obstruction_system(m, w, x, y, z).nullspace()
                     == _rational_obstruction_system(m, w, x, y, z).nullspace()
                 )
+
+
+@st.composite
+def _integer_operator_entries(draw):
+    """Integer (w, x, y, z) in [-9, 9] with w, z != 0 and w z != x y, as the
+    (numerator, denominator) pairs the verifier reads; x = 0 or y = 0 is
+    drawn a third of the time each."""
+    w = draw(st.integers(-9, 9).filter(bool))
+    z = draw(st.integers(-9, 9).filter(bool))
+    zero = draw(st.sampled_from(("neither", "x", "y")))
+    x = 0 if zero == "x" else draw(st.integers(-9, 9))
+    y = 0 if zero == "y" else draw(st.integers(-9, 9))
+    assume(w * z != x * y)
+    return (w, 1), (x, 1), (y, 1), (z, 1)
+
+
+# a red run, shrinking m and four integers of at most 9, took about 7 s on a
+# 2-core host: the default shrinker needs no tighter budget
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 6), entries=_integer_operator_entries())
+def test_block_support_matches_whole_rational_nullspace(m, entries):
+    # the per-block solve reads the same support as the whole system's
+    # nullspace over GaussianRational entries
+    width = m + 2
+    basis = _rational_obstruction_system(m, *entries).nullspace()
+    expected = [
+        [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
+        for r in range(3)
+    ]
+    assert _solution_support(m, *entries) == expected
 
 
 def _oracle_operator_entries(case, rng):
