@@ -16,7 +16,8 @@ reduced on the way.  ``Matrix.rank``, ``det``, ``nullspace``, ``rref``
 (with or without its transform), :func:`certified_nullspace` and the pencil
 minors all run on it, and :func:`stack_vectorized` shares its integer row
 form.  Pencil entries and minors are polynomials in their Gaussian-integer
-form, so the minor gcds never leave the integers.
+form, a 2 x 2 minor written out in closed form, so the minor gcds never
+leave the integers.
 :class:`GaussianRational` values are built only for the results handed back.
 """
 
@@ -578,6 +579,29 @@ def _int_matmul(x, y):
     ]
 
 
+def _minor2(a0, b0, a1, b1, j: int, n: int, den: int) -> Poly:
+    """The minor of A + t*B on two rows and the columns j < n, the rows given
+    as Gaussian-integer rows a0 + t*b0 and a1 + t*b1 over ``den``.
+
+    With [[p, q], [r, s]] the selected entries of A and [[P, Q], [R, S]]
+    those of B, the minor is (p s - q r) + (p S + P s - q R - Q r) t
+    + (P S - Q R) t^2, every product one of Gaussian integers.
+    """
+    (pr, pi), (qr, qi), (rr, ri), (sr, si) = a0[j], a0[n], a1[j], a1[n]
+    (Pr, Pi), (Qr, Qi), (Rr, Ri), (Sr, Si) = b0[j], b0[n], b1[j], b1[n]
+    return Poly._from_ints(
+        (
+            (pr * sr - pi * si - qr * rr + qi * ri, pr * si + pi * sr - qr * ri - qi * rr),
+            (
+                pr * Sr - pi * Si + Pr * sr - Pi * si - qr * Rr + qi * Ri - Qr * rr + Qi * ri,
+                pr * Si + pi * Sr + Pr * si + Pi * sr - qr * Ri - qi * Rr - Qr * ri - Qi * rr,
+            ),
+            (Pr * Sr - Pi * Si - Qr * Rr + Qi * Ri, Pr * Si + Pi * Sr - Qr * Ri - Qi * Rr),
+        ),
+        den,
+    )
+
+
 @dataclass(frozen=True)
 class ExceptionalPoint:
     """A pencil parameter value where the rank drops below the generic rank.
@@ -666,7 +690,8 @@ class Pencil:
         The size is checked on the call; each minor is computed only when it
         is read, so a caller that stops early saves the rest.  A minor is the
         determinant of the selected integer rows of A + t*B, over the product
-        of their denominators.
+        of their denominators; a 2 x 2 one is written out in closed form
+        (:func:`_minor2`).
         """
         rows, cols = self.shape()
         if k <= 0:
@@ -674,6 +699,12 @@ class Pencil:
         if k > min(rows, cols):
             raise ValueError("minor size exceeds matrix shape")
         a_rows, b_rows, dens = self._int_form()
+        if k == 2:
+            return (
+                _minor2(a_rows[i], b_rows[i], a_rows[l], b_rows[l], j, n, dens[i] * dens[l])
+                for i, l in itertools.combinations(range(rows), 2)
+                for j, n in itertools.combinations(range(cols), 2)
+            )
 
         def minor(rsel, csel):
             # row i of the minor is [a + b t for each column] / dens[i]

@@ -10,11 +10,14 @@ the polynomial was made from them.
 *J. ACM* 14, 1967; Brown & Traub, *J. ACM* 18, 1971): each pseudo-remainder
 is divided exactly by a factor the theory predicts, so coefficients stay
 minors of the Sylvester matrix, as Bareiss elimination keeps them for
-matrices.  On it rest the square-free part and :func:`exact_roots_of`,
-which finds every Gaussian-rational root by p-adic lifting, with no floating
-point.  Irrational roots are never located: they are kept as the roots of
-the one residual polynomial :func:`exact_roots_of` hands back, on which
-ranks are computed exactly (:meth:`.matrices.Pencil.ranks_over`).
+matrices.  The sequence runs on integer coefficient lists
+(:func:`_gcd_ints`), and :func:`poly_gcd_many` folds its members' lists
+through it, building one :class:`Poly` for the result.  On it rest the
+square-free part and :func:`exact_roots_of`, which finds every
+Gaussian-rational root by p-adic lifting, with no floating point.
+Irrational roots are never located: they are kept as the roots of the one
+residual polynomial :func:`exact_roots_of` hands back, on which ranks are
+computed exactly (:meth:`.matrices.Pencil.ranks_over`).
 """
 
 from __future__ import annotations
@@ -268,50 +271,61 @@ def _over(ints, g, den: int) -> Poly:
 _UNIT = Poly._from_ints([(1, 0)])
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd, from one subresultant remainder sequence over Z[i].
+def _gcd_ints(a, b):
+    """A Gaussian-integer multiple of the gcd of the nonzero coefficient
+    lists a and b (constant first), from one subresultant remainder sequence
+    over Z[i]; ``[(1, 0)]`` when the gcd is a unit.
 
     With g and h starting at 1, each step takes the pseudo-remainder r of
     a by b, with delta = deg a - deg b, and continues with b and
     r / (g h^delta), then g = lc(b) and h = g^delta / h^(delta - 1); every
     division is exact (the subresultant theorem), and the last nonzero
-    remainder is a multiple of the gcd.  Denominators are irrelevant to a
-    gcd, so only the integer numerators enter.
+    remainder is a multiple of the gcd.
     """
-    a, _ = p._int_form()
-    b, _ = q._int_form()
-    if not a and not b:
-        raise ValueError("gcd of two zero polynomials is undefined")
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return _over(a, a[-1], 1)
     a, b = _primitive(a), _primitive(b)
     g = h = (1, 0)
     while len(b) > 1:
         delta = len(a) - len(b)
         _, r = _pseudo_divmod(a, b)
         if not r:
-            return _over(b, b[-1], 1)
+            return b
         beta = _gmul(g, _gpow(h, delta))
         a, b = b, [_gdiv(x, beta) for x in r]
         g = a[-1]
         if delta:
             h = _gdiv(_gpow(g, delta), _gpow(h, delta - 1))
-    return _UNIT
+    return [(1, 0)]
+
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd, by :func:`_gcd_ints` on the integer numerators:
+    denominators are irrelevant to a gcd."""
+    a, _ = p._int_form()
+    b, _ = q._int_form()
+    if not a and not b:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    c = _gcd_ints(a, b) if a and b else a or b
+    return _over(c, c[-1], 1)
 
 
 def poly_gcd_many(ps) -> Poly:
     """Monic gcd of an iterable of polynomials, zero members ignored; the
-    zero polynomial if every member is zero.  Stops reading at a unit."""
-    acc = Poly()
+    zero polynomial if every member is zero.
+
+    The members' integer numerators are folded through :func:`_gcd_ints`,
+    and one monic :class:`Poly` is built at the end; reading stops at the
+    first member that brings the gcd down to a unit.
+    """
+    acc = None
     for p in ps:
-        if p.is_zero():
-            continue
-        acc = p.monic() if acc.is_zero() else poly_gcd(acc, p)
-        if acc.degree == 0:
-            return acc  # gcd is a unit; no need to look further
-    return acc
+        a = p._int_form()[0]
+        if a:
+            acc = a if acc is None else _gcd_ints(acc, a)
+            if len(acc) == 1:
+                return _UNIT  # gcd is a unit; no need to look further
+    return Poly() if acc is None else _over(acc, acc[-1], 1)
 
 
 def square_free_part(p: Poly) -> Poly:

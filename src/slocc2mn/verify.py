@@ -12,7 +12,9 @@ Three layers of checks live here:
   by operator column (only columns m-1 and m share equations), so it is
   solved one block of 3 or 6 unknowns at a time: blocks that share no
   unknown have independent solutions, and an unknown's support is read from
-  its own block alone.
+  its own block alone.  The block layout is built once per call, so a draw
+  only fills in its entries, and the block every interior column 1..m-2
+  shares is solved once per draw.
 * ``verify_theorem`` re-derives the published classification tables: family
   signatures, pairwise separation with the invariant that witnesses it, the
   coefficient-branch sweep for the 2x3x3 expressions, and random-state
@@ -79,71 +81,91 @@ def term_rank(support) -> int:
 # -- the Theta4 / Theta5 obstruction system -----------------------------------
 
 
-def _obstruction_blocks(m: int, w, x, y, z) -> list:
-    """The constraints on rows m-1, m, m+1 of the middle-party operator, one
-    block of unknowns at a time, as ``(unknowns, rows)`` pairs.
+# A layout row names each unknown's coefficient by its index in the entries
+# of :func:`_scaled_entries`; index 0 is a zero coefficient.
+_Y, _Z, _NEG_W, _NEG_X = range(1, 5)
+
+
+def _obstruction_layout(m: int) -> list:
+    """The constraints on rows m-1, m, m+1 of the middle-party operator,
+    one distinct block at a time, as ``(unknowns, rows)`` pairs; the entries
+    (w, x, y, z) are filled in per draw.
 
     Unknown (r, i) stands for operator row m-1+r, column i.  Every equation
     reads one column i, except the two ``joined`` ones, which read columns
     m-1 and m; so the system is block diagonal, with a 3-unknown block for
     each column outside {m-1, m} and one 6-unknown block for those two
-    columns.  A block's rows are Gaussian-integer pairs over its
-    ``unknowns`` in order.
-    The entries (w, x, y, z) are rationals given as (numerator, denominator)
-    pairs.  Every equation is linear in them, so the rows carry the four
-    entries scaled by their least common denominator; the solution space is
-    unchanged.
+    columns.  The interior columns 1..m-2 carry both chains with the same
+    coefficients, so their blocks are equal and listed once.  ``unknowns``
+    holds one list per column tuple the block stands for, the unknowns (r, i)
+    for r = 0, 1, 2 and i in that tuple, in that order; a row gives, per
+    position in such a list, the index of its coefficient in
+    :func:`_scaled_entries`.
     """
-    den = lcm(w[1], x[1], y[1], z[1])
-    w, x, y, z = [(p * (den // q), 0) for p, q in (w, x, y, z)]
-    neg_w, neg_x = (-w[0], 0), (-x[0], 0)
 
     def chain(coeff, neg, i):  # coeff * (r+1, i) = -neg * (r, i) for r = 1, 0
         return [[(coeff, 2, i), (neg, 1, i)], [(coeff, 1, i), (neg, 0, i)]]
 
-    def block(cols, equations):
-        unknowns = [(r, i) for r in range(3) for i in cols]
-        place = {u: n for n, u in enumerate(unknowns)}
+    def block(columns, equations):
+        unknowns = [[(r, i) for r in range(3) for i in cols] for cols in columns]
+        place = {u: n for n, u in enumerate(unknowns[0])}
         rows = []
         for terms in equations:
-            row = [(0, 0)] * len(unknowns)
+            row = [0] * len(place)
             for coeff, r, i in terms:  # the unknowns of one equation are distinct
                 row[place[r, i]] = coeff
             rows.append(row)
         return unknowns, rows
 
     joined = [
-        [(z, 2, m), (y, 2, m - 1), (neg_x, 1, m), (neg_w, 1, m - 1)],
-        [(z, 1, m), (y, 1, m - 1), (neg_x, 0, m), (neg_w, 0, m - 1)],
+        [(_Z, 2, m), (_Y, 2, m - 1), (_NEG_X, 1, m), (_NEG_W, 1, m - 1)],
+        [(_Z, 1, m), (_Y, 1, m - 1), (_NEG_X, 0, m), (_NEG_W, 0, m - 1)],
     ]
-    blocks = []
-    for i in range(m + 2):
-        if i == m - 1:
-            blocks.append(block((m - 1, m), chain(z, neg_x, m - 1) + chain(y, neg_w, m) + joined))
-        elif i != m:  # column m is in the block of column m-1
-            # the w, y chain holds on columns 1..m+1, the x, z chain on 0..m-1
-            eqs = (chain(y, neg_w, i) if i else []) + (chain(z, neg_x, i) if i < m else [])
-            blocks.append(block((i,), eqs))
+    # the w, y chain holds on columns 1..m-2, m and m+1, the x, z chain on 0..m-1
+    blocks = [block([(0,)], chain(_Z, _NEG_X, 0))]
+    if m > 2:
+        interior = [(i,) for i in range(1, m - 1)]
+        blocks.append(block(interior, chain(_Y, _NEG_W, 1) + chain(_Z, _NEG_X, 1)))
+    blocks.append(block([(m - 1, m)], chain(_Z, _NEG_X, m - 1) + chain(_Y, _NEG_W, m) + joined))
+    blocks.append(block([(m + 1,)], chain(_Y, _NEG_W, m + 1)))
     return blocks
 
 
-def _solution_support(m: int, w, x, y, z) -> list:
+def _scaled_entries(w, x, y, z) -> tuple:
+    """(0, y, z, -w, -x) as Gaussian-integer pairs, the layout's
+    coefficients, for entries given as (numerator, denominator) pairs.
+
+    Every equation is linear in the entries, so they are scaled by their
+    least common denominator; the solution space is unchanged.
+    """
+    den = lcm(w[1], x[1], y[1], z[1])
+    w, x, y, z = [p * (den // q) for p, q in (w, x, y, z)]
+    return (0, 0), (y, 0), (z, 0), (-w, 0), (-x, 0)
+
+
+def _solution_support(m: int, layout, w, x, y, z) -> list:
     """Which unknowns of the obstruction system are not forced to zero.
 
     Entry [r][i] is True when some solution has a nonzero at operator row
-    m-1+r, column i.  The blocks of :func:`_obstruction_blocks` share no
-    unknown and no equation, so the solution space is the product of the
-    blocks' solution spaces: an unknown is nonzero in some solution exactly
-    when it is nonzero in some null vector of its own block.  Each block is
-    solved on its own by fraction-free Gauss-Jordan, and the support read
-    from its Gaussian-integer null vectors.
+    m-1+r, column i; ``layout`` is :func:`_obstruction_layout` of m.  The
+    blocks share no unknown and no equation, so the solution space is the
+    product of the blocks' solution spaces: an unknown is nonzero in some
+    solution exactly when it is nonzero in some null vector of its own
+    block.  Each distinct block is solved once, by fraction-free
+    Gauss-Jordan, and its support, read from its Gaussian-integer null
+    vectors, copied to every column tuple it stands for.
     """
+    entries = _scaled_entries(w, x, y, z)
     support = [[False] * (m + 2) for _ in range(3)]
-    for unknowns, rows in _obstruction_blocks(m, w, x, y, z):
-        pivots, _ = _eliminate(rows, len(unknowns), reduced=True)
-        _, basis = _null_vectors(rows, pivots, len(unknowns))
-        for n, (r, i) in enumerate(unknowns):
-            support[r][i] = any(vec[n] != (0, 0) for vec in basis)
+    for unknowns, layout_rows in layout:
+        rows = [[entries[c] for c in row] for row in layout_rows]
+        n = len(layout_rows[0])
+        pivots, _ = _eliminate(rows, n, reduced=True)
+        _, basis = _null_vectors(rows, pivots, n)
+        free = [any(vec[k] != (0, 0) for vec in basis) for k in range(n)]
+        for copy in unknowns:
+            for (r, i), f in zip(copy, free):
+                support[r][i] = f
     return support
 
 
@@ -202,11 +224,12 @@ def verify_appendix_theta45(m: int, trials: int = 100, seed: int = 0) -> dict:
         name: {"case": name, "draws": 0, "forced_singular": 0, "max_term_rank": 0}
         for name in _OBSTRUCTION_CASES
     }
+    layout = _obstruction_layout(m)
     for case in _OBSTRUCTION_CASES:
         rec = cases[case]
         for _ in range(trials):
             w, x, y, z = _draw_operator_entries(case, rng)
-            tr = term_rank(_solution_support(m, w, x, y, z))
+            tr = term_rank(_solution_support(m, layout, w, x, y, z))
             rec["draws"] += 1
             rec["max_term_rank"] = max(rec["max_term_rank"], tr)
             if tr <= 2:

@@ -1,5 +1,6 @@
 """Exact linear algebra, checked against numpy and brute-force oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -212,6 +213,48 @@ def test_poly_det_ints_three_by_three_matches_laplace(case):
 def test_poly_matrix_det_zero_row():
     rows = [[Poly(), Poly()], [Poly.constant(ONE), Poly.constant(ONE)]]
     assert poly_matrix_det(rows).is_zero()
+
+
+_minor_entries = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        GaussianRational,
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6])),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 5])),
+    ),
+)
+
+
+@st.composite
+def two_by_two_minor_pencils(draw):
+    """Pencils A + tB of shape 2 x N, N x 2 or up to 4 x 4 with sparse
+    Gaussian-rational entries: zero entries, rows zero in A, in B or in both,
+    and a different denominator on every row."""
+    rows, cols = draw(st.sampled_from(
+        [(2, n) for n in range(2, 6)] + [(n, 2) for n in range(3, 6)] + [(3, 3), (3, 4), (4, 4)]
+    ))
+    members = []
+    for _ in range(2):
+        members.append([draw(st.lists(_minor_entries, min_size=cols, max_size=cols))
+                        for _ in range(rows)])
+    for i in range(rows):
+        for member in draw(st.sampled_from([[], [0], [1], [0, 1]])):
+            members[member][i] = [ZERO] * cols
+    return Pencil(Matrix(members[0]), Matrix(members[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_by_two_minor_pencils())
+def test_two_by_two_minors_match_poly_matrix_det(pen):
+    # the closed-form 2 x 2 minors, in order, against the determinant of the
+    # entry polynomials
+    rows, cols = pen.shape()
+    want = [
+        poly_matrix_det([[pen.entry_poly(i, j) for j in csel] for i in rsel])
+        for rsel in itertools.combinations(range(rows), 2)
+        for csel in itertools.combinations(range(cols), 2)
+    ]
+    assert list(pen.minor_polynomials(2)) == want
 
 
 def test_pencil_generic_rank_matches_numeric_sampling():

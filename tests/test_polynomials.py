@@ -110,6 +110,39 @@ def test_gcd_many():
     assert d == g.monic()
 
 
+def _fold_gcd(ps):
+    """The monic left fold of poly_gcd over the nonzero members."""
+    acc = Poly()
+    for p in ps:
+        if not p.is_zero():
+            acc = p.monic() if acc.is_zero() else poly_gcd(acc, p)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_polys, max_size=5), _polys)
+def test_gcd_many_matches_folded_poly_gcd(ps, f):
+    # with and without a common factor planted in every member
+    assert poly_gcd_many(ps) == _fold_gcd(ps)
+    planted = [f * p for p in ps]
+    assert poly_gcd_many(planted) == _fold_gcd(planted)
+    assert poly_gcd_many(iter(planted)) == _fold_gcd(planted)
+
+
+def test_gcd_many_edge_cases():
+    assert poly_gcd_many([]) == Poly()
+    assert poly_gcd_many([Poly(), Poly()]) == Poly()
+    assert poly_gcd_many([Poly(), linear_root(2) * 3]) == linear_root(2)
+
+    def coprime_then_raise():
+        yield Poly()
+        yield linear_root(0)
+        yield linear_root(1)  # t and t - 1 are coprime: the gcd is a unit
+        raise AssertionError("read past the first unit")
+
+    assert poly_gcd_many(coprime_then_raise()) == Poly([ONE])
+
+
 def test_square_free_part_counts_distinct_roots():
     p = linear_root(1) * linear_root(1) * linear_root(2)
     sf = square_free_part(p)

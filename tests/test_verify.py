@@ -24,7 +24,8 @@ from slocc2mn.verify import (
     random_full_rank_state,
     _OBSTRUCTION_CASES,
     _draw_operator_entries,
-    _obstruction_blocks,
+    _obstruction_layout,
+    _scaled_entries,
     _solution_support,
 )
 
@@ -54,16 +55,19 @@ def test_term_rank_bounds_matrix_rank():
 
 
 def _obstruction_system(m, w, x, y, z) -> Matrix:
-    """The whole obstruction matrix, assembled from the per-column blocks the
-    verifier solves; unknown (r, i) is column r*(m+2)+i."""
+    """The whole obstruction matrix, assembled from the block layout the
+    verifier solves, each block written out for every column tuple it stands
+    for; unknown (r, i) is column r*(m+2)+i."""
     width = m + 2
+    entries = _scaled_entries(w, x, y, z)
     rows = []
-    for unknowns, block_rows in _obstruction_blocks(m, w, x, y, z):
-        for block_row in block_rows:
-            row = [(0, 0)] * (3 * width)
-            for (r, i), v in zip(unknowns, block_row):
-                row[r * width + i] = v
-            rows.append(row)
+    for copies, layout_rows in _obstruction_layout(m):
+        for unknowns in copies:
+            for layout_row in layout_rows:
+                row = [(0, 0)] * (3 * width)
+                for (r, i), c in zip(unknowns, layout_row):
+                    row[r * width + i] = entries[c]
+                rows.append(row)
     return Matrix._from_ints(rows, [1] * len(rows), 3 * width)
 
 
@@ -84,7 +88,7 @@ def test_obstruction_diagonal_operator_forces_zero_rows():
         [False, False, False, False],
         [False, False, False, True],
     ]
-    assert _solution_support(m, (1, 1), (0, 1), (0, 1), (1, 1)) == support
+    assert _solution_support(m, _obstruction_layout(m), (1, 1), (0, 1), (0, 1), (1, 1)) == support
     assert term_rank(support) == 2
 
 
@@ -124,7 +128,7 @@ def test_integer_obstruction_support_matches_rational_nullspace():
                     [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
                     for r in range(3)
                 ]
-                assert _solution_support(m, w, x, y, z) == expected
+                assert _solution_support(m, _obstruction_layout(m), w, x, y, z) == expected
                 assert (
                     _obstruction_system(m, w, x, y, z).nullspace()
                     == _rational_obstruction_system(m, w, x, y, z).nullspace()
@@ -158,7 +162,7 @@ def test_block_support_matches_whole_rational_nullspace(m, entries):
         [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
         for r in range(3)
     ]
-    assert _solution_support(m, *entries) == expected
+    assert _solution_support(m, _obstruction_layout(m), *entries) == expected
 
 
 def _oracle_operator_entries(case, rng):
