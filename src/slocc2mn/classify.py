@@ -17,8 +17,9 @@ its A range by 2 x 2 minors and shares that count with its B range, whose
 rank-one points correspond one to one.  Reduction steps extract
 a product state from the AB-range of the normal form and shrink the C
 dimension by one, producing an auditable elementary-ILO word.  Equivalence
-verdicts compare local ranks on the inputs, then the invariant tiers on both
-normal forms, before searching the normal forms for an explicit witness.
+verdicts compare local ranks on the inputs, then (when the smallest rank is
+2) the invariant tiers on both normal forms, before searching the normal
+forms for an explicit witness.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ from .families import ClassLabel, make_canonical, all_labels_for_shape
 
 
 class StateInvariants:
-    """Lazily computed, cached SLOCC invariants of one state."""
+    """Lazily computed, cached SLOCC invariants of one state.  Every key past
+    the ranks needs a normal form with a qubit (:func:`_normal_form`); the
+    signature raises UnsupportedSubspaceError on any other state."""
 
     def __init__(self, s: PureState, ranks: LocalRankProfile | None = None):
         self.state = s
@@ -79,8 +82,6 @@ class StateInvariants:
 
     def bc_profile_key(self):
         def compute():
-            if self.ranks.r_a != 2:
-                return None
             pen = self.qubit or Pencil(*range_subspace(self.state, "A", 2).basis)
             return pen.rank_profile().key()
 
@@ -88,8 +89,6 @@ class StateInvariants:
 
     def partner_key(self):
         def compute():
-            if self.ranks.r_a < 2:  # one-row partner matrices; ranks fix the class
-                return None
             out = []
             for party, pc in zip(PARTIES, self.signature.counts):
                 if pc.is_infinite:
@@ -107,15 +106,7 @@ class StateInvariants:
         return self._get("partner", compute)
 
     def quadric_key(self):
-        def compute():
-            if self.ranks.r_a != 2:
-                return None
-            try:
-                return quadric_profile(self.state, self.qubit)
-            except ValueError:
-                return None
-
-        return self._get("quadric", compute)
+        return self._get("quadric", lambda: quadric_profile(self.state, self.qubit))
 
 
 _TIERS = (
@@ -531,9 +522,11 @@ def decide_equivalence(
     Local ranks are compared on the inputs, every later tier on their normal
     forms, which equal ranks give one party order; equal ranks with different
     dims raise ValueError, and equal ranks whose smallest is 3 or more leave
-    the pair Undecided.  Either side may be given as its StateInvariants
-    (for example an entry of :func:`canonical_invariants`): one in normal
-    form keeps its cached keys, for the class-label tier too.
+    the pair Undecided.  The invariant tiers run only when the smallest rank
+    is 2: a pair whose smallest rank is 1 is fixed by its ranks and goes
+    straight to the witness search.  Either side may be given as its
+    StateInvariants (for example an entry of :func:`canonical_invariants`):
+    one in normal form keeps its cached keys, for the class-label tier too.
     """
     inv1 = s1 if isinstance(s1, StateInvariants) else StateInvariants(s1)
     inv2 = s2 if isinstance(s2, StateInvariants) else StateInvariants(s2)
@@ -555,6 +548,8 @@ def decide_equivalence(
         return EquivalenceVerdict(
             kind="Undecided", detail=f"smallest local rank {low} > 2 is outside 2 x M x N"
         )
+    if low < 2:  # a bipartite pair: its ranks fix the class
+        return _witness_verdict(s1, s2, None)
     inv1, inv2 = _normal_form(inv1)[0], _normal_form(inv2)[0]
     if inv1.signature.key() != inv2.signature.key():
         return EquivalenceVerdict(
@@ -567,7 +562,6 @@ def decide_equivalence(
             detail=f"{inv1.bc_profile_key()} vs {inv2.bc_profile_key()}",
         )
     pk1, pk2 = inv1.partner_key(), inv2.partner_key()
-    # with equal ranks both keys are None or neither is
     if pk1 != pk2 and "irrational" not in pk1 + pk2:
         return EquivalenceVerdict(
             kind="Inequivalent", separating_invariant="partner-rank multiset",
@@ -575,24 +569,29 @@ def decide_equivalence(
         )
     c1 = classify(inv1, want_proof=False)
     c2 = classify(inv2, want_proof=False)
-    sentinel = {"Unknown", "NotTrueTripartite"}
-    labelled = c1.label.family not in sentinel and c2.label.family not in sentinel
-    if labelled and c1.label != c2.label:
+    if "Unknown" in (c1.label.family, c2.label.family):
+        return _witness_verdict(s1, s2, None)
+    if c1.label != c2.label:
         return EquivalenceVerdict(
             kind="Inequivalent", separating_invariant="class label",
             detail=f"{c1.label.render()} vs {c2.label.render()}",
         )
-    # equal library labels, or a pair the library does not label: only an
-    # explicit witness decides it
+    return _witness_verdict(s1, s2, c1.label)
+
+
+def _witness_verdict(s1: PureState, s2: PureState, label: ClassLabel | None) -> EquivalenceVerdict:
+    """Equivalent when the witness search finds a verified witness, else
+    Undecided; ``label`` is the library label both share, None for a pair
+    the library does not label."""
     w = find_equivalence_witness(s1, s2)
     if w is not None:
         detail = (
-            f"both classify as {c1.label.render()}" if labelled
+            f"both classify as {label.render()}" if label is not None
             else "exact witness found outside the covered families"
         )
         return EquivalenceVerdict(kind="Equivalent", witness=w, detail=detail)
     return EquivalenceVerdict(
         kind="Undecided",
-        detail="same class label but no exact witness found" if labelled
+        detail="same class label but no exact witness found" if label is not None
         else "outside covered families and no exact witness found",
     )

@@ -3,10 +3,10 @@
 Commands: gen, signature, classify, equiv, perturb, verify.  Every command
 honors ``--format json|text``; JSON output follows schemas/report.schema.json.
 ``perturb`` and ``verify`` draw from ``--seed``; the others are deterministic.
-Exit codes: 0 success, 1 verification failure or a range the product-state
-counter does not handle, such as in ``signature`` of a 3x3x3 state (reported
-as ``unsupported:``), 2 usage or parse errors, 3 a failed internal
-consistency check (an ``AssertionError``, reported as ``internal error:``).
+Exit codes: 0 success, 1 verification failure or a ``signature`` of a state
+with no qubit, whose smallest local rank is 3 or more (reported as
+``unsupported:``), 2 usage or parse errors, 3 a failed internal consistency
+check (an ``AssertionError``, reported as ``internal error:``).
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ import time
 from .families import ClassLabel, make_canonical, SMALL_FAMILIES, PARAMETRIC_FAMILIES
 from .polynomials import Poly
 from .operators import random_ilo
-from .ranges import (
-    UnsupportedSubspaceError,
-    bc_pencil,
-    slocc_signature,
-)
-from .classify import classify, decide_equivalence
+from .states import PARTIES, LocalRankProfile
+from .ranges import UnsupportedSubspaceError, Signature, bc_pencil
+from .classify import classify, decide_equivalence, _normal_form
 from .verify import verify_theorem, verify_appendix_theta45
 from .stateio import (
     StateFileError,
@@ -132,8 +129,11 @@ def cmd_gen(args) -> int:
 def cmd_signature(args) -> int:
     t0 = time.monotonic()
     state = load_state(args.state)
-    local = state.local_ranks()
-    ranks = local.as_tuple()
+    # the counts run on the normal form, whose party q is the input's
+    # order[q]; ranks and counts are reported in the input's party order
+    inv, order = _normal_form(state)
+    back = [order.index(p) for p in PARTIES]
+    ranks = tuple(inv.state.dims[q] for q in back)
     result: dict = {"dims": list(state.dims), "local_ranks": list(ranks)}
     lines = [f"dims: {list(state.dims)}", f"local ranks: {list(ranks)}"]
     if min(ranks) < 2:
@@ -141,7 +141,7 @@ def cmd_signature(args) -> int:
         result["signature"] = rendered
         lines.append(rendered)
     else:
-        sig = slocc_signature(state, local)
+        sig = Signature(LocalRankProfile(*ranks), tuple(inv.signature.counts[q] for q in back))
         result["signature"] = sig.render()
         result["exact"] = all(c.exact for c in sig.counts)
         lines.append(f"signature: {sig.render()}")

@@ -12,20 +12,26 @@ none.  That is the one route from a range to its rank-one elements: the
 partner tier reads them all, the reduction's pivot
 (:func:`exact_rank_one_in_span`) only the first.
 
+Counts run on the normal form only: a 2 x M x N state, M <= N, whose dims
+are its local ranks (:func:`slocc_signature`), which is how the classifier
+compresses and orders every state with a qubit.  Its A range is a pencil and
+its B and C ranges are spans of two-row matrices, the two shapes
+:func:`count_product_states` takes; any other raises
+:class:`UnsupportedSubspaceError`.
+
 For two-row ranges :meth:`.matrices.Pencil.rank_profile` is the one search
 for rank drops of the pencil B - t*A: its exceptional points are the rank-one
 slopes, read by :func:`exact_points` (the one reader of a rank profile), and
 :func:`partner_rank` is decided by exact rank comparisons there and at
 t = 0..g, g the generic rank.  No sampled slope decides either.  It runs
-once for a 2 x M x N state with M, N >= 3 whose dims are its local ranks:
-its C-range pencil T1 - t*T0 (T0, T1 the qubit's slices) is the B-range one
-transposed and holds the A range's rank-one points, so the profile of
-:func:`qubit_pencil` serves all three counts and the partner and quadric tiers.
-A 2 x 2 x N state whose dims are its local ranks counts its A range once, by
-the gcd of its 2 x 2 minors, which stops at its first unit; its B range has
-the same rank-one points, through the left null vectors of the A points'
-first factors (:func:`_shared_count`), and its C range is counted on its own.
-Other pencil spans are counted by their 2 x 2 minors.
+once for a normal form with M >= 3: its C-range pencil T1 - t*T0 (T0, T1
+the qubit's slices) is the B-range one transposed and holds the A range's
+rank-one points, so the profile of :func:`qubit_pencil` serves all three
+counts and the partner and quadric tiers.  A 2 x 2 x N normal form counts its
+A range once, by the gcd of its 2 x 2 minors, which stops at its first unit;
+its B range has the same rank-one points, through the left null vectors of
+the A points' first factors (:func:`_shared_count`), and its C range is
+counted on its own.
 
 :func:`quadric_profile` is the one sampled quantity here: exact and seeded,
 but read off a sample that depends on the basis, so it is not ILO-invariant
@@ -63,7 +69,8 @@ RANGE_PAIR = {"A": ("B", "C"), "B": ("A", "C"), "C": ("A", "B")}
 
 
 class UnsupportedSubspaceError(ValueError):
-    """Raised when a subspace shape/dimension combination is not handled."""
+    """Raised for a subspace, or a state, that the counters do not take: not
+    a range of a normal form with a qubit, or not such a normal form."""
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,8 @@ class ProductCount:
     count is exact either way.  ``points()`` yields exact rank-one elements
     one at a time, built from what the count kept: one per Gaussian-rational
     point of a finite count; of an infinite count only a sample, first the
-    element :func:`exact_rank_one_in_span` pivots on (it raises when none is
-    built, as does reading ``witnesses``, which is ``tuple(points())`` cached).
+    element :func:`exact_rank_one_in_span` pivots on.  ``witnesses`` is
+    ``tuple(points())``, cached.
     """
 
     kind: str  # 'finite' | 'infinite'
@@ -317,38 +324,19 @@ def _count_two_row(sub: MatrixSubspace, pen: Pencil | None = None) -> ProductCou
 def count_product_states(sub: MatrixSubspace) -> ProductCount:
     """Count the rank-one elements (up to scale of each factor) of a subspace.
 
-    Supported shapes: one-dimensional subspaces, two-dimensional subspaces of
-    arbitrary matrices (a pencil), matrices with two rows or (through the
-    transposes) two columns with any basis size, and other dimension-
-    saturated subspaces (always infinite; reading their points raises
-    UnsupportedSubspaceError).  Anything else raises UnsupportedSubspaceError.
+    Two shapes are counted, those of the ranges of a normal form with a
+    qubit: a pencil (dimension 2), by its 2 x 2 minors, and a subspace of
+    two-row matrices, by the rank profile of B - t*A.  Any other subspace
+    raises UnsupportedSubspaceError.
     """
-    k = sub.dimension
-    rows, cols = sub.rows, sub.cols
-    if k == 1:
-        m = sub.basis[0]
-        if m.rank() <= 1:
-            return ProductCount(
-                kind="finite", count=1,
-                points=lambda: iter((ProductWitness((ONE,), *rank_one_factor(m)),)),
-            )
-        return ProductCount(kind="finite", count=0)
-    if k == 2:
+    if sub.dimension == 2:
         return _count_pencil_span(sub)
-    if rows == 2:
+    if sub.rows == 2:
         return _count_two_row(sub)
-    if cols == 2:
-        # u v^T is rank one iff v u^T is
-        pc = _count_two_row(MatrixSubspace._of_independent([m.transpose() for m in sub.basis]))
-        return replace(pc, points=lambda: (
-            ProductWitness(w.coeffs, w.v, w.u) for w in pc.points()))
-    shape = f"a {k}-dimensional subspace of {rows}x{cols} matrices"
-    if k > (rows - 1) * cols or k > rows * (cols - 1):
-        # saturated: the subspace meets the rank-one variety along a positive-
-        # dimensional family for every value of the free parameter; no point
-        # is built, and reading one raises as for any range without two rows
-        return ProductCount(kind="infinite", points=partial(_two_row_pencil, sub))
-    raise UnsupportedSubspaceError(f"counting not supported for {shape}")
+    raise UnsupportedSubspaceError(
+        f"counting not supported for a {sub.dimension}-dimensional subspace of "
+        f"{sub.rows}x{sub.cols} matrices"
+    )
 
 
 def exact_rank_one_in_span(sub: MatrixSubspace) -> ProductWitness | None:
@@ -401,23 +389,28 @@ def qubit_pencil(s: PureState, ranks: LocalRankProfile) -> Pencil | None:
 
 
 def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None, qubit=None) -> Signature:
-    """Local ranks (computed unless given) and the three product counts: all
-    three read off the rank profile of the state's :func:`qubit_pencil`
-    (``qubit``, when given, with its profile cached) when it has one; for a
-    2 x 2 x N state whose dims are its local ranks, the A count by 2 x 2
-    minors, shared with the B range (:func:`_shared_count`); otherwise each
-    range counted by :func:`count_product_states`."""
+    """Local ranks (computed unless given) and the three product counts of a
+    normal form with a qubit: a 2 x M x N state, M <= N, whose dims are its
+    local ranks.  For M >= 3 all three are read off the rank profile of the
+    state's :func:`qubit_pencil` (``qubit``, when given, with its profile
+    cached); for M = 2 the A count is taken by 2 x 2 minors and shared with
+    the B range (:func:`_shared_count`), and the C range is counted on its
+    own.  Any other state raises UnsupportedSubspaceError."""
     ranks = ranks or s.local_ranks()
-    subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, ranks.as_tuple())]
+    dims = s.dims
+    if ranks.as_tuple() != dims or dims[0] != 2 or dims[1] > dims[2]:
+        raise UnsupportedSubspaceError(
+            f"counting not supported for a state of dims {dims} and local ranks "
+            f"{ranks.as_tuple()}: it is not a normal form with a qubit"
+        )
+    subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, dims)]
     qubit = qubit or qubit_pencil(s, ranks)
     if qubit is not None:
         counts = (_count_pencil_span(subs[0], qubit),
                   _count_two_row(subs[1], qubit), _count_two_row(subs[2], qubit))
-    elif s.dims[:2] == (2, 2) and ranks.as_tuple() == s.dims:
+    else:
         a_count = count_product_states(subs[0])
         counts = (a_count, _shared_count(a_count, subs[1]), count_product_states(subs[2]))
-    else:
-        counts = tuple(count_product_states(sub) for sub in subs)
     return Signature(ranks=ranks, counts=counts)
 
 

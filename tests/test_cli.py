@@ -79,8 +79,8 @@ def test_signature_command(capsys, tmp_path):
 
 
 def test_signature_when_the_qubit_is_not_party_a(capsys, tmp_path):
-    # Psi1 with the qubit as party B: its C range is three-dimensional in the
-    # 3 x 2 matrices, counted through the transposes
+    # Psi1 with the qubit as party B: the counts run on the normal form, with
+    # the qubit first, and are reported in the input's party order
     p = tmp_path / "p.json"
     dump_state(make_canonical(ClassLabel("Psi1")).permute_parties("BAC"), str(p))
     code, report, err = run_json(capsys, "signature", str(p))
@@ -220,8 +220,8 @@ def test_missing_file_is_usage_error(capsys):
 
 
 def test_upsilon0_9_signature_when_the_qubit_is_not_party_a(capsys, tmp_path):
-    # with the qubit as party B or C, a range of Upsilon0(9) is the span of
-    # two 9 x 18 matrices, counted by all of its 2 x 2 minors
+    # with the qubit as party B or C, the counts of Upsilon0(9) run on its
+    # normal form, with the qubit first, and come back in the input's order
     u9 = make_canonical(ClassLabel("Upsilon0", 9))
     expected = {"ABC": "[0,0,inf]", "BAC": "[0,0,inf]", "CBA": "[inf,0,0]", "ACB": "[0,inf,0]"}
     for order, signature in expected.items():
@@ -230,6 +230,26 @@ def test_upsilon0_9_signature_when_the_qubit_is_not_party_a(capsys, tmp_path):
         code, report, _ = run_json(capsys, "signature", str(out))
         assert code == EXIT_OK
         assert report["result"]["signature"] == signature
+
+
+def test_signature_of_a_padded_state_counts_its_normal_form(capsys, tmp_path):
+    # Psi1 padded into 3 x 4 x 4 and perturbed: its dims are not its local
+    # ranks, so its ranges are no ranges of a normal form; signature counts
+    # the normal form, as classify does, in the input's party order
+    psi1 = make_canonical(ClassLabel("Psi1"))
+    padded = random_ilo((3, 4, 4), 2).apply(PureState((3, 4, 4), dict(psi1.amps)))
+    for order, expected in (("ABC", "[0,3,3]"), ("CAB", "[3,0,3]")):
+        out = tmp_path / f"padded-{order}.json"
+        dump_state(padded.permute_parties(order), str(out))
+        code, report, err = run_json(capsys, "signature", str(out))
+        assert code == EXIT_OK, err
+        assert report["result"]["signature"] == expected
+        assert report["result"]["local_ranks"] == [[2, 3, 3]["ABC".index(p)] for p in order]
+        code, classified, _ = run_json(capsys, "classify", str(out))
+        assert code == EXIT_OK
+        assert classified["result"]["label"] == "Psi1"
+        # classify reports the normal form's counts, qubit first
+        assert classified["result"]["invariants"]["signature"] == "[0,3,3]"
 
 
 def _full_rank_333(tmp_path, name="s333.json"):
@@ -242,7 +262,7 @@ def _full_rank_333(tmp_path, name="s333.json"):
 
 
 def test_signature_without_a_qubit_is_unsupported(capsys, tmp_path):
-    # the counter handles no three-dimensional range of 3 x 3 matrices
+    # the counts need a qubit in the normal form
     _, out = _full_rank_333(tmp_path)
     code, stdout, err = run_cli(capsys, "signature", str(out))
     assert code == EXIT_FAILED

@@ -26,7 +26,7 @@ from slocc2mn.ranges import (
     ProductWitness,
     _independent_slices,
 )
-from slocc2mn.classify import StateInvariants, canonical_invariants
+from slocc2mn.classify import StateInvariants, canonical_invariants, _normal_form
 from slocc2mn.families import (
     ClassLabel, make_canonical, all_labels_for_shape, SMALL_FAMILIES, PARAMETRIC_FAMILIES,
 )
@@ -171,13 +171,14 @@ def test_exact_rank_one_in_span():
         assert Matrix([[a * b for b in w.v] for a in w.u]) == elem
     assert found > len(inputs) // 2
     # a saturated subspace with no side of length 2 (seven of the 3 x 3 unit
-    # matrices) counts as infinite, but no point of it is built
+    # matrices) is no range of a normal form with a qubit: neither its count
+    # nor a point of it is built
     units = [mat([[int((r, c) == (i, j)) for c in range(3)] for r in range(3)])
              for i in range(3) for j in range(3)]
     saturated = subspace(*units[:7])
-    assert count_product_states(saturated).is_infinite
-    with pytest.raises(UnsupportedSubspaceError):
-        exact_rank_one_in_span(saturated)
+    for read in (count_product_states, exact_rank_one_in_span):
+        with pytest.raises(UnsupportedSubspaceError, match="counting not supported"):
+            read(saturated)
 
 
 def test_exact_rank_one_in_span_factors_one_point(monkeypatch):
@@ -207,8 +208,9 @@ def test_signature_invariant_under_ilo():
             g = random_ilo(s.dims, seed)
             assert slocc_signature(g.apply(s)).key() == ref
     # every label of 2x2x2 to 2x4x4 under an ILO and all six party orders:
-    # the qubit is not always party A, so ranges of two-column matrices are
-    # counted through their transposes
+    # the counts run on the normal form and map back to the input's party
+    # order; slocc_signature takes the input itself only when it is the
+    # normal form (its dims sorted), and raises for every other order
     labels = [
         label for m in (2, 3, 4) for n in range(m, 5) for label in all_labels_for_shape((2, m, n))
     ]
@@ -220,11 +222,20 @@ def test_signature_invariant_under_ilo():
         ref = slocc_signature(s).key()
         for order in map("".join, itertools.permutations("ABC")):
             t = s.permute_parties(order)
-            sig = slocc_signature(t)
-            if sig.key() != tuple(ref["ABC".index(p)] for p in order):
+            inv, norm_order = _normal_form(t)
+            key = inv.signature.key()
+            # party q of the normal form is the input's norm_order[q]
+            if tuple(key[norm_order.index(p)] for p in "ABC") != tuple(
+                ref["ABC".index(p)] for p in order
+            ):
                 mismatches.append((label.render(), order))
-            for party, count in zip("ABC", sig.counts):
-                sub = range_subspace(t, party)
+            if norm_order == "ABC":
+                assert slocc_signature(t).key() == key
+            else:
+                with pytest.raises(UnsupportedSubspaceError, match="counting not supported"):
+                    slocc_signature(t)
+            for party, count in zip("ABC", inv.signature.counts):
+                sub = range_subspace(inv.state, party)
                 for w in count.witnesses:
                     elem = member(sub, w.coeffs)
                     assert elem.rank() == 1
