@@ -78,7 +78,10 @@ class StateInvariants:
         return self._get("signature", lambda: slocc_signature(self.state, self.ranks, self.qubit))
 
     def signature_key(self):
-        return (self.ranks.as_tuple(), self.signature.key())
+        key = self._cache.get("signature_key")
+        if key is None:
+            key = self._cache["signature_key"] = (self.ranks.as_tuple(), self.signature.key())
+        return key
 
     def bc_profile_key(self):
         def compute():

@@ -39,20 +39,36 @@ def _step(p, f, row, prow, q, start):
     """(p*row - f*prow) / q on Gaussian-integer rows, the division exact.
 
     Entries before column ``start`` are zero in both rows and kept as is;
-    ``prow`` is not read when ``f`` is zero.
+    ``prow`` is not read when ``f`` is zero.  When p, f and q are all real
+    (the rows may still be complex), each part is p*a - f*c divided by q in
+    the one expression that forms it; otherwise the complex product is
+    formed first and divided by q, times conj(q) over |q|^2 when q is
+    complex.
     """
     pr, pi = p
     fr, fi = f
+    qr, qi = q
+    if not (pi or fi or qi):
+        if not fr:
+            if qr == 1:
+                new = [(pr * a, pr * b) for a, b in row[start:]]
+            else:
+                new = [(pr * a // qr, pr * b // qr) for a, b in row[start:]]
+        elif qr == 1:
+            new = [(pr * a - fr * c, pr * b - fr * d) for (a, b), (c, d) in zip(row[start:], prow[start:])]
+        else:
+            new = [
+                ((pr * a - fr * c) // qr, (pr * b - fr * d) // qr)
+                for (a, b), (c, d) in zip(row[start:], prow[start:])
+            ]
+        return row[:start] + new if start else new
     if not fr and not fi:
         new = [(pr * a - pi * b, pr * b + pi * a) for a, b in row[start:]]
-    elif pi or fi:
+    else:
         new = [
             (pr * a - pi * b - fr * c + fi * d, pr * b + pi * a - fr * d - fi * c)
             for (a, b), (c, d) in zip(row[start:], prow[start:])
         ]
-    else:
-        new = [(pr * a - fr * c, pr * b - fr * d) for (a, b), (c, d) in zip(row[start:], prow[start:])]
-    qr, qi = q
     if qi:
         n = qr * qr + qi * qi
         new = [((a * qr + b * qi) // n, (b * qr - a * qi) // n) for a, b in new]
@@ -678,6 +694,19 @@ class Pencil:
         ]
         return Matrix._from_ints(rows, [q * d for d in dens], self.a.cols)
 
+    def _int_rows_at(self, t: int):
+        """Gaussian-integer rows of A + t*B at the integer t, row i scaled
+        by its denominator (which leaves the rank and pivots unchanged): read
+        straight from the cached integer rows, the rows of A themselves at
+        t = 0."""
+        a_rows, b_rows, _ = self._int_form()
+        if not t:
+            return a_rows
+        return [
+            [(x + t * u, y + t * v) for (x, y), (u, v) in zip(ar, br)]
+            for ar, br in zip(a_rows, b_rows)
+        ]
+
     def entry_poly(self, i: int, j: int) -> Poly:
         """The entry A[i, j] + t B[i, j], built from the integer rows."""
         a_rows, b_rows, dens = self._int_form()
@@ -756,7 +785,7 @@ class Pencil:
         if k > self.generic_rank():
             return Poly()
         t = next(t for t, piv in enumerate(self._pivots) if len(piv) >= k)
-        at_t = self.at(GaussianRational(t))._int_form()[0]
+        at_t = self._int_rows_at(t)
         flipped = [row[::-1] for row in reversed(at_t)]
         csel = self._pivots[t][:k]
         fsel = _eliminate(list(flipped), cols)[0][:k]
@@ -780,8 +809,7 @@ class Pencil:
             full = min(self.shape())
             pivots = []
             for t in range(full + 1):
-                at_t = self.at(GaussianRational(t))._int_form()[0]
-                pivots.append(tuple(_eliminate(list(at_t), self.a.cols)[0]))
+                pivots.append(tuple(_eliminate(list(self._int_rows_at(t)), self.a.cols)[0]))
                 if len(pivots[-1]) == full:
                     break
             object.__setattr__(self, "_pivots", pivots)

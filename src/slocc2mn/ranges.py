@@ -214,9 +214,9 @@ def _left_null_points(count: ProductCount):
         yield (ONE, -u0 / u1) if u1 else (ZERO, ONE)
 
 
-def _shared_count(a_count: ProductCount, sub: MatrixSubspace) -> ProductCount:
-    """The B-range count of a 2 x 2 x N state whose dims are its local ranks,
-    read off ``a_count``, the count of its A range; ``sub`` is the B range.
+def _shared_count(a_count: ProductCount, s: PureState) -> ProductCount:
+    """The B-range count of the 2 x 2 x N state ``s`` whose dims are its
+    local ranks, read off ``a_count``, the count of its A range.
 
     With A-slices T0, T1 and B-slices S0, S1 (row j of T_i is row i of S_j),
     a rank-one alpha*T0 + beta*T1 = u v^T has the left null vector
@@ -224,9 +224,14 @@ def _shared_count(a_count: ProductCount, sub: MatrixSubspace) -> ProductCount:
     (beta, -alpha).  A c null at two points would annihilate T0 and T1 both,
     so c0*S0 + c1*S1 = 0, against B-rank 2: the map is a bijection, and the
     count carries over in kind, number and exactness, irrational points
-    without a witness.  The witnesses are built as read, one per A point."""
-    s0, s1 = sub.basis
-    return replace(a_count, points=lambda: _pencil_witnesses(s0, s1, _left_null_points(a_count)))
+    without a witness.  The witnesses are built as read, one per A point;
+    the B-slices, independent as the B rank is 2, are taken only then."""
+
+    def points():
+        s0, s1 = s.slices("B")
+        return _pencil_witnesses(s0, s1, _left_null_points(a_count))
+
+    return ProductCount(kind=a_count.kind, count=a_count.count, exact=a_count.exact, points=points)
 
 
 def _two_row_pencil(sub: MatrixSubspace):
@@ -403,14 +408,15 @@ def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None, qubit=N
             f"counting not supported for a state of dims {dims} and local ranks "
             f"{ranks.as_tuple()}: it is not a normal form with a qubit"
         )
-    subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, dims)]
     qubit = qubit or qubit_pencil(s, ranks)
     if qubit is not None:
+        subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, dims)]
         counts = (_count_pencil_span(subs[0], qubit),
                   _count_two_row(subs[1], qubit), _count_two_row(subs[2], qubit))
     else:
-        a_count = count_product_states(subs[0])
-        counts = (a_count, _shared_count(a_count, subs[1]), count_product_states(subs[2]))
+        a_count = count_product_states(range_subspace(s, "A", 2))
+        counts = (a_count, _shared_count(a_count, s),
+                  count_product_states(range_subspace(s, "C", dims[2])))
     return Signature(ranks=ranks, counts=counts)
 
 

@@ -27,11 +27,15 @@ Three layers of checks live here:
   distinct state is classified once per sweep.
 * ``random_full_rank_state`` samples states with maximal local ranks for the
   census checks, drawing each amplitude as a Gaussian integer over the
-  denominator 6 (no rational is built).
+  denominator 6 (no rational is built).  It and the obstruction's entry
+  draws take their (numerator, denominator) pairs from the generator's bits
+  (``getrandbits``) under ``randint``'s own rejection rule, so they read the
+  same random stream as ``randint`` would, without its per-call overhead.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import lcm, prod
 
@@ -169,12 +173,35 @@ def _solution_support(m: int, layout, w, x, y, z) -> list:
     return support
 
 
+def _draw_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:
+    """``count`` pairs (p, q), p in -3..3 and q in 1..3, drawn as
+    ``rng.randint(-3, 3)`` then ``rng.randint(1, 3)`` would draw each pair.
+
+    randint draws k = n.bit_length() bits for a range of n values, and draws
+    again while they are n or more; the same rule on ``rng.getrandbits``
+    (3 bits for p, 2 for q) reads the same stream, so every draw, and the
+    generator's state after it, is unchanged.
+    """
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        p = bits(3)
+        while p == 7:
+            p = bits(3)
+        q = bits(2)
+        while q == 3:
+            q = bits(2)
+        out.append((p - 3, q + 1))
+    return out
+
+
 def _draw_rational(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:
     """(numerator, denominator) of one real draw of
     :func:`~slocc2mn.operators.random_scalar`, drawn again while zero when
-    ``nonzero``."""
+    ``nonzero``; the pair comes from :func:`_draw_pairs`, on the same stream
+    as ``randint``."""
     while True:
-        p, q = rng.randint(-3, 3), rng.randint(1, 3)
+        p, q = _draw_pairs(rng, 1)[0]
         if p or not nonzero:
             return p, q
 
@@ -253,21 +280,19 @@ def random_full_rank_state(dims, rng: random.Random) -> PureState:
 
     Each amplitude is ``randint(-3, 3) / randint(1, 3)``, the draws of
     :func:`~slocc2mn.operators.random_scalar` without its imaginary part,
-    built directly as an integer over the denominator 6.  Raises ValueError,
-    before any draw, for dims with no such state: one above the product of
-    the other two.
+    taken from the generator's bits by :func:`_draw_pairs` (the same stream
+    as ``randint``) in row-major index order, and built directly as an
+    integer over the denominator 6.  Raises ValueError, before any draw, for
+    dims with no such state: one above the product of the other two.
     """
     dims = tuple(dims)
     if any(d * d > prod(dims) for d in dims):
         raise ValueError(f"no {'x'.join(map(str, dims))} state has full local ranks")
+    indices = list(itertools.product(*map(range, dims)))
     while True:
-        ints = {}
-        for i in range(dims[0]):
-            for j in range(dims[1]):
-                for k in range(dims[2]):
-                    n = rng.randint(-3, 3)
-                    ints[(i, j, k)] = (n * (6 // rng.randint(1, 3)), 0)
-        if not any(a for a, _ in ints.values()):
+        pairs = _draw_pairs(rng, len(indices))
+        ints = {idx: (p * (6 // q), 0) for idx, (p, q) in zip(indices, pairs) if p}
+        if not ints:
             continue
         s = PureState._from_ints(dims, ints, 6)
         if s.local_ranks().as_tuple() == dims:

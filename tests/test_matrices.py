@@ -613,12 +613,19 @@ _shapes = st.one_of(
 )
 
 
+_real_scalars = st.one_of(st.just(ZERO), st.builds(GaussianRational, _parts))
+
+
 @st.composite
 def gaussian_matrices(draw):
-    """Dense, rank-deficient (a product through a narrow middle) and
-    zero-row Gaussian-rational matrices of many shapes."""
+    """Dense, rank-deficient (a product through a narrow middle), zero-row
+    and purely real Gaussian-rational matrices of many shapes.  A real one
+    sends every elimination step down the kernel's real branches, with zero
+    and nonzero factors and unit and non-unit divisors."""
     rows, cols = draw(_shapes)
-    kind = draw(st.sampled_from(["dense", "low_rank", "zero_rows"]))
+    kind = draw(st.sampled_from(["dense", "low_rank", "zero_rows", "real"]))
+    if kind == "real":
+        return Matrix([[draw(_real_scalars) for _ in range(cols)] for _ in range(rows)])
     if kind == "low_rank":
         k = draw(st.integers(0, min(rows, cols) - 1))
         if k == 0:

@@ -267,6 +267,58 @@ def test_random_full_rank_state_matches_scalar_oracle():
             assert rng.getstate() == ref_rng.getstate()
 
 
+def _randint_full_rank_state(dims, rng):
+    """The census sampler as drawn with ``rng.randint``: numerator, then
+    denominator, per index in row-major order, retried until every local
+    rank is full."""
+    while True:
+        ints = {}
+        for idx in itertools.product(*map(range, dims)):
+            n = rng.randint(-3, 3)
+            ints[idx] = (n * (6 // rng.randint(1, 3)), 0)
+        if any(a for a, _ in ints.values()):
+            s = PureState._from_ints(dims, ints, 6)
+            if s.local_ranks().as_tuple() == dims:
+                return s
+
+
+def _randint_rational(rng, nonzero=False):
+    while True:
+        p, q = rng.randint(-3, 3), rng.randint(1, 3)
+        if p or not nonzero:
+            return p, q
+
+
+def _randint_operator_entries(case, rng):
+    """The obstruction's entry draws as made with ``rng.randint``."""
+    while True:
+        w = _randint_rational(rng, nonzero=True)
+        z = _randint_rational(rng, nonzero=True)
+        if case == "wxyz_nonzero":
+            x = _randint_rational(rng, nonzero=True)
+            y = _randint_rational(rng, nonzero=True)
+        elif case == "x_zero":
+            x, y = (0, 1), _randint_rational(rng)
+        else:
+            y, x = (0, 1), _randint_rational(rng)
+        if w[0] * z[0] * x[1] * y[1] != x[0] * y[0] * w[1] * z[1]:
+            return w, x, y, z
+
+
+def test_bit_sampler_keeps_the_randint_stream():
+    # the getrandbits draws follow randint's rejection rule, so the values
+    # and the generator's state after them match randint's draws
+    for seed in range(50):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for dims in ((2, 2, 3), (2, 2, 4), (2, 3, 6), (3, 3, 3)):
+            got = random_full_rank_state(dims, rng)
+            want = _randint_full_rank_state(dims, ref_rng)
+            assert (got._ints, got._den) == (want._ints, want._den)
+        for case in _OBSTRUCTION_CASES:
+            assert _draw_operator_entries(case, rng) == _randint_operator_entries(case, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def test_verify_theorem_2_structure():
     rep = verify_theorem("2", trials=30, seed=0)
     assert rep["ok"]
@@ -380,6 +432,13 @@ GOLDEN_REPORTS = (
      "a126d919dc85c93fd425ab1da97e04eea999dff08afddcb95b6f1c66f257c909"),
     ("appendix", None, 2, 4, 15, "f69eaab5aabe757e8521ae10e18a671c00b961e58b6b5646f0991994b2e7530a"),
     ("appendix", None, 3, 2, 16, "b7814a941df1c354cca65277e705f0069cbb459df02a36c0706523f4ba9c1100"),
+    # the benchmark's block sizes and seeds, taken before the samplers drew
+    # on getrandbits
+    ("theorem", "two_by_two_by_three", None, 600, 1,
+     "95d1cc95e1767ff926ae65a212bed7f1d84433bbf1ce2142e839bff57a9af1d6"),
+    ("theorem", "upsilon0", 3, 10, 6, "3081f8a2785c6ed964c282192f83d7441cb0bcbd44a2d2443427f857e7732c41"),
+    ("appendix", None, 3, 10, 6, "cb493befa2aa5a1d39d01dd6967c44bb77c027780f85ae0abbb8a9cd145440a9"),
+    ("theorem", "4", 3, 30, 1, "ebc62dc29f41e7b584f28cd2e194f010e48355ff3290cdff9282fa63dbe48174"),
 )
 
 
