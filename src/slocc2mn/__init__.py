@@ -3,7 +3,7 @@
 from .scalars import GaussianRational
 from .states import PureState
 from .operators import OperatorTriple, random_ilo
-from .families import ClassLabel, FamilyParams, make_canonical, make_expression
+from .families import ClassLabel, make_canonical, make_expression
 from .ranges import slocc_signature, count_product_states, range_subspace
 from .classify import classify, decide_equivalence
 from .verify import verify_theorem, verify_appendix_theta45
@@ -16,7 +16,6 @@ __all__ = [
     "OperatorTriple",
     "random_ilo",
     "ClassLabel",
-    "FamilyParams",
     "make_canonical",
     "make_expression",
     "slocc_signature",

@@ -147,8 +147,11 @@ class ReductionStep:
 
 @dataclass
 class ClassificationResult:
-    """``proof_complete`` is False when :func:`reduction_trace` cut the proof
-    at MAX_REDUCTION_STEPS with a residual still to reduce."""
+    """``proof_complete`` is False when the proof chain stops before a
+    residual with a local rank 1: some residual has no Gaussian-rational
+    product state in its AB range to extract (see :func:`reduction_trace`).
+    It stays True when no proof is built (``want_proof`` False, or no
+    single label)."""
 
     label: ClassLabel
     proof: list[ReductionStep] = field(default_factory=list)
@@ -165,6 +168,10 @@ def apply_ilo_word(s: PureState, word) -> PureState:
         d = dims[PARTIES.index(f.party)]
         cur = cur.apply_local(f.party, f.to_matrix(d))
     return cur
+
+
+class NoExactWitnessError(ValueError):
+    """The AB range holds no Gaussian-rational product state to extract."""
 
 
 def extract_and_reduce(s: PureState) -> ReductionStep:
@@ -186,7 +193,7 @@ def extract_and_reduce(s: PureState) -> ReductionStep:
         raise AssertionError("compressed state must have independent C-slices")
     witness = exact_rank_one_in_span(sub)
     if witness is None:
-        raise ValueError("no exact product witness available in the AB-range")
+        raise NoExactWitnessError("no exact product witness available in the AB-range")
     coeffs = tuple(witness.coeffs)
     k0 = next(i for i, c in enumerate(coeffs) if not GaussianRational.coerce(c).is_zero())
 
@@ -248,10 +255,6 @@ def extract_and_reduce(s: PureState) -> ReductionStep:
     )
 
 
-# the longest chain reduction_trace builds; each step shrinks C by one
-MAX_REDUCTION_STEPS = 12
-
-
 def _sorted_party_order(dims) -> str:
     order = sorted(range(3), key=lambda q: (dims[q], q))
     return "".join(PARTIES[q] for q in order)
@@ -275,22 +278,29 @@ def _normal_form(s: PureState | StateInvariants) -> tuple[StateInvariants, str]:
 
 def reduction_trace(s: PureState) -> tuple[list[ReductionStep], bool]:
     """(steps, complete): the chain of reduction steps from a compressed
-    (2, M, N) state down to a base case.  It stops when a local rank hits 1
-    or the shape leaves coverage (complete), or after MAX_REDUCTION_STEPS
-    steps while the last residual still has a qubit (cut, not complete).
-    Each step reduces the normal form of the previous residual."""
+    (2, M, N) state, each step reducing the normal form of the previous
+    residual.
+
+    The chain is complete when a residual's normal form has a local rank 1.
+    It stops incomplete when a residual has no Gaussian-rational product
+    state in its AB range (:func:`extract_and_reduce` raises
+    :class:`NoExactWitnessError`; any other error propagates):
+    the lemma's extraction then has no exact witness to start from.  The
+    chain ends by itself: the residual of a (2, M, N) normal form has dims
+    (2, M, N - 1), so the dims of the next normal form, its local ranks,
+    sum to at least one less; a normal form with a qubit has dims of at
+    least (2, 2, 2), so a chain takes at most M + N - 3 steps.
+    """
     steps: list[ReductionStep] = []
     cur = s
     while True:
         norm = _normal_form(cur)[0].state
         if norm.dims[0] < 2:
             return steps, True
-        if len(steps) == MAX_REDUCTION_STEPS:
-            return steps, False
         try:
             step = extract_and_reduce(norm)
-        except ValueError:
-            return steps, True
+        except NoExactWitnessError:
+            return steps, False
         steps.append(step)
         cur = step.residual
 

@@ -178,9 +178,11 @@ def cmd_classify(args) -> int:
         lines.append(f"note: {res.note}")
     if "invariants" in result:
         lines.append(f"signature: {result['invariants']['signature']}")
-    if result["proof"]:
-        cut = "" if res.proof_complete else ", cut at the step limit"
-        lines.append(f"proof: {len(result['proof'])} reduction step(s){cut}")
+    if result["proof"] or not res.proof_complete:
+        stop = "" if res.proof_complete else (
+            ", incomplete: no Gaussian-rational product state in the AB range"
+        )
+        lines.append(f"proof: {len(result['proof'])} reduction step(s){stop}")
     _emit(args, {"state": args.state}, result, t0, lines)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import GaussianRational, ZERO, _int_row
+from .scalars import GaussianRational, _int_row
 from .states import PureState
 
 SMALL_FAMILIES = (
@@ -189,26 +189,6 @@ def all_labels_for_shape(dims) -> list[ClassLabel]:
 # -- parametrized 2x3x3 expression generators --------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Free coefficients of the parametrized normal forms.
-
-    Brackets (a, b), (c, d), (f, g) feed the 2x3x3 expressions; each used
-    bracket must be nonzero.
-    """
-
-    a: GaussianRational = ZERO
-    b: GaussianRational = ZERO
-    c: GaussianRational = ZERO
-    d: GaussianRational = ZERO
-    f: GaussianRational = ZERO
-    g: GaussianRational = ZERO
-
-    @staticmethod
-    def of(**kw) -> "FamilyParams":
-        return FamilyParams(**{k: GaussianRational.coerce(v) for k, v in kw.items()})
-
-
 # the kets whose coefficient is one, per expression
 _UNIT_KETS = {
     "I": ((0, 0, 0), (1, 1, 1)),
@@ -219,7 +199,7 @@ _UNIT_KETS = {
 }
 
 
-def make_expression(which: str, params: FamilyParams) -> PureState:
+def make_expression(which: str, a=0, b=0, c=0, d=0, f=0, g=0) -> PureState:
     """Build one of the five 2x3x3 normal-form expressions.
 
     I:   (a|0> + b|1>)|22> + |000> + |111>
@@ -228,8 +208,10 @@ def make_expression(which: str, params: FamilyParams) -> PureState:
     IV:  II + (c|0> + d|1>)|2>(f|0> + g|1>)
     V:   |022> + |121> + |000> + |110>
 
-    The amplitudes are built as Gaussian integers over one denominator: the
-    six coefficients over their least common denominator D, and for III and
+    The coefficients are ints, Fractions or GaussianRationals; brackets
+    (a, b), and for III and IV (c, d) and (f, g), must be nonzero.  The
+    amplitudes are built as Gaussian integers over one denominator: the six
+    coefficients over their least common denominator D, and for III and
     IV, whose products c*f, c*g, d*f, d*g are over D^2, everything else
     scaled up to D^2 as well.
     """
@@ -237,13 +219,12 @@ def make_expression(which: str, params: FamilyParams) -> PureState:
         raise ValueError(f"unknown expression {which!r}")
     if which == "V":
         return PureState._from_ints((2, 3, 3), dict.fromkeys(_UNIT_KETS["V"], (1, 0)))
-    p = params
-    if p.a.is_zero() and p.b.is_zero():
+    if not (a or b):
         raise ValueError("bracket (a, b) must be nonzero")
     mixed = which in ("III", "IV")
-    if mixed and ((p.c.is_zero() and p.d.is_zero()) or (p.f.is_zero() and p.g.is_zero())):
+    if mixed and not ((c or d) and (f or g)):
         raise ValueError("brackets (c, d) and (f, g) must be nonzero")
-    (a, b, c, d, f, g), den = _int_row([p.a, p.b, p.c, p.d, p.f, p.g])
+    (a, b, c, d, f, g), den = _int_row([GaussianRational.coerce(v) for v in (a, b, c, d, f, g)])
     scale = den if mixed else 1
     ints = dict.fromkeys(_UNIT_KETS[which], (den * scale, 0))
     ints[(0, 2, 2)] = (a[0] * scale, a[1] * scale)
@@ -255,8 +236,9 @@ def make_expression(which: str, params: FamilyParams) -> PureState:
     return PureState._from_ints((2, 3, 3), ints, den * scale)
 
 
-def expression_branch_label(which: str, params: FamilyParams) -> ClassLabel:
-    """The predicted class of an expression from its coefficient conditions.
+def expression_branch_label(which: str, a=0, b=0, c=0, d=0, f=0, g=0) -> ClassLabel:
+    """The predicted class of an expression from its coefficient conditions,
+    the coefficients given as to :func:`make_expression`.
 
     I:  ab != 0 -> Psi1, else Psi3.   II: b != 0 -> Psi6, else Psi5.
     IV: b != 0 -> Psi6; for b = 0 the |121> coefficient dg decides: dg != 0
@@ -264,15 +246,14 @@ def expression_branch_label(which: str, params: FamilyParams) -> ClassLabel:
     pattern and the state is Psi5.  V -> Psi2.  III has no closed branch rule
     here and is classified directly.
     """
-    p = params
     if which == "I":
-        return ClassLabel("Psi1") if not (p.a * p.b).is_zero() else ClassLabel("Psi3")
+        return ClassLabel("Psi1") if a and b else ClassLabel("Psi3")
     if which == "II":
-        return ClassLabel("Psi6") if not p.b.is_zero() else ClassLabel("Psi5")
+        return ClassLabel("Psi6") if b else ClassLabel("Psi5")
     if which == "IV":
-        if not p.b.is_zero():
+        if b:
             return ClassLabel("Psi6")
-        return ClassLabel("Psi4") if not (p.d * p.g).is_zero() else ClassLabel("Psi5")
+        return ClassLabel("Psi4") if d and g else ClassLabel("Psi5")
     if which == "V":
         return ClassLabel("Psi2")
     raise ValueError(f"no closed branch rule for expression {which!r}")

@@ -517,7 +517,8 @@ def _poly_det_ints(rows, bound: int):
     Gaussian-integer polynomials (lists of pairs, constant first), given a
     bound on its degree: a closed form for sides 2 and 3 (the 3 x 3 one
     expanded along its first row), above that evaluation at 0..bound and
-    interpolation."""
+    interpolation.  :func:`poly_matrix_det` is its one caller, so every
+    pencil minor other than a closed-form 2 x 2 one comes through here."""
     if len(rows) == 2:
         (p, q), (r, s) = rows
         return _poly_sub(_poly_mul(p, s), _poly_mul(q, r))
@@ -712,43 +713,34 @@ class Pencil:
         a_rows, b_rows, dens = self._int_form()
         return Poly._from_ints((a_rows[i][j], b_rows[i][j]), dens[i])
 
+    def _minor(self, rsel, csel) -> Poly:
+        """The minor of A + t*B on the rows ``rsel`` and the columns
+        ``csel``, as :func:`poly_matrix_det` of its entry polynomials."""
+        return poly_matrix_det([[self.entry_poly(i, j) for j in csel] for i in rsel])
+
     def minor_polynomials(self, k: int):
         """Generator of the k x k minors of A + t*B as polynomials, in
         row-major order of the row and column selections.
 
         The size is checked on the call; each minor is computed only when it
-        is read, so a caller that stops early saves the rest.  A minor is the
-        determinant of the selected integer rows of A + t*B, over the product
-        of their denominators; a 2 x 2 one is written out in closed form
-        (:func:`_minor2`).
+        is read, so a caller that stops early saves the rest.  A 2 x 2 minor
+        is written out in closed form from the integer rows
+        (:func:`_minor2`); any other is :meth:`_minor`.
         """
         rows, cols = self.shape()
         if k <= 0:
             raise ValueError("minor size must be positive")
         if k > min(rows, cols):
             raise ValueError("minor size exceeds matrix shape")
-        a_rows, b_rows, dens = self._int_form()
         if k == 2:
+            a_rows, b_rows, dens = self._int_form()
             return (
                 _minor2(a_rows[i], b_rows[i], a_rows[l], b_rows[l], j, n, dens[i] * dens[l])
                 for i, l in itertools.combinations(range(rows), 2)
                 for j, n in itertools.combinations(range(cols), 2)
             )
-
-        def minor(rsel, csel):
-            # row i of the minor is [a + b t for each column] / dens[i]
-            sub, bound = [], 0
-            for i in rsel:
-                row = [[a_rows[i][j], b_rows[i][j]] for j in csel]
-                if any(b != (0, 0) for _, b in row):
-                    bound += 1
-                elif all(a == (0, 0) for a, _ in row):
-                    return Poly()
-                sub.append(row)
-            return Poly._from_ints(_poly_det_ints(sub, bound), prod(dens[i] for i in rsel))
-
         return (
-            minor(rsel, csel)
+            self._minor(rsel, csel)
             for rsel in itertools.combinations(range(rows), k)
             for csel in itertools.combinations(range(cols), k)
         )
@@ -776,12 +768,8 @@ class Pencil:
         rows, cols = self.shape()
         if k <= 0 or k > min(rows, cols):
             raise ValueError("bad minor size")
-
-        def minor(rsel, csel):
-            return poly_matrix_det([[self.entry_poly(i, j) for j in csel] for i in rsel])
-
         if k == rows == cols:
-            return minor(range(k), range(k)).monic()
+            return self._minor(range(k), range(k)).monic()
         if k > self.generic_rank():
             return Poly()
         t = next(t for t, piv in enumerate(self._pivots) if len(piv) >= k)
@@ -794,7 +782,7 @@ class Pencil:
             (_pivot_rows(at_t, csel), csel),
             (tuple(rows - 1 - i for i in frows), tuple(cols - 1 - j for j in fsel)),
         }
-        return poly_gcd_many(minor(*sel) for sel in selections)
+        return poly_gcd_many(self._minor(*sel) for sel in selections)
 
     def generic_rank(self) -> int:
         """Rank over the rational-function field: the largest rank at

@@ -12,9 +12,9 @@ Three layers of checks live here:
   by operator column (only columns m-1 and m share equations), so it is
   solved one block of 3 or 6 unknowns at a time: blocks that share no
   unknown have independent solutions, and an unknown's support is read from
-  its own block alone.  The block layout is built once per call, so a draw
-  only fills in its entries, and the block every interior column 1..m-2
-  shares is solved once per draw.
+  its own block alone.  Each draw writes its blocks straight from the
+  appendix equations, and the block every interior column 1..m-2 shares is
+  solved once.
 * ``verify_theorem`` re-derives the published classification tables: family
   signatures, pairwise separation with the invariant that witnesses it, the
   coefficient-branch sweep for the 2x3x3 expressions, and random-state
@@ -43,7 +43,6 @@ from .matrices import _eliminate, _null_vectors
 from .states import PureState, LocalRankProfile, compress_to_ranks
 from .families import (
     ClassLabel,
-    FamilyParams,
     make_canonical,
     make_expression,
     expression_branch_label,
@@ -85,91 +84,53 @@ def term_rank(support) -> int:
 # -- the Theta4 / Theta5 obstruction system -----------------------------------
 
 
-# A layout row names each unknown's coefficient by its index in the entries
-# of :func:`_scaled_entries`; index 0 is a zero coefficient.
-_Y, _Z, _NEG_W, _NEG_X = range(1, 5)
-
-
-def _obstruction_layout(m: int) -> list:
-    """The constraints on rows m-1, m, m+1 of the middle-party operator,
-    one distinct block at a time, as ``(unknowns, rows)`` pairs; the entries
-    (w, x, y, z) are filled in per draw.
-
-    Unknown (r, i) stands for operator row m-1+r, column i.  Every equation
-    reads one column i, except the two ``joined`` ones, which read columns
-    m-1 and m; so the system is block diagonal, with a 3-unknown block for
-    each column outside {m-1, m} and one 6-unknown block for those two
-    columns.  The interior columns 1..m-2 carry both chains with the same
-    coefficients, so their blocks are equal and listed once.  ``unknowns``
-    holds one list per column tuple the block stands for, the unknowns (r, i)
-    for r = 0, 1, 2 and i in that tuple, in that order; a row gives, per
-    position in such a list, the index of its coefficient in
-    :func:`_scaled_entries`.
-    """
-
-    def chain(coeff, neg, i):  # coeff * (r+1, i) = -neg * (r, i) for r = 1, 0
-        return [[(coeff, 2, i), (neg, 1, i)], [(coeff, 1, i), (neg, 0, i)]]
-
-    def block(columns, equations):
-        unknowns = [[(r, i) for r in range(3) for i in cols] for cols in columns]
-        place = {u: n for n, u in enumerate(unknowns[0])}
-        rows = []
-        for terms in equations:
-            row = [0] * len(place)
-            for coeff, r, i in terms:  # the unknowns of one equation are distinct
-                row[place[r, i]] = coeff
-            rows.append(row)
-        return unknowns, rows
-
-    joined = [
-        [(_Z, 2, m), (_Y, 2, m - 1), (_NEG_X, 1, m), (_NEG_W, 1, m - 1)],
-        [(_Z, 1, m), (_Y, 1, m - 1), (_NEG_X, 0, m), (_NEG_W, 0, m - 1)],
-    ]
-    # the w, y chain holds on columns 1..m-2, m and m+1, the x, z chain on 0..m-1
-    blocks = [block([(0,)], chain(_Z, _NEG_X, 0))]
-    if m > 2:
-        interior = [(i,) for i in range(1, m - 1)]
-        blocks.append(block(interior, chain(_Y, _NEG_W, 1) + chain(_Z, _NEG_X, 1)))
-    blocks.append(block([(m - 1, m)], chain(_Z, _NEG_X, m - 1) + chain(_Y, _NEG_W, m) + joined))
-    blocks.append(block([(m + 1,)], chain(_Y, _NEG_W, m + 1)))
-    return blocks
-
-
-def _scaled_entries(w, x, y, z) -> tuple:
-    """(0, y, z, -w, -x) as Gaussian-integer pairs, the layout's
-    coefficients, for entries given as (numerator, denominator) pairs.
-
-    Every equation is linear in the entries, so they are scaled by their
-    least common denominator; the solution space is unchanged.
-    """
-    den = lcm(w[1], x[1], y[1], z[1])
-    w, x, y, z = [p * (den // q) for p, q in (w, x, y, z)]
-    return (0, 0), (y, 0), (z, 0), (-w, 0), (-x, 0)
-
-
-def _solution_support(m: int, layout, w, x, y, z) -> list:
+def _solution_support(m: int, w, x, y, z) -> list:
     """Which unknowns of the obstruction system are not forced to zero.
 
     Entry [r][i] is True when some solution has a nonzero at operator row
-    m-1+r, column i; ``layout`` is :func:`_obstruction_layout` of m.  The
-    blocks share no unknown and no equation, so the solution space is the
-    product of the blocks' solution spaces: an unknown is nonzero in some
-    solution exactly when it is nonzero in some null vector of its own
-    block.  Each distinct block is solved once, by fraction-free
-    Gauss-Jordan, and its support, read from its Gaussian-integer null
-    vectors, copied to every column tuple it stands for.
+    m-1+r, column i; the entries (w, x, y, z) are (numerator, denominator)
+    pairs.  With u0, u1, u2 the three unknowns of one column, the appendix
+    equations are the x, z chain z u2 = x u1, z u1 = x u0 on columns
+    0..m-1 and the w, y chain y u2 = w u1, y u1 = w u0 on columns 1..m-2, m
+    and m+1, plus two equations joining columns m-1 and m.  Every equation
+    is linear in the entries, so they are scaled to one denominator, which
+    leaves the solution space unchanged.
+
+    So the system is block diagonal: a 3-unknown block for each column
+    outside {m-1, m} and one 6-unknown block for that pair.  The blocks
+    share no unknown and no equation, so the solution space is the product
+    of theirs: an unknown is nonzero in some solution exactly when it is
+    nonzero in some null vector of its own block.  Each block is solved by
+    fraction-free Gauss-Jordan and its support read from its
+    Gaussian-integer null vectors.  The interior columns 1..m-2 carry the
+    same block, which is solved once and its support copied to each.
     """
-    entries = _scaled_entries(w, x, y, z)
+    den = lcm(w[1], x[1], y[1], z[1])
+    w, x, y, z = [(p * (den // q), 0) for p, q in (w, x, y, z)]
+    nw, nx, o = (-w[0], 0), (-x[0], 0), (0, 0)
+    zx = [[o, nx, z], [nx, z, o]]  # on (u0, u1, u2): z u2 - x u1, z u1 - x u0
+    yw = [[o, nw, y], [nw, y, o]]
+    # each joined equation is a w, y chain row on column m-1 plus an x, z
+    # chain row on column m
+    pair = [r + [o] * 3 for r in zx] + [[o] * 3 + r for r in yw] + [a + b for a, b in zip(yw, zx)]
+    # each block with the column tuples it stands for; unknown k of a block
+    # is row m-1 + k % 3 of its column k // 3
+    blocks = [
+        ([(0,)], zx),
+        ([(i,) for i in range(1, m - 1)], yw + zx),
+        ([(m - 1, m)], pair),
+        ([(m + 1,)], yw),
+    ]
     support = [[False] * (m + 2) for _ in range(3)]
-    for unknowns, layout_rows in layout:
-        rows = [[entries[c] for c in row] for row in layout_rows]
-        n = len(layout_rows[0])
+    for copies, rows in blocks:
+        if not copies:
+            continue  # m = 2 has no interior column
+        n = len(rows[0])
         pivots, _ = _eliminate(rows, n, reduced=True)
         _, basis = _null_vectors(rows, pivots, n)
-        free = [any(vec[k] != (0, 0) for vec in basis) for k in range(n)]
-        for copy in unknowns:
-            for (r, i), f in zip(copy, free):
-                support[r][i] = f
+        for cols in copies:
+            for k in range(n):
+                support[k % 3][cols[k // 3]] = any(vec[k] != o for vec in basis)
     return support
 
 
@@ -251,12 +212,11 @@ def verify_appendix_theta45(m: int, trials: int = 100, seed: int = 0) -> dict:
         name: {"case": name, "draws": 0, "forced_singular": 0, "max_term_rank": 0}
         for name in _OBSTRUCTION_CASES
     }
-    layout = _obstruction_layout(m)
     for case in _OBSTRUCTION_CASES:
         rec = cases[case]
         for _ in range(trials):
             w, x, y, z = _draw_operator_entries(case, rng)
-            tr = term_rank(_solution_support(m, layout, w, x, y, z))
+            tr = term_rank(_solution_support(m, w, x, y, z))
             rec["draws"] += 1
             rec["max_term_rank"] = max(rec["max_term_rank"], tr)
             if tr <= 2:
@@ -366,8 +326,7 @@ def _expression_sweep(trials: int, rng: random.Random) -> dict:
             for name in ("a", "b", "c", "d", "f", "g"):
                 kw[name] = rng.choice(grid)
             try:
-                params = FamilyParams.of(**kw)
-                state = make_expression(which, params)
+                state = make_expression(which, **kw)
             except ValueError:
                 continue
             label = labels.get(state, _UNSEEN)
@@ -385,7 +344,7 @@ def _expression_sweep(trials: int, rng: random.Random) -> dict:
                 return {"ok": False, "which": which, "unexpected": label.render()}
             census.add(label.render())
             if which != "III":
-                predicted = expression_branch_label(which, params)
+                predicted = expression_branch_label(which, **kw)
                 branch_total += 1
                 if predicted == label:
                     branch_hits += 1

@@ -23,12 +23,13 @@ from slocc2mn.classify import (
     decide_equivalence,
     extract_and_reduce,
     reduction_trace,
-    MAX_REDUCTION_STEPS,
+    NoExactWitnessError,
     apply_ilo_word,
     find_equivalence_witness,
     canonical_invariants,
     StateInvariants,
     _TIERS,
+    _normal_form,
 )
 
 
@@ -145,18 +146,57 @@ def test_reduction_trace_terminates_on_base_case():
     steps, complete = reduction_trace(s)
     assert steps and complete
     last = steps[-1].residual
-    assert min(last.local_ranks().as_tuple()) < 2 or last.dims[0] != 2
+    assert min(last.local_ranks().as_tuple()) < 2
 
 
-def test_proof_cut_at_the_step_limit_is_marked_incomplete():
-    # perturbed Upsilon0(7) needs 13 reduction steps; the trace stops at the
-    # limit with a residual that still has a qubit
+def test_long_proof_runs_to_a_local_rank_one():
+    # perturbed Upsilon0(7) needs 13 reduction steps, and the chain runs to
+    # its end: the last residual's normal form has a local rank 1, and every
+    # step's ILO word carries its input to |0, M-1, N-1> + residual
     c = make_canonical(ClassLabel("Upsilon0", 7))
     res = classify(random_ilo(c.dims, 7).apply(c))
     assert res.label == ClassLabel("Upsilon0", 7)
-    assert len(res.proof) == MAX_REDUCTION_STEPS
+    assert len(res.proof) == 13
+    assert res.proof_complete
+    assert _normal_form(res.proof[-1].residual)[0].state.dims[0] == 1
+    cur = res.invariants.state
+    for step in res.proof:
+        norm = _normal_form(cur)[0].state
+        assert norm.dims == step.input_dims
+        m, n = norm.dims[1:]
+        replayed = apply_ilo_word(norm, step.ilo_word)
+        assert replayed.amplitude((0, m - 1, n - 1)) == ONE
+        for idx, v in step.residual.amps.items():
+            assert replayed.amplitude(idx) == v
+        assert len(replayed.amps) == len(step.residual.amps) + 1
+        cur = step.residual
+
+
+def test_proof_without_a_rational_product_state_is_incomplete():
+    # A-slices I and the companion matrix of t^3 - 2: the AB range holds
+    # three product states, none of them Gaussian-rational, so no step can
+    # start, and the empty proof is not complete
+    amps = {(0, j, j): 1 for j in range(3)}
+    amps.update({(1, 1, 0): 1, (1, 2, 1): 1, (1, 0, 2): 2})
+    s = PureState((2, 3, 3), amps)
+    res = classify(s)
+    assert res.label == ClassLabel("Psi1")
+    assert res.proof == []
     assert not res.proof_complete
-    assert min(res.proof[-1].residual.local_ranks().as_tuple()) == 2
+    with pytest.raises(NoExactWitnessError):
+        extract_and_reduce(res.invariants.state)
+    assert reduction_trace(res.invariants.state) == ([], False)
+
+
+def test_reduction_trace_raises_other_errors(monkeypatch):
+    # only a missing exact witness ends the chain as incomplete; any other
+    # error of a step is a fault and must not read as a proof that stopped
+    def broken(s):
+        raise ValueError("broken step")
+
+    monkeypatch.setattr(importlib.import_module("slocc2mn.classify"), "extract_and_reduce", broken)
+    with pytest.raises(ValueError, match="broken step"):
+        reduction_trace(make_canonical(ClassLabel("Theta1", 2)))
 
 
 def test_classify_proof_replays_exactly():

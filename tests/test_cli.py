@@ -326,17 +326,36 @@ def test_internal_check_failure_is_internal_error(capsys, tmp_path, monkeypatch)
     assert stderr == "internal error: residual ranks outside the four-way split\n"
 
 
-def test_classify_reports_a_proof_cut_at_the_step_limit(capsys, tmp_path):
-    # perturbed Upsilon0(7) needs 13 reduction steps, one over the limit
+def test_classify_reports_a_long_proof_complete(capsys, tmp_path):
+    # perturbed Upsilon0(7) needs 13 reduction steps, and every one is run
     gen, moved = tmp_path / "u7.json", tmp_path / "moved.json"
     run_cli(capsys, "gen", "Upsilon0", "--m", "7", "--out", str(gen))
     run_cli(capsys, "perturb", str(gen), "--seed", "7", "--out", str(moved))
     code, report, _ = run_json(capsys, "classify", str(moved))
     assert code == EXIT_OK
-    assert report["result"]["proof_complete"] is False
-    assert len(report["result"]["proof"]) == 12
+    assert report["result"]["proof_complete"] is True
+    assert len(report["result"]["proof"]) == 13
     code, text, _ = run_cli(capsys, "classify", str(moved))
-    assert "proof: 12 reduction step(s), cut at the step limit" in text.splitlines()
+    assert "proof: 13 reduction step(s)" in text.splitlines()
+
+
+def test_classify_reports_an_empty_proof_incomplete(capsys, tmp_path):
+    # A-slices I and the companion matrix of t^3 - 2: no Gaussian-rational
+    # product state in the AB range, so the proof has no step and says why
+    amps = {(0, j, j): 1 for j in range(3)}
+    amps.update({(1, 1, 0): 1, (1, 2, 1): 1, (1, 0, 2): 2})
+    path = tmp_path / "cube_root.json"
+    dump_state(PureState((2, 3, 3), amps), str(path))
+    code, report, _ = run_json(capsys, "classify", str(path))
+    assert code == EXIT_OK
+    assert report["result"]["label"] == "Psi1"
+    assert report["result"]["proof"] == []
+    assert report["result"]["proof_complete"] is False
+    code, text, _ = run_cli(capsys, "classify", str(path))
+    assert (
+        "proof: 0 reduction step(s), incomplete: no Gaussian-rational product "
+        "state in the AB range" in text.splitlines()
+    )
 
 
 def test_text_format_default(capsys, tmp_path):

@@ -12,7 +12,6 @@ from slocc2mn.families import (
     SMALL_FAMILIES,
     PARAMETRIC_FAMILIES,
     ClassLabel,
-    FamilyParams,
     make_canonical,
     make_expression,
     expression_branch_label,
@@ -84,27 +83,27 @@ def test_labels_are_dims_consistent():
 
 
 def test_expression_structures():
-    p = FamilyParams.of(a=1, b=2)
-    s = make_expression("I", p)
+    s = make_expression("I", a=1, b=2)
     assert s.dims == (2, 3, 3)
     assert s.amplitude((0, 2, 2)) == GaussianRational(1)
     assert s.amplitude((1, 2, 2)) == GaussianRational(2)
-    s5 = make_expression("V", FamilyParams.of())
+    s5 = make_expression("V")
     assert len(s5.amps) == 4
 
 
 def test_expression_rejects_zero_brackets():
     with pytest.raises(ValueError):
-        make_expression("I", FamilyParams.of(a=0, b=0))
+        make_expression("I", a=0, b=0)
     with pytest.raises(ValueError):
-        make_expression("III", FamilyParams.of(a=1, b=1, c=0, d=0, f=1, g=1))
+        make_expression("III", a=1, b=1, c=0, d=0, f=1, g=1)
     with pytest.raises(ValueError):
-        make_expression("nope", FamilyParams.of(a=1, b=1))
+        make_expression("nope", a=1, b=1)
 
 
-def _oracle_expression(which, p):
+def _oracle_expression(which, **kw):
     """The five expressions built by GaussianRational additions, one ket at a
     time."""
+    a, b, c, d, f, g = (GaussianRational.coerce(kw.get(k, 0)) for k in "abcdfg")
     amps = {}
 
     def add(i, j, k, v):
@@ -116,10 +115,10 @@ def _oracle_expression(which, p):
         for idx in ((0, 2, 2), (1, 2, 1), (0, 0, 0), (1, 1, 0)):
             add(*idx, one)
         return PureState((2, 3, 3), amps)
-    if p.a.is_zero() and p.b.is_zero():
+    if a.is_zero() and b.is_zero():
         raise ValueError("bracket (a, b) must be nonzero")
-    add(0, 2, 2, p.a)
-    add(1, 2, 2, p.b)
+    add(0, 2, 2, a)
+    add(1, 2, 2, b)
     if which in ("I", "III"):
         for idx in ((0, 0, 0), (1, 1, 1)):
             add(*idx, one)
@@ -127,10 +126,10 @@ def _oracle_expression(which, p):
         for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
             add(*idx, one)
     if which in ("III", "IV"):
-        if (p.c.is_zero() and p.d.is_zero()) or (p.f.is_zero() and p.g.is_zero()):
+        if (c.is_zero() and d.is_zero()) or (f.is_zero() and g.is_zero()):
             raise ValueError("brackets (c, d) and (f, g) must be nonzero")
-        for i, ci in ((0, p.c), (1, p.d)):
-            for k, fk in ((0, p.f), (1, p.g)):
+        for i, ci in ((0, c), (1, d)):
+            for k, fk in ((0, f), (1, g)):
                 add(i, 2, k, ci * fk)
     return PureState((2, 3, 3), amps)
 
@@ -146,14 +145,14 @@ def test_expression_matches_rational_oracle(which):
     points = list(itertools.product((-1, 0, 1), repeat=6))
     points += [[rng.choice(odd) for _ in range(6)] for _ in range(300)]
     for point in points:
-        params = FamilyParams.of(**dict(zip("abcdfg", point)))
+        kw = dict(zip("abcdfg", point))
         try:
-            expected = _oracle_expression(which, params)
+            expected = _oracle_expression(which, **kw)
         except ValueError:
             with pytest.raises(ValueError):
-                make_expression(which, params)
+                make_expression(which, **kw)
             continue
-        state = make_expression(which, params)
+        state = make_expression(which, **kw)
         assert state.dims == expected.dims
         assert state.amps == expected.amps
 
@@ -169,15 +168,12 @@ def test_expression_branch_rules_match_classifier():
         ("V", dict()),
     ]
     for which, kw in cases:
-        params = FamilyParams.of(**kw)
-        state = make_expression(which, params)
+        state = make_expression(which, **kw)
         if state.local_ranks().as_tuple() != (2, 3, 3):
             continue
-        assert classify(state, want_proof=False).label == expression_branch_label(
-            which, params
-        )
+        assert classify(state, want_proof=False).label == expression_branch_label(which, **kw)
 
 
 def test_branch_rule_rejects_expression_three():
     with pytest.raises(ValueError):
-        expression_branch_label("III", FamilyParams.of(a=1, b=1, c=1, d=1, f=1, g=1))
+        expression_branch_label("III", a=1, b=1, c=1, d=1, f=1, g=1)

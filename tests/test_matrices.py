@@ -180,10 +180,11 @@ def poly_det_inputs(draw):
     """(rows, bound): a 3 x 3 matrix of Gaussian-integer polynomials as
     ``_poly_det_ints`` takes them, with the degree bound its callers pass.
 
-    "pencil" rows are [constant, t-coefficient] pairs, as
-    Pencil.minor_polynomials builds them, bounded by the number of rows with
-    a t term; "poly" rows carry degree 0..2 entries (trailing zeros allowed),
-    bounded by the sum of the rows' degrees, as poly_matrix_det does.
+    "pencil" rows are [constant, t-coefficient] pairs, the entries of a
+    pencil A + t*B, bounded by the number of rows with a t term (the bound
+    poly_matrix_det reaches on a pencil minor's entries); "poly" rows carry
+    degree 0..2 entries (trailing zeros allowed), bounded by the sum of the
+    rows' degrees, as poly_matrix_det does.
     """
     form = draw(st.sampled_from(["pencil", "poly"]))
     if form == "pencil":

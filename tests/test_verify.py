@@ -24,8 +24,6 @@ from slocc2mn.verify import (
     random_full_rank_state,
     _OBSTRUCTION_CASES,
     _draw_operator_entries,
-    _obstruction_layout,
-    _scaled_entries,
     _solution_support,
 )
 
@@ -54,44 +52,6 @@ def test_term_rank_bounds_matrix_rank():
         assert m.rank() <= term_rank(support)
 
 
-def _obstruction_system(m, w, x, y, z) -> Matrix:
-    """The whole obstruction matrix, assembled from the block layout the
-    verifier solves, each block written out for every column tuple it stands
-    for; unknown (r, i) is column r*(m+2)+i."""
-    width = m + 2
-    entries = _scaled_entries(w, x, y, z)
-    rows = []
-    for copies, layout_rows in _obstruction_layout(m):
-        for unknowns in copies:
-            for layout_row in layout_rows:
-                row = [(0, 0)] * (3 * width)
-                for (r, i), c in zip(unknowns, layout_row):
-                    row[r * width + i] = entries[c]
-                rows.append(row)
-    return Matrix._from_ints(rows, [1] * len(rows), 3 * width)
-
-
-def test_obstruction_diagonal_operator_forces_zero_rows():
-    # w = z = 1, x = y = 0: the constraints leave free only operator row m-1
-    # at column 0 and row m+1 at column m+1, and force row m to vanish, so
-    # the nullspace support has term rank 2
-    m = 2
-    system = _obstruction_system(m, (1, 1), (0, 1), (0, 1), (1, 1))
-    basis = system.nullspace()
-    width = m + 2
-    support = [
-        [any(not vec[r * width + i].is_zero() for vec in basis) for i in range(width)]
-        for r in range(3)
-    ]
-    assert support == [
-        [True, False, False, False],
-        [False, False, False, False],
-        [False, False, False, True],
-    ]
-    assert _solution_support(m, _obstruction_layout(m), (1, 1), (0, 1), (0, 1), (1, 1)) == support
-    assert term_rank(support) == 2
-
-
 def _rational_obstruction_system(m, w, x, y, z) -> Matrix:
     """The obstruction constraints built from GaussianRational entries; the
     (numerator, denominator) pairs the sampler draws are read as fractions."""
@@ -116,9 +76,30 @@ def _rational_obstruction_system(m, w, x, y, z) -> Matrix:
     return Matrix(rows)
 
 
+def test_obstruction_diagonal_operator_forces_zero_rows():
+    # w = z = 1, x = y = 0: the constraints leave free only operator row m-1
+    # at column 0 and row m+1 at column m+1, and force row m to vanish, so
+    # the nullspace support has term rank 2
+    m = 2
+    system = _rational_obstruction_system(m, (1, 1), (0, 1), (0, 1), (1, 1))
+    basis = system.nullspace()
+    width = m + 2
+    support = [
+        [any(not vec[r * width + i].is_zero() for vec in basis) for i in range(width)]
+        for r in range(3)
+    ]
+    assert support == [
+        [True, False, False, False],
+        [False, False, False, False],
+        [False, False, False, True],
+    ]
+    assert _solution_support(m, (1, 1), (0, 1), (0, 1), (1, 1)) == support
+    assert term_rank(support) == 2
+
+
 def test_integer_obstruction_support_matches_rational_nullspace():
     rng = random.Random(62)
-    for m in (2, 3, 4, 5):
+    for m in range(2, 9):
         width = m + 2
         for case in _OBSTRUCTION_CASES:
             for _ in range(6):
@@ -128,11 +109,7 @@ def test_integer_obstruction_support_matches_rational_nullspace():
                     [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
                     for r in range(3)
                 ]
-                assert _solution_support(m, _obstruction_layout(m), w, x, y, z) == expected
-                assert (
-                    _obstruction_system(m, w, x, y, z).nullspace()
-                    == _rational_obstruction_system(m, w, x, y, z).nullspace()
-                )
+                assert _solution_support(m, w, x, y, z) == expected
 
 
 @st.composite
@@ -162,7 +139,7 @@ def test_block_support_matches_whole_rational_nullspace(m, entries):
         [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
         for r in range(3)
     ]
-    assert _solution_support(m, _obstruction_layout(m), *entries) == expected
+    assert _solution_support(m, *entries) == expected
 
 
 def _oracle_operator_entries(case, rng):
@@ -386,8 +363,8 @@ def test_expression_sweep_compresses_each_distinct_state_once(monkeypatch):
     built, compressed = [], []
     make, compress = verify.make_expression, verify.compress_to_ranks
 
-    def recording_make(which, params):
-        built.append(make(which, params))
+    def recording_make(which, **kw):
+        built.append(make(which, **kw))
         return built[-1]
 
     def recording_compress(state, transform=True):
