@@ -150,15 +150,15 @@ class ClassificationResult:
     """``proof_complete`` is False when the proof chain stops before a
     residual with a local rank 1: some residual has no Gaussian-rational
     product state in its AB range to extract (see :func:`reduction_trace`).
-    It stays True when no proof is built (``want_proof`` False, or no
-    single label)."""
+    It is None when no proof is built (``want_proof`` False, or no single
+    label)."""
 
     label: ClassLabel
     proof: list[ReductionStep] = field(default_factory=list)
     invariants: StateInvariants | None = None
     permutation: str = "ABC"
     note: str = ""
-    proof_complete: bool = True
+    proof_complete: bool | None = None
 
 
 def apply_ilo_word(s: PureState, word) -> PureState:
@@ -344,7 +344,7 @@ def classify(
         val = tier_fn(inv)
         candidates = [L for L in candidates if tier_fn(table[L]) == val]
     if len(candidates) == 1:
-        proof, complete = reduction_trace(norm) if want_proof else ([], True)
+        proof, complete = reduction_trace(norm) if want_proof else ([], None)
         return ClassificationResult(
             label=candidates[0], proof=proof, invariants=inv, permutation=order,
             proof_complete=complete,

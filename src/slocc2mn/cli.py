@@ -178,7 +178,7 @@ def cmd_classify(args) -> int:
         lines.append(f"note: {res.note}")
     if "invariants" in result:
         lines.append(f"signature: {result['invariants']['signature']}")
-    if result["proof"] or not res.proof_complete:
+    if result["proof"] or res.proof_complete is False:
         stop = "" if res.proof_complete else (
             ", incomplete: no Gaussian-rational product state in the AB range"
         )

@@ -16,8 +16,9 @@ reduced on the way.  ``Matrix.rank``, ``det``, ``nullspace``, ``rref``
 (with or without its transform), :func:`certified_nullspace` and the pencil
 minors all run on it, and :func:`stack_vectorized` shares its integer row
 form.  Pencil entries and minors are polynomials in their Gaussian-integer
-form, a 2 x 2 minor written out in closed form, so the minor gcds never
-leave the integers.
+form, a 2 x 2 minor written out in closed form and any other taken by
+:func:`poly_matrix_det` from the pencil's integer rows, so the minor gcds
+never leave the integers.
 :class:`GaussianRational` values are built only for the results handed back.
 """
 
@@ -517,8 +518,10 @@ def _poly_det_ints(rows, bound: int):
     Gaussian-integer polynomials (lists of pairs, constant first), given a
     bound on its degree: a closed form for sides 2 and 3 (the 3 x 3 one
     expanded along its first row), above that evaluation at 0..bound and
-    interpolation.  :func:`poly_matrix_det` is its one caller, so every
-    pencil minor other than a closed-form 2 x 2 one comes through here."""
+    interpolation, one ``Matrix.det`` per point.  The bound is the sum of the
+    rows' degrees, so a pencil row free of t adds no point.
+    :func:`poly_matrix_det` is its one caller, so every pencil minor other
+    than a closed-form 2 x 2 one comes through here."""
     if len(rows) == 2:
         (p, q), (r, s) = rows
         return _poly_sub(_poly_mul(p, s), _poly_mul(q, r))
@@ -544,34 +547,26 @@ def _poly_det_ints(rows, bound: int):
     return _interpolate(values)
 
 
-def poly_matrix_det(rows_of_polys) -> Poly:
-    """Determinant of a small square matrix of Poly entries.
+def poly_matrix_det(rows, den: int) -> Poly:
+    """Determinant of a small square matrix of Gaussian-integer polynomial
+    entries (sequences of ``(re, im)`` pairs, constant first, trailing zeros
+    allowed), divided by ``den``: the product of the row denominators when
+    row i stands for ``rows[i] / d_i``.
 
-    Brings each row's integer forms to one denominator, evaluates the
-    Gaussian-integer determinant at enough integer points to pin down the
-    degree and interpolates; exact, and much faster than Laplace expansion
-    for sides above two.  The result is built in integer form.
+    The degree bound of :func:`_poly_det_ints` is the sum of the rows'
+    degrees, for a pencil minor the number of rows with a nonzero t term;
+    an all-zero row gives zero at once.  The result is built in integer form.
     """
-    n = len(rows_of_polys)
-    if n == 0:
+    if not rows:
         return Poly.constant(ONE)
-    if n == 1:
-        return rows_of_polys[0][0]
     bound = 0
-    den = 1
-    rows = []
-    for row in rows_of_polys:
-        forms = [e._int_form() for e in row]
-        d = max(len(ints) for ints, _ in forms) - 1
+    for row in rows:
+        d = max((k for coeffs in row for k, (a, b) in enumerate(coeffs) if a or b), default=-1)
         if d < 0:
             return Poly()  # an all-zero row
         bound += d
-        rd = lcm(*[fd for _, fd in forms])
-        den *= rd
-        rows.append([
-            [(a * (rd // fd), b * (rd // fd)) for a, b in ints] if fd != rd else ints
-            for ints, fd in forms
-        ])
+    if len(rows) == 1:
+        return Poly._from_ints(rows[0][0], den)
     return Poly._from_ints(_poly_det_ints(rows, bound), den)
 
 
@@ -715,8 +710,12 @@ class Pencil:
 
     def _minor(self, rsel, csel) -> Poly:
         """The minor of A + t*B on the rows ``rsel`` and the columns
-        ``csel``, as :func:`poly_matrix_det` of its entry polynomials."""
-        return poly_matrix_det([[self.entry_poly(i, j) for j in csel] for i in rsel])
+        ``csel``: :func:`poly_matrix_det` of the selected (A, B) integer
+        entries over the product of their row denominators."""
+        a_rows, b_rows, dens = self._int_form()
+        return poly_matrix_det(
+            [[(a_rows[i][j], b_rows[i][j]) for j in csel] for i in rsel], prod(dens[i] for i in rsel)
+        )
 
     def minor_polynomials(self, k: int):
         """Generator of the k x k minors of A + t*B as polynomials, in

@@ -26,8 +26,10 @@ slopes, read by :func:`exact_points` (the one reader of a rank profile), and
 t = 0..g, g the generic rank.  No sampled slope decides either.  It runs
 once for a normal form with M >= 3: its C-range pencil T1 - t*T0 (T0, T1
 the qubit's slices) is the B-range one transposed and holds the A range's
-rank-one points, so the profile of :func:`qubit_pencil` serves all three
-counts and the partner and quadric tiers.  A 2 x 2 x N normal form counts its
+rank-one points, so the profile of :func:`qubit_pencil`, read straight off
+the integer amplitudes, serves all three counts and the partner and quadric
+tiers.  Those counts read each range's dimension and shape only; its slices
+are taken when a count's points are read.  A 2 x 2 x N normal form counts its
 A range once, by the gcd of its 2 x 2 minors, which stops at its first unit;
 its B range has the same rank-one points, through the left null vectors of
 the A points' first factors (:func:`_shared_count`), and its C range is
@@ -159,9 +161,11 @@ def rank_one_factor(m: Matrix):
     raise ValueError("zero matrix has no rank-one factorization")
 
 
-def _pencil_witnesses(m0: Matrix, m1: Matrix, points):
-    """The witness at each projective point (alpha, beta) of span{M0, M1}:
-    the factors of its member alpha*M0 + beta*M1 (alpha is 1 or 0)."""
+def _pencil_witnesses(sub, points):
+    """The witness at each projective point (alpha, beta) of the span
+    ``sub`` of M0, M1, its basis read on the first point: the factors of its
+    member alpha*M0 + beta*M1 (alpha is 1 or 0)."""
+    m0, m1 = sub.basis
     pen = Pencil(m0, m1)
     for alpha, beta in points:
         yield ProductWitness((alpha, beta), *rank_one_factor(pen.at(beta) if alpha else m1))
@@ -171,9 +175,9 @@ def _count_pencil_span(sub: MatrixSubspace, pen: Pencil | None = None) -> Produc
     """Product states in span{M0, M1}: rank-one points of the projective line,
     read off the rank profile of ``pen`` = M1 - t*M0 when given, else off the
     2 x 2 minors.  An irrational root is counted without a witness.  An
-    infinite count yields M0 first."""
-    m0, m1 = sub.basis
-    every = partial(_pencil_witnesses, m0, m1, [(ONE, ZERO)])
+    infinite count yields M0 first.  With ``pen`` the basis is read only by
+    the count's points()."""
+    every = partial(_pencil_witnesses, sub, [(ONE, ZERO)])
     if pen is not None:
         profile = pen.rank_profile()
         if profile.generic_rank <= 1:
@@ -186,7 +190,8 @@ def _count_pencil_span(sub: MatrixSubspace, pen: Pencil | None = None) -> Produc
                        key=lambda r: (r.re, r.im))
         points = [(ONE, r) for r in roots] + [(ZERO, ONE)] * any(not b for (_, b), _ in slopes)
         return ProductCount(kind="finite", count=len(low), exact=exact,
-                            points=partial(_pencil_witnesses, m0, m1, points))
+                            points=partial(_pencil_witnesses, sub, points))
+    m0, m1 = sub.basis
     # the minors are computed as the gcd reads them, up to the first unit;
     # one-row or one-column matrices have none
     g = poly_gcd_many(Pencil(m0, m1).minor_polynomials(2)) if min(m0.shape()) > 1 else Poly()
@@ -196,13 +201,12 @@ def _count_pencil_span(sub: MatrixSubspace, pen: Pencil | None = None) -> Produc
     # the distinct roots, Gaussian-rational and irrational: deg of the
     # square-free part
     roots, rest = exact_roots_of(g) if g.degree > 0 else ([], [])
-    # the roots, then infinity; the closure keeps the two matrices, not the
-    # pencil
+    # the roots, then infinity; the closure keeps the span, not the pencil
     points = [(ONE, t) for t in roots] + [(ZERO, ONE)] * (m1.rank() <= 1)
     count = len(points) + sum(f.degree for f in rest)
     return ProductCount(
         kind="finite", count=count, exact=not rest,
-        points=partial(_pencil_witnesses, m0, m1, points),
+        points=partial(_pencil_witnesses, sub, points),
     )
 
 
@@ -228,8 +232,7 @@ def _shared_count(a_count: ProductCount, s: PureState) -> ProductCount:
     the B-slices, independent as the B rank is 2, are taken only then."""
 
     def points():
-        s0, s1 = s.slices("B")
-        return _pencil_witnesses(s0, s1, _left_null_points(a_count))
+        return _pencil_witnesses(range_subspace(s, "B", 2), _left_null_points(a_count))
 
     return ProductCount(kind=a_count.kind, count=a_count.count, exact=a_count.exact, points=points)
 
@@ -383,14 +386,32 @@ class Signature:
         return "[" + ",".join(c.render() for c in self.counts) + "]"
 
 
+class _Range:
+    """The range of a normal form ``s`` without ``party`` as a count reads
+    it: its dimension and shape off the dims, its basis sliced when read."""
+
+    def __init__(self, s: PureState, party: str):
+        p = PARTIES.index(party)
+        self.s, self.party, self.dimension = s, party, s.dims[p]
+        self.rows, self.cols = [d for q, d in enumerate(s.dims) if q != p]
+
+    @cached_property
+    def basis(self):
+        return range_subspace(self.s, self.party, self.dimension).basis
+
+
 def qubit_pencil(s: PureState, ranks: LocalRankProfile) -> Pencil | None:
     """The qubit's slice pencil as T1 - t*T0, the C-range pencil of
     :func:`_two_row_pencil`, for a 2 x M x N state with M, N >= 3 whose dims
-    are its local ranks; None for any other state."""
+    are its local ranks; None for any other state.  T0 and T1 are the
+    A-slices, entry (j, k) of T_i the amplitude (i, j, k) over the state's
+    denominator, so the pencil's integer rows are the amplitudes."""
     dims = s.dims
     if dims[0] != 2 or min(dims[1:]) < 3 or ranks.as_tuple() != dims:
         return None
-    return _two_row_pencil(range_subspace(s, "C", dims[2]))[2]
+    t0, t1 = s.slices("A")
+    rows, dens = t0._int_form()
+    return Pencil(t1, Matrix._from_ints([[(-a, -b) for a, b in row] for row in rows], dens, dims[2]))
 
 
 def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None, qubit=None) -> Signature:
@@ -400,7 +421,10 @@ def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None, qubit=N
     state's :func:`qubit_pencil` (``qubit``, when given, with its profile
     cached); for M = 2 the A count is taken by 2 x 2 minors and shared with
     the B range (:func:`_shared_count`), and the C range is counted on its
-    own.  Any other state raises UnsupportedSubspaceError."""
+    own, infinite from its shape alone when N >= 3.  The counts read each
+    range's dimension and shape only: its slices and :class:`MatrixSubspace`
+    are built when a count's ``points()`` is read.  Any other state raises
+    UnsupportedSubspaceError."""
     ranks = ranks or s.local_ranks()
     dims = s.dims
     if ranks.as_tuple() != dims or dims[0] != 2 or dims[1] > dims[2]:
@@ -410,13 +434,12 @@ def slocc_signature(s: PureState, ranks: LocalRankProfile | None = None, qubit=N
         )
     qubit = qubit or qubit_pencil(s, ranks)
     if qubit is not None:
-        subs = [range_subspace(s, party, rank) for party, rank in zip(PARTIES, dims)]
-        counts = (_count_pencil_span(subs[0], qubit),
-                  _count_two_row(subs[1], qubit), _count_two_row(subs[2], qubit))
+        counts = (_count_pencil_span(_Range(s, "A"), qubit),
+                  _count_two_row(_Range(s, "B"), qubit), _count_two_row(_Range(s, "C"), qubit))
     else:
         a_count = count_product_states(range_subspace(s, "A", 2))
-        counts = (a_count, _shared_count(a_count, s),
-                  count_product_states(range_subspace(s, "C", dims[2])))
+        counts = (a_count, _shared_count(a_count, s), _count_two_row(_Range(s, "C"))
+                  if dims[2] > 2 else count_product_states(range_subspace(s, "C", 2)))
     return Signature(ranks=ranks, counts=counts)
 
 

@@ -5,12 +5,14 @@ that :class:`~slocc2mn.matrices.Matrix` and
 :class:`~slocc2mn.polynomials.Poly` keep: ``{(i, j, k): (re, im)}`` pairs of
 Python ints over one positive denominator, with the content removed (the gcd
 of the denominator and every part is 1), so equal amplitudes have equal
-stored forms.  Unfoldings, slices, party permutations, local operators and
-:func:`compress_to_ranks` read and write that form; :attr:`PureState.amps`
+stored forms.  Unfolding grids, slices, party permutations, local operators
+and :func:`compress_to_ranks` read and write that form; :attr:`PureState.amps`
 and :meth:`PureState.amplitude` build :class:`GaussianRational` values on
-each read and do not keep them.  The canonical families all have O(M)
-nonzero amplitudes.  Equality is up to a global nonzero scalar: the first
-nonzero amplitude in lexicographic index order is scaled to one.
+each read and do not keep them.  The local ranks and the compression read
+the unfoldings' integer grids, the ranks with no :class:`Matrix` built and
+the compression with no intermediate state.  The canonical families all
+have O(M) nonzero amplitudes.  Equality is up to a global nonzero scalar:
+the first nonzero amplitude in lexicographic index order is scaled to one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .scalars import GaussianRational, ZERO, ONE, _int_row, _scalar
-from .matrices import Matrix
+from .matrices import Matrix, _eliminate
 
 PARTIES = ("A", "B", "C")
 
@@ -37,6 +39,18 @@ class LocalRankProfile:
 
     def as_tuple(self):
         return (self.r_a, self.r_b, self.r_c)
+
+
+def _grid(dims, ints, p: int):
+    """The Gaussian-integer rows of the party-``p`` unfolding (party-vs-rest
+    matrix) of the amplitudes ``ints``, over a denominator the caller keeps:
+    rows indexed by party p, columns by the other two in A<B<C order."""
+    q1, q2 = [q for q in range(3) if q != p]
+    d2 = dims[q2]
+    grid = [[(0, 0)] * (dims[q1] * d2) for _ in range(dims[p])]
+    for idx, v in ints.items():
+        grid[idx[p]][idx[q1] * d2 + idx[q2]] = v
+    return grid
 
 
 class PureState:
@@ -147,36 +161,7 @@ class PureState:
         )
         return f"PureState(dims={self.dims}, {{{terms}}})"
 
-    # -- unfoldings and slices ----------------------------------------------
-
-    def unfolding(self, party: str) -> Matrix:
-        """Party-vs-rest matrix; rows indexed by the party, columns by the
-        remaining two parties in A<B<C order."""
-        p = PARTIES.index(party)
-        q1, q2 = [q for q in range(3) if q != p]
-        d2 = self.dims[q2]
-        grid = [[(0, 0)] * (self.dims[q1] * d2) for _ in range(self.dims[p])]
-        for idx, v in self._ints.items():
-            grid[idx[p]][idx[q1] * d2 + idx[q2]] = v
-        return Matrix._from_ints(grid, [self._den] * len(grid), len(grid[0]))
-
-    def _with_unfolding(self, party: str, u: Matrix) -> "PureState":
-        """The state of the same dims whose ``party`` unfolding is ``u``."""
-        p = PARTIES.index(party)
-        q1, q2 = [q for q in range(3) if q != p]
-        d2 = self.dims[q2]
-        rows, dens = u._int_form()
-        big = lcm(*dens)
-        ints = {}
-        for i, (row, d) in enumerate(zip(rows, dens)):
-            f = big // d
-            for col, (a, b) in enumerate(row):
-                if a or b:
-                    idx = [0, 0, 0]
-                    idx[p] = i
-                    idx[q1], idx[q2] = divmod(col, d2)
-                    ints[tuple(idx)] = (a * f, b * f)
-        return PureState._from_ints(self.dims, ints, big)
+    # -- slices --------------------------------------------------------------
 
     def slices(self, party: str):
         p = PARTIES.index(party)
@@ -190,11 +175,9 @@ class PureState:
     # -- core operations -----------------------------------------------------
 
     def local_ranks(self) -> LocalRankProfile:
-        return LocalRankProfile(
-            self.unfolding("A").rank(),
-            self.unfolding("B").rank(),
-            self.unfolding("C").rank(),
-        )
+        """The kernel's pivot counts on the unfoldings' integer grids."""
+        grids = [_grid(self.dims, self._ints, p) for p in range(3)]
+        return LocalRankProfile(*(len(_eliminate(g, len(g[0]))[0]) for g in grids))
 
     def apply_local(self, party: str, m: Matrix) -> "PureState":
         """Contract the chosen index with a square matrix (new = m @ old)."""
@@ -237,21 +220,36 @@ def compress_to_ranks(s: PureState, transform: bool = True):
     Returns (state, per-party basis changes applied in the original dims).
     The basis changes map the support onto the leading basis vectors; trailing
     dimensions are dropped.  The local ranks are the pivot counts of the
-    three row reductions, so the compressed dims are the local ranks.  Each
-    party's reduced rows, in Gaussian-integer form, become the next party's
-    state, its content removed.  The state depends only on the reduced rows,
-    so with ``transform=False`` each unfolding is reduced alone
+    three row reductions, so the compressed dims are the local ranks.  One
+    loop carries the integer amplitudes from party to party: each party's
+    reduced rows, brought to their lcm (no content left), are the next
+    party's amplitudes.  The state depends only on the reduced rows, so with
+    ``transform=False`` each unfolding is reduced alone
     (``Matrix.rref(transform=False)``) and the basis changes are None.
     """
     changes = {}
     ranks = []
-    cur = s
-    for party in PARTIES:
-        r, pivots, changes[party] = cur.unfolding(party).rref(transform)
+    ints, den = s._ints, s._den
+    for p, party in enumerate(PARTIES):
+        q1, q2 = [q for q in range(3) if q != p]
+        d2 = s.dims[q2]
+        grid = _grid(s.dims, ints, p)
+        r, pivots, changes[party] = Matrix._from_ints(
+            grid, [den] * len(grid), len(grid[0])).rref(transform)
         ranks.append(len(pivots))
         # applying the basis change to the party turns its unfolding into r
-        cur = cur._with_unfolding(party, r)
-    for idx in cur._ints:
+        rows, dens = r._int_form()
+        den = lcm(*dens)
+        ints = {}
+        for i, (row, d) in enumerate(zip(rows, dens)):
+            f = den // d
+            for col, (a, b) in enumerate(row):
+                if a or b:
+                    idx = [0, 0, 0]
+                    idx[p] = i
+                    idx[q1], idx[q2] = divmod(col, d2)
+                    ints[tuple(idx)] = (a * f, b * f)
+    for idx in ints:
         if any(idx[q] >= ranks[q] for q in range(3)):
             raise AssertionError("support outside rank block after compression")
-    return PureState._from_ints(tuple(ranks), cur._ints, cur._den), changes if transform else None
+    return PureState._from_ints(tuple(ranks), ints, den), changes if transform else None

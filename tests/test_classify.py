@@ -62,6 +62,21 @@ def test_not_true_tripartite():
     assert res.label == ClassLabel("NotTrueTripartite")
 
 
+def test_no_proof_built_leaves_proof_complete_none():
+    # a state with a local rank 1, a state with no qubit and a proof not
+    # asked for build no proof, so whether one is complete is not known
+    states = [
+        PureState.from_kets((2, 2, 2), [(0, 0, 0), (0, 1, 1)]),
+        PureState.from_kets((3, 3, 3), [(0, 0, 0), (1, 1, 1), (2, 2, 2)]),
+    ]
+    for s, family in zip(states, ("NotTrueTripartite", "Unknown")):
+        res = classify(s)
+        assert (res.label.family, res.proof, res.proof_complete) == (family, [], None)
+    res = classify(make_canonical(ClassLabel("Psi1")), want_proof=False)
+    assert (res.label, res.proof, res.proof_complete) == (ClassLabel("Psi1"), [], None)
+    assert classify(make_canonical(ClassLabel("Psi1"))).proof_complete is True
+
+
 def test_uncovered_shape_is_unknown():
     # (2, 4, 4) and (2, 4, 5) have no canonical library entries
     for fam in ("Phi0Example", "Phi1Example"):

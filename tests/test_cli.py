@@ -450,3 +450,22 @@ def test_surd_signature_runs_without_numpy(tmp_path):
     assert [p["parameter"] for p in profile["exceptional"]] == [
         "root of (-2)*t^0 + (1)*t^2", "root of (-2)*t^0 + (1)*t^2", None,
     ]
+
+
+def test_classify_without_a_proof_reports_proof_complete_null(capsys, tmp_path):
+    # local ranks (1, 2, 2), and a 3 x 3 x 3 GHZ-like state with no qubit:
+    # no proof is built, so the report says null, and the text no proof line
+    states = {
+        "NotTrueTripartite": PureState.from_kets((2, 2, 2), [(0, 0, 0), (0, 1, 1)]),
+        "Unknown": PureState.from_kets((3, 3, 3), [(0, 0, 0), (1, 1, 1), (2, 2, 2)]),
+    }
+    for label, state in states.items():
+        path = tmp_path / f"{label}.json"
+        dump_state(state, str(path))
+        code, report, _ = run_json(capsys, "classify", str(path))
+        assert code == EXIT_OK
+        assert report["result"]["label"].startswith(label)
+        assert (report["result"]["proof"], report["result"]["proof_complete"]) == ([], None)
+        code, text, _ = run_cli(capsys, "classify", str(path))
+        assert code == EXIT_OK
+        assert not [line for line in text.splitlines() if line.startswith("proof")]

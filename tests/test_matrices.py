@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -159,16 +159,11 @@ def test_poly_matrix_det_matches_laplace():
     for _ in range(25):
         n = rng.randint(1, 4)
         rows = [
-            [
-                Poly.linear(
-                    GaussianRational(rng.randint(-3, 3)),
-                    GaussianRational(rng.randint(-3, 3)),
-                )
-                for _ in range(n)
-            ]
+            [[(rng.randint(-3, 3), 0), (rng.randint(-3, 3), 0)] for _ in range(n)]
             for _ in range(n)
         ]
-        assert poly_matrix_det(rows) == laplace_det(rows)
+        want = laplace_det([[Poly._from_ints(e) for e in row] for row in rows])
+        assert poly_matrix_det(rows, 1) == want
 
 
 _big_parts = st.one_of(st.just(0), st.integers(-10, 10), st.integers(-10**12, 10**12))
@@ -212,8 +207,49 @@ def test_poly_det_ints_three_by_three_matches_laplace(case):
 
 
 def test_poly_matrix_det_zero_row():
-    rows = [[Poly(), Poly()], [Poly.constant(ONE), Poly.constant(ONE)]]
-    assert poly_matrix_det(rows).is_zero()
+    rows = [[[], [(0, 0)]], [[(1, 0)], [(1, 0)]]]
+    assert poly_matrix_det(rows, 1).is_zero()
+
+
+@st.composite
+def integer_pencil_rows(draw):
+    """(rows, dens): a square matrix of side 1..5 of pencil entries
+    [constant, t coefficient] as Gaussian-integer pairs, row i over dens[i];
+    rows may be zero or free of t."""
+    n = draw(st.integers(1, 5))
+    part = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**9, 10**9))
+    pair = st.tuples(part, part)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "t-free", "pencil", "pencil"]))
+        if kind == "zero":
+            rows.append([[(0, 0), (0, 0)]] * n)
+        else:
+            rows.append([[draw(pair), (0, 0) if kind == "t-free" else draw(pair)]
+                         for _ in range(n)])
+    return rows, draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_pencil_rows())
+def test_poly_matrix_det_on_integer_rows_matches_laplace(case):
+    rows, dens = case
+    want = laplace_det([[Poly._from_ints(e, d) for e in row] for row, d in zip(rows, dens)])
+    assert poly_matrix_det(rows, prod(dens)) == want
+
+
+def test_side_four_minor_evaluates_at_its_bound(monkeypatch):
+    # two of the four rows carry a t term, so the degree bound is 2 and the
+    # determinant is evaluated at t = 0, 1, 2 only, not at 0..4
+    calls = []
+    det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(1) or det(self))
+    rng = random.Random(4)
+    rows = [[[(rng.randint(-5, 5), rng.randint(-5, 5)), (rng.randint(-5, 5), 0) if i < 2 else (0, 0)]
+             for _ in range(4)] for i in range(4)]
+    want = laplace_det([[Poly._from_ints(e) for e in row] for row in rows])
+    assert poly_matrix_det(rows, 1) == want
+    assert len(calls) == 3
 
 
 _minor_entries = st.one_of(
@@ -250,8 +286,10 @@ def test_two_by_two_minors_match_poly_matrix_det(pen):
     # the closed-form 2 x 2 minors, in order, against the determinant of the
     # entry polynomials
     rows, cols = pen.shape()
+    a_rows, b_rows, dens = pen._int_form()
     want = [
-        poly_matrix_det([[pen.entry_poly(i, j) for j in csel] for i in rsel])
+        poly_matrix_det([[(a_rows[i][j], b_rows[i][j]) for j in csel] for i in rsel],
+                        dens[rsel[0]] * dens[rsel[1]])
         for rsel in itertools.combinations(range(rows), 2)
         for csel in itertools.combinations(range(cols), 2)
     ]

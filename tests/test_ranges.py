@@ -24,6 +24,7 @@ from slocc2mn.ranges import (
     partner_rank,
     quadric_profile,
     ProductWitness,
+    qubit_pencil,
     _independent_slices,
 )
 from slocc2mn.classify import StateInvariants, canonical_invariants, _normal_form
@@ -670,3 +671,60 @@ def test_quadric_profile_does_no_gaussian_rational_arithmetic(monkeypatch):
     calls.clear()
     assert quadric_profile(state) == (1, 3)
     assert calls == []
+
+
+# -- counts read off the integer amplitudes -------------------------------------
+
+
+@st.composite
+def padded_normal_forms(draw):
+    """Normal forms of 2 x M x N states, M <= 4, N <= 8, with small complex
+    entries, often zero, and zero slices, given padded with unused basis
+    vectors and with their parties permuted."""
+    m = draw(st.sampled_from([2, 3, 4, 4]))
+    dims = (2, m, draw(st.integers(m, 8)))
+    part = st.sampled_from([0, 0, 1, -1, 2])
+    zero = draw(st.sets(st.integers(0, dims[2] - 1), max_size=2))
+    ints = {
+        idx: (draw(part), draw(part))
+        for idx in itertools.product(*map(range, dims)) if idx[2] not in zero
+    }
+    ints = {idx: v for idx, v in ints.items() if v != (0, 0)}
+    assume(ints)
+    pad = tuple(d + draw(st.integers(0, 1)) for d in dims)
+    s = PureState._from_ints(pad, ints, draw(st.integers(1, 6)))
+    s = s.permute_parties(draw(st.sampled_from(["ABC", "ACB", "BAC", "BCA", "CAB", "CBA"])))
+    norm = _normal_form(s)[0].state
+    assume(norm.dims[0] == 2)
+    return norm
+
+
+def _eager_counts(s):
+    """The three counts of a normal form with every range basis sliced
+    first, and the qubit pencil taken from the C range's two-row pencil."""
+    subs = [range_subspace(s, party, rank) for party, rank in zip("ABC", s.dims)]
+    if s.dims[1] >= 3:
+        pen = ranges._two_row_pencil(subs[2])[2]
+        return (ranges._count_pencil_span(subs[0], pen),
+                ranges._count_two_row(subs[1], pen), ranges._count_two_row(subs[2], pen))
+    a_count = count_product_states(subs[0])
+    return a_count, ranges._shared_count(a_count, s), count_product_states(subs[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(padded_normal_forms())
+def test_qubit_pencil_read_off_the_amplitudes(s):
+    pen = qubit_pencil(s, LocalRankProfile(*s.dims))
+    if s.dims[1] < 3:
+        assert pen is None
+        return
+    want = ranges._two_row_pencil(range_subspace(s, "C", s.dims[2]))[2]
+    assert pen._int_form() == want._int_form()
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_normal_forms())
+def test_signature_counts_match_eager_range_counts(s):
+    for count, want in zip(slocc_signature(s).counts, _eager_counts(s)):
+        assert (count.kind, count.count, count.exact) == (want.kind, want.count, want.exact)
+        assert next(count.points(), None) == next(want.points(), None)

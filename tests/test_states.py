@@ -1,21 +1,29 @@
 """Pure-state container: unfoldings, ranks, local actions, compression."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.matrices import Matrix
-from slocc2mn.states import PureState, compress_to_ranks
+from slocc2mn.states import PureState, compress_to_ranks, _grid
 from slocc2mn.operators import random_ilo, random_invertible
 from slocc2mn.families import ClassLabel, make_canonical
 
 
 GHZ = make_canonical(ClassLabel("GHZ"))
 W = make_canonical(ClassLabel("W"))
+
+
+def unfolding(s, party):
+    """The party's unfolding as a Matrix, built on the grid the kernel reads:
+    rows indexed by the party, columns by the other two in A<B<C order."""
+    grid = _grid(s.dims, s._ints, "ABC".index(party))
+    return Matrix._from_ints(grid, [s._den] * len(grid), len(grid[0]))
 
 
 def test_from_kets_amplitudes():
@@ -34,18 +42,18 @@ def test_rejects_bad_input():
 
 
 def test_unfolding_shapes_and_entries():
-    u = GHZ.unfolding("A")
+    u = unfolding(GHZ, "A")
     assert u.shape() == (2, 4)
     assert u[0, 0] == ONE and u[1, 3] == ONE
-    assert GHZ.unfolding("B").shape() == (2, 4)
+    assert unfolding(GHZ, "B").shape() == (2, 4)
     s = make_canonical(ClassLabel("Psi1"))
-    assert s.unfolding("B").shape() == (3, 6)
+    assert unfolding(s, "B").shape() == (3, 6)
 
 
 def test_slices_recompose_unfolding():
     s = make_canonical(ClassLabel("Psi4"))
     for party in "ABC":
-        u = s.unfolding(party)
+        u = unfolding(s, party)
         for i, sl in enumerate(s.slices(party)):
             flat = [e for row in sl.entries for e in row]
             assert list(u.entries[i]) == flat
@@ -66,7 +74,7 @@ def test_apply_local_matches_unfolding_product():
     for party, dim in zip("ABC", s.dims):
         g = random_invertible(dim, rng)
         s2 = s.apply_local(party, g)
-        assert s2.unfolding(party) == g @ s.unfolding(party)
+        assert unfolding(s2, party) == g @ unfolding(s, party)
 
 
 def test_apply_local_rejects_annihilation():
@@ -256,7 +264,7 @@ def test_integer_form_is_unique_and_matches_amps(s, k, order):
         assert _content(built) == 1
     for p, party in enumerate("ABC"):
         grid = _oracle_unfolding(amps, s.dims, p)
-        assert s.unfolding(party) == Matrix(grid)
+        assert unfolding(s, party) == Matrix(grid)
         q1, q2 = [q for q in range(3) if q != p]
         for i, sl in enumerate(s.slices(party)):
             expected = [[ZERO] * s.dims[q2] for _ in range(s.dims[q1])]
@@ -276,3 +284,74 @@ def test_constructed_states_share_index_tuples():
     assert sorted(s1._ints) == sorted(s2._ints) == [(0, 0, 0), (1, 1, 1)]
     assert all(type(i) is int for idx in s2._ints for i in idx)
     assert {id(idx) for idx in s1._ints} == {id(idx) for idx in s2._ints}
+
+
+# -- ranks and compression read off the integer amplitudes ---------------------
+
+
+@st.composite
+def padded_states(draw):
+    """States of up to 2 x 4 x 8 with small complex entries, often zero, and
+    zero slices, then padded with unused basis vectors and their parties
+    permuted."""
+    dims = (draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    part = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    zero = [draw(st.sets(st.integers(0, d - 1), max_size=d - 1)) for d in dims]
+    ints = {
+        idx: (draw(part), draw(part))
+        for idx in itertools.product(*map(range, dims))
+        if not any(i in z for i, z in zip(idx, zero))
+    }
+    ints = {idx: v for idx, v in ints.items() if v != (0, 0)} or {(0, 0, 0): (1, 0)}
+    pad = [d + draw(st.integers(0, 1)) for d in dims]
+    s = PureState._from_ints(tuple(pad), ints, draw(st.integers(1, 6)))
+    return s.permute_parties(draw(st.sampled_from(["ABC", "ACB", "BAC", "BCA", "CAB", "CBA"])))
+
+
+def _with_unfolding(s, p, u):
+    """The state of s's dims whose party-p unfolding is the Matrix u."""
+    q1, q2 = [q for q in range(3) if q != p]
+    rows, dens = u._int_form()
+    big = lcm(*dens)
+    ints = {}
+    for i, (row, d) in enumerate(zip(rows, dens)):
+        for col, (a, b) in enumerate(row):
+            if a or b:
+                idx = [0, 0, 0]
+                idx[p] = i
+                idx[q1], idx[q2] = divmod(col, s.dims[q2])
+                ints[tuple(idx)] = (a * (big // d), b * (big // d))
+    return PureState._from_ints(s.dims, ints, big)
+
+
+def _stepwise_compress(s):
+    """Compression as a chain of states, each rebuilt from the reduced
+    unfolding of the one before: (state, basis changes)."""
+    cur, ranks, changes = s, [], {}
+    for p, party in enumerate("ABC"):
+        r, pivots, changes[party] = unfolding(cur, party).rref()
+        ranks.append(len(pivots))
+        cur = _with_unfolding(cur, p, r)
+    return PureState._from_ints(tuple(ranks), cur._ints, cur._den), changes
+
+
+def _stored(s):
+    return s.dims, list(s._ints.items()), s._den
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_states())
+def test_local_ranks_equal_the_ranks_of_the_unfoldings(s):
+    amps = s.amps
+    want = tuple(Matrix(_oracle_unfolding(amps, s.dims, p)).rank() for p in range(3))
+    assert s.local_ranks().as_tuple() == want == tuple(unfolding(s, p).rank() for p in "ABC")
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_states())
+def test_compression_loop_matches_stepwise_rebuild(s):
+    comp, changes = compress_to_ranks(s)
+    bare, _ = compress_to_ranks(s, transform=False)
+    want, want_changes = _stepwise_compress(s)
+    assert _stored(bare) == _stored(comp) == _stored(want)
+    assert changes == want_changes
