@@ -6,13 +6,15 @@ honors ``--format json|text``; JSON output follows schemas/report.schema.json.
 Exit codes: 0 success, 1 verification failure or a ``signature`` of a state
 with no qubit, whose smallest local rank is 3 or more (reported as
 ``unsupported:``), 2 usage or parse errors, 3 a failed internal consistency
-check (an ``AssertionError``, reported as ``internal error:``).
+check (an ``AssertionError``, reported as ``internal error:``), 141 (128 +
+SIGPIPE, nothing on stderr) when the reader closed stdout first.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 
 def _parameter_to_json(parameter):
@@ -326,7 +329,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

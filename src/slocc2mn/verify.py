@@ -6,15 +6,10 @@ Three layers of checks live here:
   invertible local operator maps Theta4 to Theta5: for random admissible
   2x2 operator entries it solves the induced constraints on three rows of the
   (M+2)x(M+2) operator exactly and certifies, via a term-rank bound, that
-  every solution is singular.  The constraint system is built and solved on
-  Gaussian integers (the fraction-free kernel of :mod:`.matrices`); only the
-  support of its integer null vectors is read.  The system is block diagonal
-  by operator column (only columns m-1 and m share equations), so it is
-  solved one block of 3 or 6 unknowns at a time: blocks that share no
-  unknown have independent solutions, and an unknown's support is read from
-  its own block alone.  Each draw writes its blocks straight from the
-  appendix equations, and the block every interior column 1..m-2 shares is
-  solved once.
+  every solution is singular.  The constraints chain each column's three
+  unknowns by (x, z), by (w, y) or by both, and join columns m-1 and m; the
+  support of their solutions is read in closed form off the two chains'
+  integer null vectors and a 2x2 system for the joined pair (no elimination).
 * ``verify_theorem`` re-derives the published classification tables: family
   signatures, pairwise separation with the invariant that witnesses it, the
   coefficient-branch sweep for the 2x3x3 expressions, and random-state
@@ -39,7 +34,6 @@ import itertools
 import random
 from math import lcm, prod
 
-from .matrices import _eliminate, _null_vectors
 from .states import PureState, LocalRankProfile, compress_to_ranks
 from .families import (
     ClassLabel,
@@ -84,54 +78,49 @@ def term_rank(support) -> int:
 # -- the Theta4 / Theta5 obstruction system -----------------------------------
 
 
+def _in_span(u, v) -> bool:
+    """Whether the integer vector u is a multiple of v (zero included)."""
+    pairs = itertools.combinations(range(len(u)), 2)
+    return not any(u) or (any(v) and all(u[i] * v[j] == u[j] * v[i] for i, j in pairs))
+
+
 def _solution_support(m: int, w, x, y, z) -> list:
     """Which unknowns of the obstruction system are not forced to zero.
 
     Entry [r][i] is True when some solution has a nonzero at operator row
     m-1+r, column i; the entries (w, x, y, z) are (numerator, denominator)
-    pairs.  With u0, u1, u2 the three unknowns of one column, the appendix
-    equations are the x, z chain z u2 = x u1, z u1 = x u0 on columns
-    0..m-1 and the w, y chain y u2 = w u1, y u1 = w u0 on columns 1..m-2, m
-    and m+1, plus two equations joining columns m-1 and m.  Every equation
-    is linear in the entries, so they are scaled to one denominator, which
-    leaves the solution space unchanged.
+    pairs, w and z nonzero as on every admissible draw (ValueError
+    otherwise).  With u0, u1, u2 the three unknowns of one column, the
+    appendix equations are the x, z chain z u2 = x u1, z u1 = x u0 on
+    columns 0..m-1, the w, y chain y u2 = w u1, y u1 = w u0 on columns
+    1..m-2, m and m+1, and two equations joining columns m-1 and m.  They
+    are linear in the entries, so scaling these to one denominator leaves
+    the solutions unchanged.
 
-    So the system is block diagonal: a 3-unknown block for each column
-    outside {m-1, m} and one 6-unknown block for that pair.  The blocks
-    share no unknown and no equation, so the solution space is the product
-    of theirs: an unknown is nonzero in some solution exactly when it is
-    nonzero in some null vector of its own block.  Each block is solved by
-    fraction-free Gauss-Jordan and its support read from its
-    Gaussian-integer null vectors.  The interior columns 1..m-2 carry the
-    same block, which is solved once and its support copied to each.
+    On one column the x, z chain has rank 2 (z != 0), so its solutions are
+    the multiples of the cross product of its rows, c_zx = -(z^2, xz, x^2);
+    the w, y chain's are those of c_yw = -(y^2, wy, w^2) (w != 0).  Columns
+    0 and m+1 carry one chain each.  An interior column carries both, so it
+    is nonzero only when c_zx and c_yw are parallel (w z = x y).  The joined
+    pair's solutions are (a c_zx, b c_yw) with (a, b) solving the two joining
+    equations, a 2x2 integer system of determinant (w z - x y)^3: a is
+    nonzero in some solution exactly when its column of the system is a
+    multiple of b's, and likewise for b.
     """
+    if not (w[0] and z[0]):
+        raise ValueError("the obstruction's closed form needs w != 0 and z != 0")
     den = lcm(w[1], x[1], y[1], z[1])
-    w, x, y, z = [(p * (den // q), 0) for p, q in (w, x, y, z)]
-    nw, nx, o = (-w[0], 0), (-x[0], 0), (0, 0)
-    zx = [[o, nx, z], [nx, z, o]]  # on (u0, u1, u2): z u2 - x u1, z u1 - x u0
-    yw = [[o, nw, y], [nw, y, o]]
-    # each joined equation is a w, y chain row on column m-1 plus an x, z
+    w, x, y, z = [p * (den // q) for p, q in (w, x, y, z)]
+    c_zx = (-z * z, -x * z, -x * x)
+    c_yw = (-y * y, -w * y, -w * w)
+    # each joining equation is a w, y chain row on column m-1 plus an x, z
     # chain row on column m
-    pair = [r + [o] * 3 for r in zx] + [[o] * 3 + r for r in yw] + [a + b for a, b in zip(yw, zx)]
-    # each block with the column tuples it stands for; unknown k of a block
-    # is row m-1 + k % 3 of its column k // 3
-    blocks = [
-        ([(0,)], zx),
-        ([(i,) for i in range(1, m - 1)], yw + zx),
-        ([(m - 1, m)], pair),
-        ([(m + 1,)], yw),
-    ]
-    support = [[False] * (m + 2) for _ in range(3)]
-    for copies, rows in blocks:
-        if not copies:
-            continue  # m = 2 has no interior column
-        n = len(rows[0])
-        pivots, _ = _eliminate(rows, n, reduced=True)
-        _, basis = _null_vectors(rows, pivots, n)
-        for cols in copies:
-            for k in range(n):
-                support[k % 3][cols[k // 3]] = any(vec[k] != o for vec in basis)
-    return support
+    col_a = (y * c_zx[2] - w * c_zx[1], y * c_zx[1] - w * c_zx[0])
+    col_b = (z * c_yw[2] - x * c_yw[1], z * c_yw[1] - x * c_yw[0])
+    zx, yw, none = [v != 0 for v in c_zx], [v != 0 for v in c_yw], [False] * 3
+    pair = [zx if _in_span(col_a, col_b) else none, yw if _in_span(col_b, col_a) else none]
+    cols = [zx] + [zx if _in_span(c_zx, c_yw) else none] * (m - 2) + pair + [yw]
+    return [list(row) for row in zip(*cols)]
 
 
 def _draw_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from slocc2mn.cli import main, EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERNAL
+from slocc2mn.cli import main, EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERNAL, EXIT_PIPE
 from slocc2mn.states import PureState
 from slocc2mn.stateio import dump_state, state_from_json, state_to_json
 from slocc2mn.families import ClassLabel, make_canonical
@@ -450,6 +450,26 @@ def test_surd_signature_runs_without_numpy(tmp_path):
     assert [p["parameter"] for p in profile["exceptional"]] == [
         "root of (-2)*t^0 + (1)*t^2", "root of (-2)*t^0 + (1)*t^2", None,
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_pipe_exits_quietly(fmt):
+    # the reader is gone before the child writes: 128 + SIGPIPE with no
+    # traceback, not the verification-failure code
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(SCHEMA_DIR.parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "slocc2mn.cli", "verify", "--theorem", "appendix",
+             "--m", "3", "--trials", "100", "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_classify_without_a_proof_reports_proof_complete_null(capsys, tmp_path):

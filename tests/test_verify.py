@@ -131,7 +131,7 @@ def _integer_operator_entries(draw):
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(2, 6), entries=_integer_operator_entries())
 def test_block_support_matches_whole_rational_nullspace(m, entries):
-    # the per-block solve reads the same support as the whole system's
+    # the closed form reads the same support as the whole system's
     # nullspace over GaussianRational entries
     width = m + 2
     basis = _rational_obstruction_system(m, *entries).nullspace()
@@ -140,6 +140,47 @@ def test_block_support_matches_whole_rational_nullspace(m, entries):
         for r in range(3)
     ]
     assert _solution_support(m, *entries) == expected
+
+
+def _singular_entries():
+    """(w, x, y, z) with w, z != 0 and w z = x y, as (numerator, denominator)
+    pairs: every such integer block in [-3, 3], and a few rational ones."""
+    out = []
+    for w, x, y, z in itertools.product(range(-3, 4), repeat=4):
+        if w and z and w * z == x * y:
+            out.append(((w, 1), (x, 1), (y, 1), (z, 1)))
+    for w, x, z in ((Fraction(1, 2), Fraction(-2, 3), Fraction(3)),
+                    (Fraction(-3, 2), Fraction(1, 3), Fraction(2, 3))):
+        y = w * z / x
+        out.append(tuple((v.numerator, v.denominator) for v in (w, x, y, z)))
+    return out
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_support_matches_rational_nullspace_where_wz_equals_xy(m):
+    # with w z = x y the chains' null vectors are parallel and the joined
+    # block's determinant vanishes, so interior columns and the joined pair
+    # carry nonzero solutions: branches no admissible draw reaches
+    width = m + 2
+    for entries in _singular_entries():
+        basis = _rational_obstruction_system(m, *entries).nullspace()
+        expected = [
+            [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
+            for r in range(3)
+        ]
+        support = _solution_support(m, *entries)
+        assert support == expected
+        # row m-1 is nonzero at every column, the interior and pair included
+        assert all(support[0])
+
+
+@pytest.mark.parametrize("entries", [
+    ((0, 1), (1, 1), (1, 1), (1, 1)),  # w = 0
+    ((1, 1), (1, 1), (1, 1), (0, 1)),  # z = 0
+])
+def test_support_rejects_zero_w_or_z(entries):
+    with pytest.raises(ValueError):
+        _solution_support(2, *entries)
 
 
 def _oracle_operator_entries(case, rng):
@@ -416,6 +457,12 @@ GOLDEN_REPORTS = (
     ("theorem", "upsilon0", 3, 10, 6, "3081f8a2785c6ed964c282192f83d7441cb0bcbd44a2d2443427f857e7732c41"),
     ("appendix", None, 3, 10, 6, "cb493befa2aa5a1d39d01dd6967c44bb77c027780f85ae0abbb8a9cd145440a9"),
     ("theorem", "4", 3, 30, 1, "ebc62dc29f41e7b584f28cd2e194f010e48355ff3290cdff9282fa63dbe48174"),
+    # taken before the obstruction was solved from its chains' null vectors:
+    # a benchmark block size, three interior columns, and the theorem-4
+    # obstruction at m = 2
+    ("appendix", None, 2, 10, 17, "f585bcdf63ee8a338cde350a0fa15a6a2340882a6e4583de740ecc5aa4277383"),
+    ("appendix", None, 5, 10, 18, "fb580fb95743c57011633fa58418a0eca3b08436e58bcc9729ca97485fa5c9ff"),
+    ("theorem", "4", 2, 30, 19, "576f32cfcc505ba6612aa5ea7822eaf67532cb23ea21ff689c43657e5650ff48"),
 )
 
 
