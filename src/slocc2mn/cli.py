@@ -107,26 +107,31 @@ def _label_from_args(args) -> ClassLabel:
         raise StateFileError(str(exc)) from exc
 
 
+def _write_state(args, state, inputs: dict, result: dict, t0: float, text_lines) -> int:
+    """Write ``state`` where ``--out`` points, then report.  With ``--out -``,
+    or with no ``--out`` in text mode, stdout carries the state file alone."""
+    if args.out == "-" or (args.out is None and args.format == "text"):
+        dump_state(state, "-")
+        return EXIT_OK
+    if args.out is not None:
+        dump_state(state, args.out)
+        text_lines = text_lines + [f"wrote: {args.out}"]
+    _emit(args, inputs, result, t0, text_lines)
+    return EXIT_OK
+
+
 def cmd_gen(args) -> int:
     t0 = time.monotonic()
     label = _label_from_args(args)
     state = make_canonical(label)
-    payload = state_to_json(state)
-    if args.out is not None:
-        dump_state(state, args.out)
-    if args.out is None and args.format == "text":
-        # no destination: the state file itself is the useful text output
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    _emit(
+    return _write_state(
         args,
+        state,
         {"family": args.family, "m": args.m, "out": args.out},
-        {"label": label.render(), "dims": list(state.dims), "state": payload},
+        {"label": label.render(), "dims": list(state.dims), "state": state_to_json(state)},
         t0,
-        [f"label: {label.render()}", f"dims: {list(state.dims)}"]
-        + ([f"wrote: {args.out}"] if args.out else []),
+        [f"label: {label.render()}", f"dims: {list(state.dims)}"],
     )
-    return EXIT_OK
 
 
 def cmd_signature(args) -> int:
@@ -218,21 +223,18 @@ def cmd_perturb(args) -> int:
     state = load_state(args.state)
     triple = random_ilo(state.dims, args.seed)
     perturbed = triple.apply(state)
-    payload = state_to_json(perturbed)
-    if args.out is not None:
-        dump_state(perturbed, args.out)
-    if args.out is None and args.format == "text":
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    _emit(
+    return _write_state(
         args,
+        perturbed,
         {"state": args.state, "out": args.out},
-        {"dims": list(perturbed.dims), "state": payload, "ilo": operator_triple_to_json(triple)},
+        {
+            "dims": list(perturbed.dims),
+            "state": state_to_json(perturbed),
+            "ilo": operator_triple_to_json(triple),
+        },
         t0,
-        [f"dims: {list(perturbed.dims)}", f"seed: {args.seed}"]
-        + ([f"wrote: {args.out}"] if args.out else []),
+        [f"dims: {list(perturbed.dims)}", f"seed: {args.seed}"],
     )
-    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -249,11 +251,11 @@ def cmd_verify(args) -> int:
     ok = bool(result.get("ok"))
     lines = [f"theorem: {which}", f"ok: {ok}"]
     if which == "appendix":
-        for case in result["cases"]:
-            lines.append(
-                f"case {case['case']}: forced singular "
-                f"{case['forced_singular']}/{case['draws']}"
-            )
+        lines.append(f"method: {result['method']}, term rank {result['term_rank']}")
+        for name, held in result["identities"].items():
+            lines.append(f"identity {name}: {'holds' if held else 'fails'}")
+        lines.append(f"domain: {result['domain']}")
+        lines.append(f"outside the claim: {result['outside_claim']}")
     else:
         for fam in result.get("families", []):
             mark = "" if fam["signature_matches"] else "  (differs from displayed bracket)"

@@ -126,9 +126,12 @@ def dump_state(s: PureState, path: str) -> None:
     text = json.dumps(state_to_json(s), indent=2) + "\n"
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise StateFileError(f"cannot write {path!r}: {exc}") from exc
 
 
 def matrix_to_json(m: Matrix) -> list:

@@ -2,14 +2,11 @@
 
 Three layers of checks live here:
 
-* ``verify_appendix_theta45`` replays the linear-constraint argument that no
-  invertible local operator maps Theta4 to Theta5: for random admissible
-  2x2 operator entries it solves the induced constraints on three rows of the
-  (M+2)x(M+2) operator exactly and certifies, via a term-rank bound, that
-  every solution is singular.  The constraints chain each column's three
-  unknowns by (x, z), by (w, y) or by both, and join columns m-1 and m; the
-  support of their solutions is read in closed form off the two chains'
-  integer null vectors and a 2x2 system for the joined pair (no elimination).
+* ``verify_appendix_theta45`` proves that no invertible local operator
+  whose 2x2 block has w, z != 0 and wz != xy maps Theta4 to Theta5: it
+  checks the three polynomial identities the argument rests on over a grid
+  that proves them, then bounds by term rank the support they leave on
+  three operator rows.  It draws nothing.
 * ``verify_theorem`` re-derives the published classification tables: family
   signatures, pairwise separation with the invariant that witnesses it, the
   coefficient-branch sweep for the 2x3x3 expressions, and random-state
@@ -22,17 +19,17 @@ Three layers of checks live here:
   distinct state is classified once per sweep.
 * ``random_full_rank_state`` samples states with maximal local ranks for the
   census checks, drawing each amplitude as a Gaussian integer over the
-  denominator 6 (no rational is built).  It and the obstruction's entry
-  draws take their (numerator, denominator) pairs from the generator's bits
-  (``getrandbits``) under ``randint``'s own rejection rule, so they read the
-  same random stream as ``randint`` would, without its per-call overhead.
+  denominator 6 (no rational is built).  It takes its (numerator,
+  denominator) pairs from the generator's bits (``getrandbits``) under
+  ``randint``'s own rejection rule, so it reads the same random stream as
+  ``randint`` would, without its per-call overhead.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import lcm, prod
+from math import prod
 
 from .states import PureState, LocalRankProfile, compress_to_ranks
 from .families import (
@@ -75,52 +72,85 @@ def term_rank(support) -> int:
     return count
 
 
-# -- the Theta4 / Theta5 obstruction system -----------------------------------
+# -- the Theta4 / Theta5 obstruction ------------------------------------------
 
 
-def _in_span(u, v) -> bool:
-    """Whether the integer vector u is a multiple of v (zero included)."""
-    pairs = itertools.combinations(range(len(u)), 2)
-    return not any(u) or (any(v) and all(u[i] * v[j] == u[j] * v[i] for i, j in pairs))
+def _chain_null_vectors(w, x, y, z):
+    """The null vectors of the x, z chain and of the w, y chain on one
+    column: the cross products of each chain's two rows,
+    c_zx = -(z^2, xz, x^2) and c_yw = -(y^2, wy, w^2)."""
+    return (-z * z, -x * z, -x * x), (-y * y, -w * y, -w * w)
 
 
-def _solution_support(m: int, w, x, y, z) -> list:
-    """Which unknowns of the obstruction system are not forced to zero.
+_IDENTITIES = ("chain_null_vectors", "joined_determinant", "cross_product")
 
-    Entry [r][i] is True when some solution has a nonzero at operator row
-    m-1+r, column i; the entries (w, x, y, z) are (numerator, denominator)
-    pairs, w and z nonzero as on every admissible draw (ValueError
-    otherwise).  With u0, u1, u2 the three unknowns of one column, the
-    appendix equations are the x, z chain z u2 = x u1, z u1 = x u0 on
-    columns 0..m-1, the w, y chain y u2 = w u1, y u1 = w u0 on columns
-    1..m-2, m and m+1, and two equations joining columns m-1 and m.  They
-    are linear in the entries, so scaling these to one denominator leaves
-    the solutions unchanged.
 
-    On one column the x, z chain has rank 2 (z != 0), so its solutions are
-    the multiples of the cross product of its rows, c_zx = -(z^2, xz, x^2);
-    the w, y chain's are those of c_yw = -(y^2, wy, w^2) (w != 0).  Columns
-    0 and m+1 carry one chain each.  An interior column carries both, so it
-    is nonzero only when c_zx and c_yw are parallel (w z = x y).  The joined
-    pair's solutions are (a c_zx, b c_yw) with (a, b) solving the two joining
-    equations, a 2x2 integer system of determinant (w z - x y)^3: a is
-    nonzero in some solution exactly when its column of the system is a
-    multiple of b's, and likewise for b.
+def _failed_identities(points) -> set:
+    """The obstruction's identities that fail at some (w, x, y, z) of
+    ``points``: each chain annihilates its null vector (c_zx the x, z chain
+    z u2 = x u1, z u1 = x u0; c_yw the w, y chain y u2 = w u1, y u1 = w u0);
+    the joined pair's 2x2 determinant is (wz - xy)^3; and
+    c_zx x c_yw = (wz - xy)(wx, -(wz + xy), yz)."""
+    failed = set()
+    for w, x, y, z in points:
+        (a0, a1, a2), (b0, b1, b2) = _chain_null_vectors(w, x, y, z)
+        d = w * z - x * y
+        if z * a2 != x * a1 or z * a1 != x * a0 or y * b2 != w * b1 or y * b1 != w * b0:
+            failed.add("chain_null_vectors")
+        # each joining equation is a w, y chain row on column m-1 plus an
+        # x, z chain row on column m, applied to (s c_zx, t c_yw)
+        if (y * a2 - w * a1) * (z * b1 - x * b0) - (y * a1 - w * a0) * (z * b2 - x * b1) != d**3:
+            failed.add("joined_determinant")
+        cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        if cross != (d * w * x, -d * (w * z + x * y), d * y * z):
+            failed.add("cross_product")
+    return failed
+
+
+def verify_appendix_theta45(m: int, trials: int = 100, seed: int = 0) -> dict:
+    """Prove that every operator mapping Theta4(m) to Theta5(m) whose 2x2
+    block (w, x; y, z) has w, z != 0 and wz != xy is singular.
+
+    With u0, u1, u2 the unknowns of one column of three operator rows, the
+    constraints are the x, z chain on columns 0..m-1, the w, y chain on
+    columns 1..m-2, m and m+1, and two equations joining columns m-1 and m.
+    w, z != 0 give each chain rank 2 on a column, so its solutions there are
+    the multiples of its null vector.  An interior column carries both
+    chains, whose null vectors' cross product (wz - xy)(wx, -(wz + xy), yz)
+    is nonzero (wx = yz = 0 forces x = y = 0, leaving -wz in the middle), so
+    it is zero.  The joined pair's solutions (s c_zx, t c_yw) solve a 2x2
+    system of determinant (wz - xy)^3 != 0, so it is zero too.  Columns 0
+    and m+1 are left, whose support has term rank 2: the three rows are
+    dependent.
+
+    Each identity has degree at most 3 in each variable, so checking it on
+    {0..3}^4 proves it (Alon, "Combinatorial Nullstellensatz", Lemma 2.1).
+    Nothing is drawn: ``trials`` and ``seed`` are checked and echoed, and
+    the proof reads neither.
     """
-    if not (w[0] and z[0]):
-        raise ValueError("the obstruction's closed form needs w != 0 and z != 0")
-    den = lcm(w[1], x[1], y[1], z[1])
-    w, x, y, z = [p * (den // q) for p, q in (w, x, y, z)]
-    c_zx = (-z * z, -x * z, -x * x)
-    c_yw = (-y * y, -w * y, -w * w)
-    # each joining equation is a w, y chain row on column m-1 plus an x, z
-    # chain row on column m
-    col_a = (y * c_zx[2] - w * c_zx[1], y * c_zx[1] - w * c_zx[0])
-    col_b = (z * c_yw[2] - x * c_yw[1], z * c_yw[1] - x * c_yw[0])
-    zx, yw, none = [v != 0 for v in c_zx], [v != 0 for v in c_yw], [False] * 3
-    pair = [zx if _in_span(col_a, col_b) else none, yw if _in_span(col_b, col_a) else none]
-    cols = [zx] + [zx if _in_span(c_zx, c_yw) else none] * (m - 2) + pair + [yw]
-    return [list(row) for row in zip(*cols)]
+    if m < 2:
+        raise ValueError("the obstruction argument needs m >= 2")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    failed = _failed_identities(itertools.product(range(4), repeat=4))
+    identities = {name: name not in failed for name in _IDENTITIES}
+    rank = term_rank([[i in (0, m + 1) for i in range(m + 2)] for _ in range(3)])
+    return {
+        "m": m,
+        "trials": trials,
+        "seed": seed,
+        "method": "proved",
+        "domain": "every 2x2 block (w, x; y, z) with w, z != 0 and wz != xy; "
+        "the cases wxyz_nonzero, x_zero and y_zero lie inside it",
+        "outside_claim": "blocks with w = 0 or z = 0, where a chain loses rank "
+        "on a column; the argument does not cover them",
+        "identities": identities,
+        "term_rank": rank,
+        "ok": all(identities.values()) and rank <= 2,
+    }
+
+
+# -- random state sampling ----------------------------------------------------
 
 
 def _draw_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:
@@ -143,85 +173,6 @@ def _draw_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:
             q = bits(2)
         out.append((p - 3, q + 1))
     return out
-
-
-def _draw_rational(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:
-    """(numerator, denominator) of one real draw of
-    :func:`~slocc2mn.operators.random_scalar`, drawn again while zero when
-    ``nonzero``; the pair comes from :func:`_draw_pairs`, on the same stream
-    as ``randint``."""
-    while True:
-        p, q = _draw_pairs(rng, 1)[0]
-        if p or not nonzero:
-            return p, q
-
-
-_OBSTRUCTION_CASES = ("wxyz_nonzero", "x_zero", "y_zero")
-
-
-def _draw_operator_entries(case: str, rng: random.Random):
-    """Entries (w, x, y, z) of an invertible 2x2 block matching the case, as
-    (numerator, denominator) pairs."""
-    while True:
-        w = _draw_rational(rng, nonzero=True)
-        z = _draw_rational(rng, nonzero=True)
-        if case == "wxyz_nonzero":
-            x = _draw_rational(rng, nonzero=True)
-            y = _draw_rational(rng, nonzero=True)
-        elif case == "x_zero":
-            x = (0, 1)
-            y = _draw_rational(rng)
-        elif case == "y_zero":
-            y = (0, 1)
-            x = _draw_rational(rng)
-        else:
-            raise ValueError(f"unknown case {case!r}")
-        # w z - x y is nonzero, cross-multiplied by the four denominators
-        if w[0] * z[0] * x[1] * y[1] != x[0] * y[0] * w[1] * z[1]:
-            return w, x, y, z
-
-
-def verify_appendix_theta45(m: int, trials: int = 100, seed: int = 0) -> dict:
-    """Certify that every admissible operator mapping Theta4(m) to Theta5(m)
-    is singular, case by case over the 2x2 entry patterns.
-
-    For each draw the exact solution space of the constraint system is
-    computed as Gaussian-integer null vectors; coordinates that vanish in
-    every basis vector are forced zeros.  If the remaining support of the
-    three constrained operator rows has term rank at most two, those rows are
-    dependent in every solution, so the operator determinant vanishes: the
-    draw is "forced singular".
-    """
-    if m < 2:
-        raise ValueError("the obstruction argument needs m >= 2")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    cases = {
-        name: {"case": name, "draws": 0, "forced_singular": 0, "max_term_rank": 0}
-        for name in _OBSTRUCTION_CASES
-    }
-    for case in _OBSTRUCTION_CASES:
-        rec = cases[case]
-        for _ in range(trials):
-            w, x, y, z = _draw_operator_entries(case, rng)
-            tr = term_rank(_solution_support(m, w, x, y, z))
-            rec["draws"] += 1
-            rec["max_term_rank"] = max(rec["max_term_rank"], tr)
-            if tr <= 2:
-                rec["forced_singular"] += 1
-    all_forced = all(rec["forced_singular"] == rec["draws"] for rec in cases.values())
-    return {
-        "m": m,
-        "trials": trials,
-        "seed": seed,
-        "cases": [cases[name] for name in _OBSTRUCTION_CASES],
-        "all_forced_singular": all_forced,
-        "ok": all_forced,
-    }
-
-
-# -- random state sampling ----------------------------------------------------
 
 
 def random_full_rank_state(dims, rng: random.Random) -> PureState:
@@ -450,9 +401,7 @@ def verify_theorem(
     if which == "2":
         report["expression_sweep"] = _expression_sweep(trials, rng)
     if which == "4":
-        report["obstruction"] = verify_appendix_theta45(
-            m_parameter, trials=min(trials, 30), seed=seed
-        )
+        report["obstruction"] = verify_appendix_theta45(m_parameter)
     report["ok"] = (
         report["all_pairs_inequivalent"]
         and all(f["signature_matches"] for f in families)

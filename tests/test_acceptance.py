@@ -142,16 +142,14 @@ def test_large_shape_families():
             )
 
 
-def test_obstruction_argument_hundred_draws_per_case():
-    with budget(30):
-        for m in (2, 3):
-            rep = verify_appendix_theta45(m, trials=100, seed=0)
-            assert rep["ok"] and rep["all_forced_singular"]
-            assert len(rep["cases"]) == 3
-            for case in rep["cases"]:
-                assert case["draws"] == 100
-                assert case["forced_singular"] == 100
-                assert case["max_term_rank"] <= 2
+def test_obstruction_argument_proved_for_every_m():
+    # the proof checks its identities once a call, whatever m; each call is
+    # timed on its own
+    for m in [*range(2, 9), 500]:
+        with budget(0.02):
+            rep = verify_appendix_theta45(m)
+        assert rep["ok"] and rep["method"] == "proved"
+        assert rep["term_rank"] == 2
 
 
 def _all_canonical_labels(max_m=3):

@@ -22,10 +22,10 @@ from slocc2mn.verify import (
     verify_appendix_theta45,
     verify_theorem,
     random_full_rank_state,
-    _OBSTRUCTION_CASES,
-    _draw_operator_entries,
-    _solution_support,
 )
+
+# three patterns of admissible 2x2 block entries: all four nonzero, x = 0, y = 0
+OBSTRUCTION_CASES = ("wxyz_nonzero", "x_zero", "y_zero")
 
 
 def test_term_rank_basic():
@@ -54,7 +54,7 @@ def test_term_rank_bounds_matrix_rank():
 
 def _rational_obstruction_system(m, w, x, y, z) -> Matrix:
     """The obstruction constraints built from GaussianRational entries; the
-    (numerator, denominator) pairs the sampler draws are read as fractions."""
+    (numerator, denominator) pairs of the entries are read as fractions."""
     w, x, y, z = (GaussianRational(Fraction(p, q)) for p, q in (w, x, y, z))
     width = m + 2
     rows = []
@@ -93,23 +93,37 @@ def test_obstruction_diagonal_operator_forces_zero_rows():
         [False, False, False, False],
         [False, False, False, True],
     ]
-    assert _solution_support(m, (1, 1), (0, 1), (0, 1), (1, 1)) == support
     assert term_rank(support) == 2
 
 
+def _nullspace_support(m, entries):
+    """Which unknowns of the oracle system some solution leaves nonzero:
+    entry [r][i] is operator row m-1+r at column i."""
+    width = m + 2
+    basis = _rational_obstruction_system(m, *entries).nullspace()
+    return [
+        [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
+        for r in range(3)
+    ]
+
+
+def _chain_support(m, x, y):
+    """The support the proof leaves for entries x, y (numerator, denominator
+    pairs): column 0 carries c_zx = -(z^2, xz, x^2), column m+1 carries
+    c_yw = -(y^2, wy, w^2), and every other column is zero."""
+    cols = [[True, bool(x[0]), bool(x[0])]] + [[False] * 3] * m + [[bool(y[0]), bool(y[0]), True]]
+    return [list(row) for row in zip(*cols)]
+
+
 def test_integer_obstruction_support_matches_rational_nullspace():
+    # admissible rational draws of all three cases: the oracle's nullspace
+    # lies in columns 0 and m+1, on the supports of the chains' null vectors
     rng = random.Random(62)
     for m in range(2, 9):
-        width = m + 2
-        for case in _OBSTRUCTION_CASES:
+        for case in OBSTRUCTION_CASES:
             for _ in range(6):
-                w, x, y, z = _draw_operator_entries(case, rng)
-                basis = _rational_obstruction_system(m, w, x, y, z).nullspace()
-                expected = [
-                    [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
-                    for r in range(3)
-                ]
-                assert _solution_support(m, w, x, y, z) == expected
+                w, x, y, z = _admissible_entries(case, rng)
+                assert _nullspace_support(m, (w, x, y, z)) == _chain_support(m, x, y)
 
 
 @st.composite
@@ -131,15 +145,11 @@ def _integer_operator_entries(draw):
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(2, 6), entries=_integer_operator_entries())
 def test_block_support_matches_whole_rational_nullspace(m, entries):
-    # the closed form reads the same support as the whole system's
-    # nullspace over GaussianRational entries
-    width = m + 2
-    basis = _rational_obstruction_system(m, *entries).nullspace()
-    expected = [
-        [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
-        for r in range(3)
-    ]
-    assert _solution_support(m, *entries) == expected
+    # the chains' null vectors give the same support as the whole system's
+    # nullspace over GaussianRational entries: nothing off columns 0, m+1
+    support = _nullspace_support(m, entries)
+    assert support == _chain_support(m, entries[1], entries[2])
+    assert term_rank(support) == 2
 
 
 def _singular_entries():
@@ -159,77 +169,61 @@ def _singular_entries():
 @pytest.mark.parametrize("m", range(2, 7))
 def test_support_matches_rational_nullspace_where_wz_equals_xy(m):
     # with w z = x y the chains' null vectors are parallel and the joined
-    # block's determinant vanishes, so interior columns and the joined pair
-    # carry nonzero solutions: branches no admissible draw reaches
-    width = m + 2
+    # block's determinant vanishes: the oracle's nullspace reaches every
+    # cell, whose term rank is 3, so the proof's domain excludes these blocks
+    full = [[True] * (m + 2)] * 3
     for entries in _singular_entries():
-        basis = _rational_obstruction_system(m, *entries).nullspace()
-        expected = [
-            [any(not v[r * width + i].is_zero() for v in basis) for i in range(width)]
-            for r in range(3)
-        ]
-        support = _solution_support(m, *entries)
-        assert support == expected
-        # row m-1 is nonzero at every column, the interior and pair included
-        assert all(support[0])
-
-
-@pytest.mark.parametrize("entries", [
-    ((0, 1), (1, 1), (1, 1), (1, 1)),  # w = 0
-    ((1, 1), (1, 1), (1, 1), (0, 1)),  # z = 0
-])
-def test_support_rejects_zero_w_or_z(entries):
-    with pytest.raises(ValueError):
-        _solution_support(2, *entries)
-
-
-def _oracle_operator_entries(case, rng):
-    """The appendix sampler on GaussianRational entries: random_scalar draws
-    without imaginary parts, retried until w z - x y is nonzero."""
-
-    def nonzero():
-        while True:
-            v = random_scalar(rng, allow_imag=False)
-            if not v.is_zero():
-                return v
-
-    while True:
-        w, z = nonzero(), nonzero()
-        if case == "wxyz_nonzero":
-            x, y = nonzero(), nonzero()
-        elif case == "x_zero":
-            x, y = ZERO, random_scalar(rng, allow_imag=False)
-        else:
-            y, x = ZERO, random_scalar(rng, allow_imag=False)
-        if not (w * z - x * y).is_zero():
-            return w, x, y, z
-
-
-def test_integer_operator_draws_match_the_rational_sampler():
-    # the same random stream gives the same entries, and the same stream
-    # position after each draw
-    for case in _OBSTRUCTION_CASES:
-        rng, oracle_rng = random.Random(63), random.Random(63)
-        for _ in range(200):
-            pairs = _draw_operator_entries(case, rng)
-            assert [GaussianRational(Fraction(p, q)) for p, q in pairs] == list(
-                _oracle_operator_entries(case, oracle_rng)
-            )
-        assert rng.random() == oracle_rng.random()
+        assert _nullspace_support(m, entries) == full
+    assert term_rank(full) == 3
 
 
 def test_appendix_report_structure_and_success():
     rep = verify_appendix_theta45(2, trials=5, seed=1)
-    assert rep["ok"] and rep["all_forced_singular"]
-    assert [c["case"] for c in rep["cases"]] == [
-        "wxyz_nonzero",
-        "x_zero",
-        "y_zero",
-    ]
-    for c in rep["cases"]:
-        assert c["draws"] == 5
-        assert c["forced_singular"] == 5
-        assert c["max_term_rank"] <= 2
+    assert rep["ok"] and rep["method"] == "proved"
+    assert (rep["m"], rep["trials"], rep["seed"]) == (2, 5, 1)
+    assert rep["identities"] == {
+        "chain_null_vectors": True,
+        "joined_determinant": True,
+        "cross_product": True,
+    }
+    assert rep["term_rank"] == 2
+    assert "w, z != 0 and wz != xy" in rep["domain"]
+    assert all(case in rep["domain"] for case in OBSTRUCTION_CASES)
+    assert "w = 0 or z = 0" in rep["outside_claim"]
+
+
+def test_appendix_proof_reads_neither_trials_nor_seed(monkeypatch):
+    # nothing is drawn, so the report is the same for every trials and seed
+    # but for their echo
+    def no_draws(*args):
+        raise AssertionError("the proof drew a random number")
+
+    for name in ("random", "getrandbits", "randint", "seed"):
+        monkeypatch.setattr(random.Random, name, no_draws)
+    for m in (2, 3, 7):
+        base = verify_appendix_theta45(m)
+        for trials, seed in ((1, 0), (30, 5), (1000, 123)):
+            rep = verify_appendix_theta45(m, trials=trials, seed=seed)
+            assert {**rep, "trials": 100, "seed": 0} == base
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_appendix_fails_on_a_mutated_chain_vector(monkeypatch, which):
+    # two entries of c_zx, or of c_yw, swapped: the identities no longer
+    # hold, and the report says so
+    chain_null_vectors = verify._chain_null_vectors
+
+    def mutated(w, x, y, z):
+        vectors = list(chain_null_vectors(w, x, y, z))
+        a, b, c = vectors[which]
+        vectors[which] = (b, a, c)
+        return tuple(vectors)
+
+    monkeypatch.setattr(verify, "_chain_null_vectors", mutated)
+    rep = verify_appendix_theta45(3)
+    assert rep["ok"] is False
+    assert rep["identities"]["chain_null_vectors"] is False
+    assert verify_theorem("4", m_parameter=2, trials=1)["ok"] is False
 
 
 def test_appendix_rejects_small_m():
@@ -307,8 +301,9 @@ def _randint_rational(rng, nonzero=False):
             return p, q
 
 
-def _randint_operator_entries(case, rng):
-    """The obstruction's entry draws as made with ``rng.randint``."""
+def _admissible_entries(case, rng):
+    """Entries (w, x, y, z) of a 2x2 block of the case, as (numerator,
+    denominator) pairs with w, z != 0 and w z != x y."""
     while True:
         w = _randint_rational(rng, nonzero=True)
         z = _randint_rational(rng, nonzero=True)
@@ -332,8 +327,6 @@ def test_bit_sampler_keeps_the_randint_stream():
             got = random_full_rank_state(dims, rng)
             want = _randint_full_rank_state(dims, ref_rng)
             assert (got._ints, got._den) == (want._ints, want._den)
-        for case in _OBSTRUCTION_CASES:
-            assert _draw_operator_entries(case, rng) == _randint_operator_entries(case, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -435,7 +428,9 @@ def test_census_upsilon0():
 
 
 # sha256 of json.dumps(report, sort_keys=True), taken before the range
-# criterion moved onto Gaussian-integer polynomials: the reports must not move
+# criterion moved onto Gaussian-integer polynomials: the reports must not move.
+# The appendix and theorem-4 rows were re-recorded when the obstruction became
+# a proof; it draws nothing, so theorem 4 at one m reads the same at any seed
 GOLDEN_REPORTS = (
     ("theorem", "2", None, 3, 11, "70e83f7092d8a0ff2eba17ed5a11abdbbd65fbb37d45b75e5c6481277d61378f"),
     # the benchmark's sweep size, taken before each distinct sweep state was
@@ -444,25 +439,24 @@ GOLDEN_REPORTS = (
     ("theorem", "2", None, 60, 0, "a3b6ab6c47238bdb1e38b8f6b74716bbf30495259c3d44758feb0d72b7877018"),
     ("theorem", "2", None, 60, 1, "a3b6ab6c47238bdb1e38b8f6b74716bbf30495259c3d44758feb0d72b7877018"),
     ("theorem", "3", 2, 1, 0, "e585eeb3893b6f531dfd747eef768d6adf6e532912dd3414c0c18c0253e72f5a"),
-    ("theorem", "4", 2, 3, 12, "582011ec7ce6091e3f36560bd42600a3e414c445e49cc5c620257ee26df7ed28"),
+    ("theorem", "4", 2, 3, 12, "588fa066fcfd552a7dee15298e27d54513bc3c113898575d84ffc7c8cc377cef"),
     ("theorem", "upsilon0", 2, 4, 13, "13fe2018578f97966eac2b915626c609f96c6036f3a20101a9e41484f5e38a52"),
     ("theorem", "two_by_two_by_three", None, 40, 14,
      "a126d919dc85c93fd425ab1da97e04eea999dff08afddcb95b6f1c66f257c909"),
-    ("appendix", None, 2, 4, 15, "f69eaab5aabe757e8521ae10e18a671c00b961e58b6b5646f0991994b2e7530a"),
-    ("appendix", None, 3, 2, 16, "b7814a941df1c354cca65277e705f0069cbb459df02a36c0706523f4ba9c1100"),
+    ("appendix", None, 2, 4, 15, "02e0280f0308364484d24c41ebf1662d7f3e4008346c9e1ea8976f39c0bb46fd"),
+    ("appendix", None, 3, 2, 16, "16cd43f7a0cac1027ed6346dd86c982c569155ddd58c1b9f060a2edf61bc2ab7"),
     # the benchmark's block sizes and seeds, taken before the samplers drew
     # on getrandbits
     ("theorem", "two_by_two_by_three", None, 600, 1,
      "95d1cc95e1767ff926ae65a212bed7f1d84433bbf1ce2142e839bff57a9af1d6"),
     ("theorem", "upsilon0", 3, 10, 6, "3081f8a2785c6ed964c282192f83d7441cb0bcbd44a2d2443427f857e7732c41"),
-    ("appendix", None, 3, 10, 6, "cb493befa2aa5a1d39d01dd6967c44bb77c027780f85ae0abbb8a9cd145440a9"),
-    ("theorem", "4", 3, 30, 1, "ebc62dc29f41e7b584f28cd2e194f010e48355ff3290cdff9282fa63dbe48174"),
-    # taken before the obstruction was solved from its chains' null vectors:
+    ("appendix", None, 3, 10, 6, "6fe9226d58ac6b2c849a28075f86c7a6601bf27ac1e4c65645653329f8bcaceb"),
+    ("theorem", "4", 3, 30, 1, "3f53144f2649d5e55f9d44e815a464931e9dcd463cdebbcc6520e7da81412bd4"),
     # a benchmark block size, three interior columns, and the theorem-4
     # obstruction at m = 2
-    ("appendix", None, 2, 10, 17, "f585bcdf63ee8a338cde350a0fa15a6a2340882a6e4583de740ecc5aa4277383"),
-    ("appendix", None, 5, 10, 18, "fb580fb95743c57011633fa58418a0eca3b08436e58bcc9729ca97485fa5c9ff"),
-    ("theorem", "4", 2, 30, 19, "576f32cfcc505ba6612aa5ea7822eaf67532cb23ea21ff689c43657e5650ff48"),
+    ("appendix", None, 2, 10, 17, "90a082b5e18cdf9a4b10c26d51becb65c330b3b8f1f1dfdb280ccf1da580f112"),
+    ("appendix", None, 5, 10, 18, "4c6de9af16d03010706a48b2c7e76fc379545181bda5c44aeeb46b16a999e0f1"),
+    ("theorem", "4", 2, 30, 19, "588fa066fcfd552a7dee15298e27d54513bc3c113898575d84ffc7c8cc377cef"),
 )
 
 
