@@ -102,20 +102,20 @@ class OperatorTriple:
         return f"OperatorTriple(A={self.v_a!r}, B={self.v_b!r}, C={self.v_c!r})"
 
 
-def random_scalar(rng: random.Random, allow_imag: bool = True) -> GaussianRational:
+def random_scalar(rng: random.Random) -> GaussianRational:
     """One entry from the small Gaussian-rational sampling grid."""
     from fractions import Fraction
 
     re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     im = Fraction(0)
-    if allow_imag and rng.random() < 0.25:
+    if rng.random() < 0.25:
         im = Fraction(rng.randint(-1, 1))
     return GaussianRational(re, im)
 
 
-def random_invertible(dim: int, rng: random.Random, allow_imag: bool = True) -> Matrix:
+def random_invertible(dim: int, rng: random.Random) -> Matrix:
     while True:
-        m = Matrix([[random_scalar(rng, allow_imag) for _ in range(dim)] for _ in range(dim)])
+        m = Matrix([[random_scalar(rng) for _ in range(dim)] for _ in range(dim)])
         if not m.det().is_zero():
             return m
 

@@ -62,7 +62,6 @@ from .matrices import (
     certified_nullspace,
     _eliminate,
     _int_matmul,
-    _null_vectors,
     _primitive_ints,
 )
 from .states import PureState, PARTIES, LocalRankProfile
@@ -175,13 +174,12 @@ def _count_pencil_span(sub: MatrixSubspace, pen: Pencil | None = None) -> Produc
     """Product states in span{M0, M1}: rank-one points of the projective line,
     read off the rank profile of ``pen`` = M1 - t*M0 when given, else off the
     2 x 2 minors.  An irrational root is counted without a witness.  An
-    infinite count yields M0 first.  With ``pen`` the basis is read only by
-    the count's points()."""
-    every = partial(_pencil_witnesses, sub, [(ONE, ZERO)])
+    infinite count yields M0 first.  With ``pen``, the qubit pencil of a
+    normal form with M >= 3, the count is finite: generic rank <= 1 would
+    force rank T0, rank T1 <= 1 and so a B rank <= 2.  The basis is then
+    read only by the count's points()."""
     if pen is not None:
         profile = pen.rank_profile()
-        if profile.generic_rank <= 1:
-            return ProductCount(kind="infinite", points=every)
         low = tuple(p for p in profile.exceptional if p.rank <= 1)
         slopes, exact = exact_points(replace(profile, exceptional=low))
         # the slope t is the point s = -1/t of M0 + s*M1: t = infinity is
@@ -197,7 +195,7 @@ def _count_pencil_span(sub: MatrixSubspace, pen: Pencil | None = None) -> Produc
     g = poly_gcd_many(Pencil(m0, m1).minor_polynomials(2)) if min(m0.shape()) > 1 else Poly()
     if g.is_zero():
         # every pencil element has rank <= 1
-        return ProductCount(kind="infinite", points=every)
+        return ProductCount(kind="infinite", points=partial(_pencil_witnesses, sub, [(ONE, ZERO)]))
     # the distinct roots, Gaussian-rational and irrational: deg of the
     # square-free part
     roots, rest = exact_roots_of(g) if g.degree > 0 else ([], [])
@@ -482,36 +480,23 @@ def partner_rank(s: PureState, absent_party: str, witness: ProductWitness, qubit
     it.  The exceptional points are compared one by one, exactly, the
     irrational ones by :meth:`.matrices.Pencil.ranks_over`.  ``qubit``, the
     state's :func:`qubit_pencil`, is B - t*A or its transpose, profile cached.
+    The Z-slices must be independent, as a normal form's are; dependent ones
+    raise UnsupportedSubspaceError.
     """
     y_party, z_party = RANGE_PAIR[absent_party]
     v = witness.v
     slices = s.slices(z_party)
-    d_z = len(slices)
-    if len(v) != d_z:
+    k = len(slices)
+    if len(v) != k:
         raise ValueError("witness factor length does not match party dimension")
-    # one elimination of the columns of the vectorized slices gives both the
-    # independent slices (its pivots, as in _independent_slices) and the
-    # kernel {g : sum g_j S_j = 0}, as g_j = den_j h_j with h a null vector
-    # of the integer columns (slice j is stored over den_j)
-    rows, slice_dens = stack_vectorized(slices)._int_form()
-    cols = [list(col) for col in zip(*rows)]
-    chosen, _ = _eliminate(cols, d_z, reduced=True)
-    _, kernel = _null_vectors(cols, chosen, d_z)
-    v_ints, v_den = _int_row(v)
-    # g . v = sum_j den_j h_j v_j, up to v's denominator
-    weighted = [[(den * a, den * b) for (a, b), den in zip(v_ints, slice_dens)]]
-    kernel_hits_v = any(any(gv) for gv in _int_matmul(weighted, list(zip(*kernel)))[0])
-    sub = MatrixSubspace._of_independent([slices[j] for j in chosen])
-    if kernel_hits_v:
-        # the hyperplane condition is vacuous: partner rank 1 iff any rank-one
-        # element exists in the slice span at all
-        pc = count_product_states(sub)
-        return 1 if pc.is_infinite or pc.count > 0 else 2
-
+    if len(_independent_slices(slices)[0]) != k:
+        raise UnsupportedSubspaceError(
+            f"partner ranks need independent {z_party}-slices, as a normal form has"
+        )
+    sub = MatrixSubspace._of_independent(slices)
+    phi, v_den = _int_row(v)
     _, _, pen = _two_row_pencil(sub)
     a_rows, b_rows, dens = pen._int_form()
-    phi = [v_ints[j] for j in chosen]
-    k = len(chosen)
     # B - t*A with the constant row phi appended
     with_phi = Pencil(
         Matrix._from_ints(a_rows + [phi], dens + [v_den], k),

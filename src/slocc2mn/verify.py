@@ -332,11 +332,12 @@ def verify_theorem(
     carries, per family: the computed signature against the published bracket;
     for every pair, the verdict and the invariant separating it; plus the
     theorem-specific sweeps (coefficient branches, random-state censuses, the
-    singular-operator obstruction for Theta4/Theta5).
+    singular-operator obstruction for Theta4/Theta5).  ``seed`` seeds the
+    draws of theorem 2's expression sweep and of the two censuses, each from
+    its own generator; theorems 3 and 4 draw nothing.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = random.Random(seed)
     which = str(which)
     if which == "2":
         labels = [ClassLabel(f"Psi{i}") for i in range(1, 7)]
@@ -363,7 +364,7 @@ def verify_theorem(
             (2, m_parameter, 2 * m_parameter),
             [ClassLabel("Upsilon0", m_parameter)],
             trials,
-            rng,
+            random.Random(seed),
         )
         report["which"] = which
         return report
@@ -372,7 +373,7 @@ def verify_theorem(
             (2, 2, 3),
             [ClassLabel("Upsilon1", 1), ClassLabel("Upsilon2", 1)],
             trials,
-            rng,
+            random.Random(seed),
         )
         report["which"] = which
         return report
@@ -399,7 +400,7 @@ def verify_theorem(
         "all_pairs_inequivalent": all(p["verdict"] == "Inequivalent" for p in pairs),
     }
     if which == "2":
-        report["expression_sweep"] = _expression_sweep(trials, rng)
+        report["expression_sweep"] = _expression_sweep(trials, random.Random(seed))
     if which == "4":
         report["obstruction"] = verify_appendix_theta45(m_parameter)
     report["ok"] = (

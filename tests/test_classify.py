@@ -187,14 +187,17 @@ def test_long_proof_runs_to_a_local_rank_one():
         cur = step.residual
 
 
-def test_proof_without_a_rational_product_state_is_incomplete():
-    # A-slices I and the companion matrix of t^3 - 2: the AB range holds
-    # three product states, none of them Gaussian-rational, so no step can
-    # start, and the empty proof is not complete
+def _cube_root_psi1():
+    """The Psi1 state with A-slices I and the companion matrix of t^3 - 2:
+    its AB range holds three product states, none of them Gaussian-rational."""
     amps = {(0, j, j): 1 for j in range(3)}
     amps.update({(1, 1, 0): 1, (1, 2, 1): 1, (1, 0, 2): 2})
-    s = PureState((2, 3, 3), amps)
-    res = classify(s)
+    return PureState((2, 3, 3), amps)
+
+
+def test_proof_without_a_rational_product_state_is_incomplete():
+    # no step can start, and the empty proof is not complete
+    res = classify(_cube_root_psi1())
     assert res.label == ClassLabel("Psi1")
     assert res.proof == []
     assert not res.proof_complete
@@ -371,6 +374,27 @@ def test_states_without_a_qubit_are_unknown_and_undecided():
     other = random_full_rank_state((3, 3, 4), random.Random(1))
     assert decide_equivalence(s, other).separating_invariant == "local ranks"
     assert decide_equivalence(s, s).kind == "Equivalent"
+
+
+def test_pairs_without_an_exact_witness_are_undecided():
+    # the witness search carries one A-pencil's exact rank-drop points onto
+    # the other's by Moebius maps, then tries the identity.  Points at the
+    # roots of t^3 - 2 are irrational, so no map is tried: the pair shares
+    # the label Psi1 and stays Undecided
+    s = _cube_root_psi1()
+    for seed in (1, 2):
+        verdict = decide_equivalence(s, random_ilo(s.dims, seed).apply(s))
+        assert (verdict.kind, verdict.witness) == ("Undecided", None)
+        assert verdict.detail == "same class label but no exact witness found"
+    # T0 = I, T1 = diag(1..5): five exact points of equal rank are 120
+    # bijections, more than the search tries, and no shape 2 x 5 x 5
+    # family is covered
+    amps = {(0, j, j): 1 for j in range(5)}
+    amps.update({(1, j, j): j + 1 for j in range(5)})
+    s = PureState((2, 5, 5), amps)
+    verdict = decide_equivalence(s, random_ilo(s.dims, 1).apply(s))
+    assert (verdict.kind, verdict.witness) == ("Undecided", None)
+    assert verdict.detail == "outside covered families and no exact witness found"
 
 
 def test_canonical_invariants_cached_and_complete():

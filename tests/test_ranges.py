@@ -542,6 +542,17 @@ def test_partner_rank_on_pencils_singular_at_every_slope():
     assert _partner_rank_of_pencil(*no_jump, (0, 1, 0)) == 1
 
 
+def test_partner_rank_needs_independent_slices():
+    # a C party padded by one unused index has a zero C-slice, so the slices
+    # are dependent, which no normal form's are
+    base = make_canonical(ClassLabel("Psi1"))
+    padded = PureState((2, 3, 4), dict(base.amps))
+    w = ProductWitness(coeffs=(), u=(), v=(ONE, ZERO, ZERO, ZERO))
+    for party in ("A", "B"):
+        with pytest.raises(UnsupportedSubspaceError, match="independent C-slices"):
+            partner_rank(padded, party, w)
+
+
 def test_quadric_profile_deterministic_and_invariant():
     # invariant on Theta4 and Theta5, the pair the classifier reads it for;
     # not on every label (see QUADRIC_VALUES)

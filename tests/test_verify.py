@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 from slocc2mn.classify import decide_equivalence
 from slocc2mn.families import ClassLabel, make_canonical
 from slocc2mn.matrices import Matrix
-from slocc2mn.operators import random_scalar
 from slocc2mn.ranges import slocc_signature
 from slocc2mn.scalars import GaussianRational, ZERO
 from slocc2mn.states import PureState
@@ -253,12 +252,13 @@ def test_random_full_rank_state_rejects_shapes_without_one(dims):
 
 
 def _oracle_full_rank_state(dims, rng):
-    """The census sampler on GaussianRational amplitudes: one random_scalar
-    draw per index, retried until every local rank is full."""
+    """The census sampler on GaussianRational amplitudes: one
+    randint(-3, 3) / randint(1, 3) draw per index, retried until every local
+    rank is full."""
     while True:
         amps = {}
         for idx in itertools.product(*map(range, dims)):
-            v = random_scalar(rng, allow_imag=False)
+            v = GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
             if not v.is_zero():
                 amps[idx] = v
         if amps:
