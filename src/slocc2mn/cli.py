@@ -24,7 +24,7 @@ from .operators import random_ilo
 from .states import PARTIES, LocalRankProfile
 from .ranges import UnsupportedSubspaceError, Signature, bc_pencil
 from .classify import classify, decide_equivalence, _normal_form
-from .verify import verify_theorem, verify_appendix_theta45
+from .verify import THEOREM_BLOCKS, verify_theorem, verify_appendix_theta45
 from .stateio import (
     StateFileError,
     load_state,
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--theorem",
         required=True,
-        choices=("2", "3", "4", "upsilon0", "two_by_two_by_three", "appendix"),
+        choices=(*THEOREM_BLOCKS, "appendix"),
     )
     p.add_argument("--m", type=int, default=None, help="family parameter M")
     common(p, seed=True, trials=True)

@@ -1,12 +1,14 @@
 """Canonical representatives of the true-tripartite 2 x M x N classes.
 
-Small-system classes: GHZ and W (2x2x2), Psi1..Psi6 (2x3x3).  Parametric
-families: Upsilon0(M) in 2 x M x 2M, Upsilon1(M)/Upsilon2(M) in
-2 x (M+1) x (2M+1), Theta0(M)..Theta5(M) in 2 x (M+2) x (2M+2).  The shape
-2 x 3 x 4 (parameter value 1 of the Theta shape) is special: only five
-classes survive there, with Theta4 absent, and dedicated representatives are
-provided.  Expression generators (I)-(V) cover the bracketed 2x3x3 normal
-forms used in exhaustive sweeps.
+One table gives every family: ``_SMALL`` the shape and kets of each small
+family (GHZ and W in 2x2x2, Psi1..Psi6 in 2x3x3, and two 2x4x4 examples
+that no theorem classifies), ``_PARAMETRIC`` the shape offset, least
+parameter and kets of each parametric family (Upsilon0, Upsilon1/2 and
+Theta0..Theta5).  Label validation, the canonical states and the labels of
+a shape are all read from it; at the Theta shape's least parameter, 2x3x4,
+only five classes survive, since Theta4's least parameter is 2.  Expression
+generators (I)-(V) cover the bracketed 2x3x3 normal forms used in
+exhaustive sweeps.
 """
 
 from __future__ import annotations
@@ -16,14 +18,39 @@ from dataclasses import dataclass
 from .scalars import GaussianRational, _int_row
 from .states import PureState
 
-SMALL_FAMILIES = (
-    "GHZ", "W", "Psi1", "Psi2", "Psi3", "Psi4", "Psi5", "Psi6",
-    "Phi0Example", "Phi1Example",
-)
-PARAMETRIC_FAMILIES = (
-    "Upsilon0", "Upsilon1", "Upsilon2",
-    "Theta0", "Theta1", "Theta2", "Theta3", "Theta4", "Theta5",
-)
+# small family -> (shape, kets with amplitude one)
+_SMALL = {
+    "GHZ": ((2, 2, 2), [(0, 0, 0), (1, 1, 1)]),
+    "W": ((2, 2, 2), [(0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+    "Psi1": ((2, 3, 3), [(0, 0, 0), (1, 1, 1), (0, 2, 2), (1, 2, 2)]),
+    "Psi2": ((2, 3, 3), [(0, 1, 0), (0, 0, 1), (1, 1, 2), (1, 2, 1)]),
+    "Psi3": ((2, 3, 3), [(0, 0, 0), (1, 1, 1), (0, 2, 2)]),
+    "Psi4": ((2, 3, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2), (1, 2, 1)]),
+    "Psi5": ((2, 3, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 2)]),
+    "Psi6": ((2, 3, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 2)]),
+    "Phi0Example": ((2, 4, 4), [(0, 0, 0), (1, 1, 1), (0, 2, 2), (0, 3, 3)]),
+    "Phi1Example": ((2, 4, 4), [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 2, 2), (0, 3, 3)]),
+}
+# examples of an unclassified shape: no shape lists them among its labels
+_EXAMPLES = ("Phi0Example", "Phi1Example")
+
+# parametric family -> (k, least m, the family it extends, its kets at m in
+# front of that family's).  Its canonical state at m lives in
+# 2 x (m + k) x (2m + k); Upsilon0(m) is the sum of |0,i,i> + |1,i,i+m>.
+_PARAMETRIC = {
+    "Upsilon0": (0, 2, None, lambda m: [k for i in range(m) for k in ((0, i, i), (1, i, i + m))]),
+    "Upsilon1": (1, 1, "Upsilon0", lambda m: [(0, m, 2 * m)]),
+    "Upsilon2": (1, 1, "Upsilon0", lambda m: [(0, m, 2 * m), (1, m, m - 1)]),
+    "Theta0": (2, 1, "Upsilon1", lambda m: [(1, m + 1, 2 * m + 1)]),
+    "Theta1": (2, 1, "Upsilon1", lambda m: [(0, m + 1, 2 * m + 1)]),
+    "Theta2": (2, 1, "Upsilon2", lambda m: [(1, m + 1, 2 * m + 1)]),
+    "Theta3": (2, 1, "Upsilon1", lambda m: [(0, m + 1, 2 * m + 1), (1, m + 1, 2 * m)]),
+    "Theta4": (2, 2, "Upsilon2", lambda m: [(0, m + 1, 2 * m + 1), (1, m + 1, 0)]),
+    "Theta5": (2, 1, "Upsilon2", lambda m: [(0, m + 1, 2 * m + 1), (1, m + 1, 2 * m)]),
+}
+
+SMALL_FAMILIES = tuple(_SMALL)
+PARAMETRIC_FAMILIES = tuple(_PARAMETRIC)
 SENTINEL_FAMILIES = ("NotTrueTripartite", "Unknown")
 
 
@@ -31,10 +58,8 @@ SENTINEL_FAMILIES = ("NotTrueTripartite", "Unknown")
 class ClassLabel:
     """A SLOCC class name: family plus (for parametric families) a parameter.
 
-    The parameter counts the repeated block: Upsilon0(m) lives in 2 x m x 2m
-    with m >= 2, Upsilon1/2(m) in 2 x (m+1) x (2m+1) with m >= 1, and
-    Theta*(m) in 2 x (m+2) x (2m+2) with m >= 2; at m == 1 the Theta shape is
-    2 x 3 x 4 where Theta4 does not occur.
+    The parameter counts the repeated block; it is at least the family's
+    least m in ``_PARAMETRIC``.
     """
 
     family: str
@@ -45,20 +70,13 @@ class ClassLabel:
             if self.m_parameter is not None:
                 raise ValueError(f"{self.family} takes no parameter")
             return
-        if self.family not in PARAMETRIC_FAMILIES:
+        if self.family not in _PARAMETRIC:
             raise ValueError(f"unknown family {self.family!r}")
-        m = self.m_parameter
-        if m is None:
+        if self.m_parameter is None:
             raise ValueError(f"{self.family} needs a parameter")
-        if self.family == "Upsilon0" and m < 2:
-            raise ValueError("Upsilon0 needs m >= 2")
-        if self.family in ("Upsilon1", "Upsilon2") and m < 1:
-            raise ValueError(f"{self.family} needs m >= 1")
-        if self.family.startswith("Theta"):
-            if m < 1:
-                raise ValueError(f"{self.family} needs m >= 1")
-            if m == 1 and self.family == "Theta4":
-                raise ValueError("Theta4 does not occur in the 2x3x4 shape (m == 1)")
+        least = _PARAMETRIC[self.family][1]
+        if self.m_parameter < least:
+            raise ValueError(f"{self.family} needs m >= {least}")
 
     def render(self) -> str:
         if self.m_parameter is None:
@@ -74,12 +92,17 @@ class ClassLabel:
         return ClassLabel(text)
 
 
-def _upsilon0_kets(m: int):
-    kets = []
-    for i in range(m):
-        kets.append((0, i, i))
-        kets.append((1, i, i + m))
-    return kets
+def canonical_dims(family: str, m: int | None = None) -> tuple:
+    """The shape of a family's canonical state at parameter ``m``."""
+    if family in _SMALL:
+        return _SMALL[family][0]
+    k = _PARAMETRIC[family][0]
+    return (2, m + k, 2 * m + k)
+
+
+def _parametric_kets(family: str, m: int) -> list:
+    _, _, base, kets = _PARAMETRIC[family]
+    return kets(m) + (_parametric_kets(base, m) if base else [])
 
 
 def make_canonical(label: ClassLabel) -> PureState:
@@ -87,102 +110,23 @@ def make_canonical(label: ClassLabel) -> PureState:
     fam, m = label.family, label.m_parameter
     if fam in SENTINEL_FAMILIES:
         raise ValueError(f"{fam} has no canonical state")
-    if fam == "GHZ":
-        return PureState.from_kets((2, 2, 2), [(0, 0, 0), (1, 1, 1)])
-    if fam == "W":
-        return PureState.from_kets((2, 2, 2), [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
-    if fam == "Psi1":
-        return PureState.from_kets(
-            (2, 3, 3), [(0, 0, 0), (1, 1, 1), (0, 2, 2), (1, 2, 2)]
-        )
-    if fam == "Psi2":
-        return PureState.from_kets(
-            (2, 3, 3), [(0, 1, 0), (0, 0, 1), (1, 1, 2), (1, 2, 1)]
-        )
-    if fam == "Psi3":
-        return PureState.from_kets((2, 3, 3), [(0, 0, 0), (1, 1, 1), (0, 2, 2)])
-    if fam == "Psi4":
-        return PureState.from_kets(
-            (2, 3, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2), (1, 2, 1)]
-        )
-    if fam == "Psi5":
-        return PureState.from_kets(
-            (2, 3, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 2)]
-        )
-    if fam == "Psi6":
-        return PureState.from_kets(
-            (2, 3, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 2)]
-        )
-    if fam == "Phi0Example":
-        return PureState.from_kets(
-            (2, 4, 4), [(0, 0, 0), (1, 1, 1), (0, 2, 2), (0, 3, 3)]
-        )
-    if fam == "Phi1Example":
-        return PureState.from_kets(
-            (2, 4, 4), [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 2, 2), (0, 3, 3)]
-        )
-    if fam == "Upsilon0":
-        return PureState.from_kets((2, m, 2 * m), _upsilon0_kets(m))
-    if fam == "Upsilon1":
-        kets = [(0, m, 2 * m)] + _upsilon0_kets(m)
-        return PureState.from_kets((2, m + 1, 2 * m + 1), kets)
-    if fam == "Upsilon2":
-        kets = [(0, m, 2 * m), (1, m, m - 1)] + _upsilon0_kets(m)
-        return PureState.from_kets((2, m + 1, 2 * m + 1), kets)
-    if fam.startswith("Theta"):
-        if m == 1:
-            return _theta_2x3x4(fam)
-        base1 = [(0, m, 2 * m)] + _upsilon0_kets(m)  # Upsilon1 block
-        base2 = [(0, m, 2 * m), (1, m, m - 1)] + _upsilon0_kets(m)  # Upsilon2 block
-        dims = (2, m + 2, 2 * m + 2)
-        extra = {
-            "Theta0": ([(1, m + 1, 2 * m + 1)], base1),
-            "Theta1": ([(0, m + 1, 2 * m + 1)], base1),
-            "Theta2": ([(1, m + 1, 2 * m + 1)], base2),
-            "Theta3": ([(0, m + 1, 2 * m + 1), (1, m + 1, 2 * m)], base1),
-            "Theta4": ([(0, m + 1, 2 * m + 1), (1, m + 1, 0)], base2),
-            "Theta5": ([(0, m + 1, 2 * m + 1), (1, m + 1, 2 * m)], base2),
-        }[fam]
-        return PureState.from_kets(dims, extra[0] + extra[1])
-    raise ValueError(f"unknown family {fam!r}")
-
-
-def _theta_2x3x4(fam: str) -> PureState:
-    """Representatives of the five classes surviving in the 2x3x4 shape."""
-    dims = (2, 3, 4)
-    kets = {
-        "Theta0": [(1, 2, 3), (0, 1, 2), (0, 0, 0), (1, 0, 1)],
-        "Theta1": [(0, 2, 3), (0, 1, 2), (0, 0, 0), (1, 0, 1)],
-        "Theta2": [(1, 2, 3), (0, 1, 2), (1, 1, 0), (0, 0, 0), (1, 0, 1)],
-        "Theta3": [(0, 2, 3), (1, 2, 2), (0, 1, 2), (0, 0, 0), (1, 0, 1)],
-        "Theta5": [(0, 2, 3), (1, 2, 2), (0, 1, 2), (1, 1, 0), (0, 0, 0), (1, 0, 1)],
-    }
-    if fam not in kets:
-        raise ValueError(f"{fam} does not occur in the 2x3x4 shape")
-    return PureState.from_kets(dims, kets[fam])
+    if fam in _SMALL:
+        return PureState.from_kets(*_SMALL[fam])
+    return PureState.from_kets(canonical_dims(fam, m), _parametric_kets(fam, m))
 
 
 def all_labels_for_shape(dims) -> list[ClassLabel]:
     """Every class label whose canonical state has exactly these dims."""
+    dims = tuple(dims)
     d_a, d_b, d_c = dims
-    if d_a != 2:
-        return []
-    if (d_b, d_c) == (2, 2):
-        return [ClassLabel("GHZ"), ClassLabel("W")]
-    if (d_b, d_c) == (3, 3):
-        return [ClassLabel(f"Psi{i}") for i in range(1, 7)]
-    out: list[ClassLabel] = []
-    if d_c == 2 * d_b and d_b >= 2:
-        out.append(ClassLabel("Upsilon0", d_b))
-    if d_c == 2 * d_b - 1 and d_b >= 2:
-        out.append(ClassLabel("Upsilon1", d_b - 1))
-        out.append(ClassLabel("Upsilon2", d_b - 1))
-    if d_c == 2 * d_b - 2 and d_b >= 3:
-        m = d_b - 2
-        fams = ["Theta0", "Theta1", "Theta2", "Theta3", "Theta4", "Theta5"]
-        if m == 1:
-            fams.remove("Theta4")
-        out.extend(ClassLabel(f, m) for f in fams)
+    out = [
+        ClassLabel(fam) for fam, (shape, _) in _SMALL.items()
+        if shape == dims and fam not in _EXAMPLES
+    ]
+    for fam, (k, least, _, _) in _PARAMETRIC.items():
+        m = d_b - k
+        if d_a == 2 and d_c == 2 * m + k and m >= least:
+            out.append(ClassLabel(fam, m))
     return out
 
 

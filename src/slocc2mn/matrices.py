@@ -343,11 +343,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix.from_entries(self.rows, self.cols, lambda i, j: self[i, j] + other[i, j])
 
-    def __sub__(self, other):
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch")
-        return Matrix.from_entries(self.rows, self.cols, lambda i, j: self[i, j] - other[i, j])
-
     def scale(self, s) -> "Matrix":
         s = GaussianRational.coerce(s)
         return Matrix.from_entries(self.rows, self.cols, lambda i, j: self[i, j] * s)

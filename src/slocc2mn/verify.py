@@ -7,16 +7,18 @@ Three layers of checks live here:
   checks the three polynomial identities the argument rests on over a grid
   that proves them, then bounds by term rank the support they leave on
   three operator rows.  It draws nothing.
-* ``verify_theorem`` re-derives the published classification tables: family
-  signatures, pairwise separation with the invariant that witnesses it, the
-  coefficient-branch sweep for the 2x3x3 expressions, and random-state
-  censuses for the uniquely-classified shapes.  Signature rows and pairs are
-  read from the classifier's canonical invariant table
-  (:func:`.classify.canonical_invariants`), so each canonical state's
-  invariants are computed once and shared with ``classify``, whose class
-  label for a pair is matched on those same cached keys.  The sweep draws
-  coefficients with replacement from a small grid, so states repeat; each
-  distinct state is classified once per sweep.
+* ``verify_theorem`` re-derives the published classification tables, one
+  block of ``THEOREM_BLOCKS`` at a time: each block is a shape at m, whose
+  labels the family table lists, and the m it accepts.  It checks family
+  signatures against one table of displayed brackets, pairwise separation
+  with the invariant that witnesses it, the coefficient-branch sweep for the
+  2x3x3 expressions, and random-state censuses for the uniquely-classified
+  shapes.  Signature rows and pairs are read from the classifier's
+  canonical invariant table (:func:`.classify.canonical_invariants`), so
+  each canonical state's invariants are computed once and shared with
+  ``classify``, whose class label for a pair is matched on those same
+  cached keys.  The sweep draws coefficients with replacement from a small
+  grid, so states repeat; each distinct state is classified once per sweep.
 * ``random_full_rank_state`` samples states with maximal local ranks for the
   census checks, drawing each amplitude as a Gaussian integer over the
   denominator 6 (no rational is built).  It takes its (numerator,
@@ -33,8 +35,8 @@ from math import prod
 
 from .states import PureState, LocalRankProfile, compress_to_ranks
 from .families import (
-    ClassLabel,
-    make_canonical,
+    all_labels_for_shape,
+    canonical_dims,
     make_expression,
     expression_branch_label,
 )
@@ -202,29 +204,26 @@ def random_full_rank_state(dims, rng: random.Random) -> PureState:
 # -- theorem-level verification ----------------------------------------------
 
 
-_THEOREM2_SIGNATURES = {
+# The brackets Theorems 2-4 display, per family.  At the 2x2x3 boundary
+# Upsilon1(1)'s third slice is itself a product state, so the bracket
+# [0,1,inf] displayed for general m undercounts; the re-derived value, keyed
+# by the label, is what invariance tests confirm.
+_DISPLAYED = {
     "Psi1": "[0,3,3]",
     "Psi2": "[0,inf,inf]",
     "Psi3": "[1,inf,inf]",
     "Psi4": "[0,1,1]",
     "Psi5": "[1,inf,inf]",
     "Psi6": "[0,2,2]",
-}
-
-_THEOREM4_SIGNATURES = {
+    "Upsilon1": "[0,1,inf]",
+    "Upsilon2": "[0,0,inf]",
+    "Upsilon1(1)": "[1,1,inf]",
     "Theta0": "[0,2,inf]",
     "Theta1": "[0,inf,inf]",
     "Theta2": "[0,1,inf]",
     "Theta3": "[0,1,inf]",
     "Theta4": "[0,0,inf]",
     "Theta5": "[0,0,inf]",
-}
-
-# Displayed brackets for the two medium families; the boundary value m=1 is
-# re-derived rather than trusted (see signature_matches in the report).
-_THEOREM3_SIGNATURES = {
-    "Upsilon1": "[0,1,inf]",
-    "Upsilon2": "[0,0,inf]",
 }
 
 
@@ -253,7 +252,7 @@ def _expression_sweep(trials: int, rng: random.Random) -> dict:
     classified once a call; a repeated draw reads its label back and counts
     as a trial, so the stream and every count are as if it were classified."""
     grid = [-2, -1, 0, 1, 2]
-    allowed = {ClassLabel(f"Psi{i}") for i in range(1, 7)}
+    allowed = set(all_labels_for_shape((2, 3, 3)))
     labels = {}  # state -> its label, or None when it is not 2 x 3 x 3
     sweep = {}
     for which in ("I", "II", "III", "IV", "V"):
@@ -320,6 +319,27 @@ def _census(dims, expected_labels, trials: int, rng: random.Random) -> dict:
     }
 
 
+def _sweep_section(m, trials: int, seed: int):
+    return "expression_sweep", _expression_sweep(trials, random.Random(seed))
+
+
+def _obstruction_section(m, trials: int, seed: int):
+    return "obstruction", verify_appendix_theta45(m)
+
+
+# verification target -> (the shape of its labels at m; the m it accepts as
+# (least, greatest), greatest None for no bound, or None where it ignores m;
+# and its check: a census of random full-rank states, or the signature and
+# pair rows plus the section a function of (m, trials, seed) names, if any)
+THEOREM_BLOCKS = {
+    "2": (lambda m: canonical_dims("Psi1"), None, _sweep_section),
+    "3": (lambda m: canonical_dims("Upsilon1", m), (1, 4), None),
+    "4": (lambda m: canonical_dims("Theta0", m), (2, 3), _obstruction_section),
+    "upsilon0": (lambda m: canonical_dims("Upsilon0", m), (2, None), _census),
+    "two_by_two_by_three": (lambda m: canonical_dims("Upsilon1", 1), None, _census),
+}
+
+
 def verify_theorem(
     which,
     m_parameter: int | None = None,
@@ -328,68 +348,45 @@ def verify_theorem(
 ) -> dict:
     """Re-derive one block of the classification from scratch.
 
-    ``which`` is 2, 3, 4, 'upsilon0' or 'two_by_two_by_three'.  The report
-    carries, per family: the computed signature against the published bracket;
-    for every pair, the verdict and the invariant separating it; plus the
-    theorem-specific sweeps (coefficient branches, random-state censuses, the
-    singular-operator obstruction for Theta4/Theta5).  ``seed`` seeds the
-    draws of theorem 2's expression sweep and of the two censuses, each from
-    its own generator; theorems 3 and 4 draw nothing.
+    ``which`` is a key of :data:`THEOREM_BLOCKS`, which gives the block's
+    shape and the ``m_parameter`` it accepts; the block's labels are every
+    label of that shape.  A census block classifies ``trials`` random
+    full-rank states and expects exactly those labels.  Any other block
+    reports, per family, the computed signature against the published
+    bracket, and for every pair the verdict and the invariant separating it,
+    plus its own section: theorem 2's coefficient-branch sweep, theorem 4's
+    singular-operator obstruction for Theta4/Theta5.  ``seed`` seeds the
+    sweep's and each census's draws, each from its own generator; theorems 3
+    and 4 draw nothing.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     which = str(which)
-    if which == "2":
-        labels = [ClassLabel(f"Psi{i}") for i in range(1, 7)]
-        expected = _THEOREM2_SIGNATURES
-    elif which == "3":
-        if m_parameter is None or not 1 <= m_parameter <= 4:
-            raise ValueError("theorem 3 verification supports m_parameter 1..4")
-        labels = [ClassLabel("Upsilon1", m_parameter), ClassLabel("Upsilon2", m_parameter)]
-        expected = dict(_THEOREM3_SIGNATURES)
-        if m_parameter == 1:
-            # At the 2x2x3 boundary the first family's third slice is itself a
-            # product state, so the published bracket [0,1,inf] undercounts;
-            # the re-derived value is what invariance tests confirm.
-            expected["Upsilon1"] = "[1,1,inf]"
-    elif which == "4":
-        if m_parameter is None or not 2 <= m_parameter <= 3:
-            raise ValueError("theorem 4 verification supports m_parameter 2..3")
-        labels = [ClassLabel(f"Theta{i}", m_parameter) for i in range(6)]
-        expected = _THEOREM4_SIGNATURES
-    elif which == "upsilon0":
-        if m_parameter is None or m_parameter < 2:
-            raise ValueError("the 2 x M x 2M census needs m_parameter >= 2")
-        report = _census(
-            (2, m_parameter, 2 * m_parameter),
-            [ClassLabel("Upsilon0", m_parameter)],
-            trials,
-            random.Random(seed),
-        )
-        report["which"] = which
-        return report
-    elif which == "two_by_two_by_three":
-        report = _census(
-            (2, 2, 3),
-            [ClassLabel("Upsilon1", 1), ClassLabel("Upsilon2", 1)],
-            trials,
-            random.Random(seed),
-        )
-        report["which"] = which
-        return report
-    else:
+    if which not in THEOREM_BLOCKS:
         raise ValueError(f"unknown verification target {which!r}")
+    shape_at, accepted, check = THEOREM_BLOCKS[which]
+    m = m_parameter
+    if accepted is not None:
+        least, greatest = accepted
+        if m is None or m < least or (greatest is not None and m > greatest):
+            span = f">= {least}" if greatest is None else f"{least}..{greatest}"
+            raise ValueError(f"theorem {which} verification supports m_parameter {span}")
+    dims = shape_at(m)
+    labels = all_labels_for_shape(dims)
+    if check is _census:
+        return {**_census(dims, labels, trials, random.Random(seed)), "which": which}
 
-    table = canonical_invariants(make_canonical(labels[0]).dims)
+    table = canonical_invariants(dims)
     families = []
     for lab in labels:
         sig = table[lab].signature.render()
+        displayed = _DISPLAYED.get(lab.render(), _DISPLAYED[lab.family])
         families.append(
             {
                 "label": lab.render(),
                 "signature": sig,
-                "displayed": expected[lab.family],
-                "signature_matches": sig == expected[lab.family],
+                "displayed": displayed,
+                "signature_matches": sig == displayed,
             }
         )
     pairs = _pairwise_separation(labels, table)
@@ -399,14 +396,10 @@ def verify_theorem(
         "pairs": pairs,
         "all_pairs_inequivalent": all(p["verdict"] == "Inequivalent" for p in pairs),
     }
-    if which == "2":
-        report["expression_sweep"] = _expression_sweep(trials, random.Random(seed))
-    if which == "4":
-        report["obstruction"] = verify_appendix_theta45(m_parameter)
-    report["ok"] = (
-        report["all_pairs_inequivalent"]
-        and all(f["signature_matches"] for f in families)
-        and report.get("expression_sweep", {"ok": True})["ok"]
-        and report.get("obstruction", {"ok": True})["ok"]
-    )
+    ok = report["all_pairs_inequivalent"] and all(f["signature_matches"] for f in families)
+    if check is not None:
+        name, section = check(m, trials, seed)
+        report[name] = section
+        ok = ok and section["ok"]
+    report["ok"] = ok
     return report

@@ -1,8 +1,11 @@
 """Canonical family states, labels, and the 2x3x3 expression generators."""
 
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -77,9 +80,39 @@ def test_all_labels_for_shape():
 
 
 def test_labels_are_dims_consistent():
-    for dims in ((2, 2, 2), (2, 3, 3), (2, 2, 3), (2, 3, 4), (2, 4, 6), (2, 3, 6)):
-        for label in all_labels_for_shape(dims):
-            assert make_canonical(label).dims == dims
+    for dims in itertools.product(range(1, 4), range(1, 17), range(1, 17)):
+        if dims[1] <= dims[2]:
+            for label in all_labels_for_shape(dims):
+                assert make_canonical(label).dims == dims
+
+
+def test_every_library_label_is_listed_for_its_shape():
+    labels = [ClassLabel(fam) for fam in SMALL_FAMILIES]
+    for fam in PARAMETRIC_FAMILIES:
+        for m in range(7):
+            try:
+                labels.append(ClassLabel(fam, m))
+            except ValueError:
+                pass  # below the family's least parameter
+    assert {label.family for label in labels} == set(SMALL_FAMILIES + PARAMETRIC_FAMILIES)
+    # all but the examples of an unclassified shape
+    for label in labels:
+        listed = label in all_labels_for_shape(make_canonical(label).dims)
+        assert listed == (label.family not in ("Phi0Example", "Phi1Example"))
+
+
+def test_benchmark_library_labels_match_the_table(monkeypatch):
+    # the benchmark keeps its own list of the library's labels
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    bench = workloads.library_labels(3)
+    shapes = {make_canonical(label).dims for label in bench}
+    table = [label for dims in shapes for label in all_labels_for_shape(dims)]
+    assert len(bench) == len(set(bench))
+    assert set(bench) == set(table)
 
 
 def test_expression_structures():

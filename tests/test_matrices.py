@@ -19,6 +19,8 @@ from slocc2mn.matrices import (
     stack_vectorized,
     _poly_det_ints,
     _primitive_ints,
+    _CERT_PRIME,
+    _IMROOT,
 )
 
 
@@ -121,6 +123,21 @@ def test_certified_nullspace_equals_plain_nullspace():
             assert stack_vectorized(
                 [Matrix([list(v)]) for v in fast + slow]
             ).rank() == len(slow)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, _CERT_PRIME, 0]],
+    [[1, 0], [0, GaussianRational(_IMROOT, -1)]],
+])
+def test_certified_nullspace_adds_a_row_the_prefilter_drops(rows):
+    # the second row is nonzero but vanishes modulo the prefilter's prime
+    # (p, and s - i with s^2 = -1 mod p), so only the exact check of the
+    # remaining rows against the null vectors brings it into the subset
+    m = Matrix([[GaussianRational.coerce(x) for x in row] for row in rows])
+    row = m._int_form()[0][1]
+    assert any(a or b for a, b in row)
+    assert all((a + b * _IMROOT) % _CERT_PRIME == 0 for a, b in row)
+    assert certified_nullspace(m) == m._null_ints()
 
 
 def test_det_matches_numpy_and_multiplicativity():
