@@ -16,10 +16,12 @@ signature and the pencil, partner and quadric tiers; a 2 x 2 x N state counts
 its A range by 2 x 2 minors and shares that count with its B range, whose
 rank-one points correspond one to one.  Reduction steps extract
 a product state from the AB-range of the normal form and shrink the C
-dimension by one, producing an auditable elementary-ILO word.  Equivalence
-verdicts compare local ranks on the inputs, then (when the smallest rank is
-2) the invariant tiers on both normal forms, before searching the normal
-forms for an explicit witness.
+dimension by one, producing an auditable elementary-ILO word; the step's
+normalization check, cleanup and residual read the staged state's integer
+amplitudes.  Equivalence verdicts compare local ranks on the inputs, then
+(when the smallest rank is 2) the invariant tiers on both normal forms,
+before searching the normal forms for an explicit witness, whose linear
+system for the B and C operators is written on the slices' integer rows.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import lcm
 
-from .scalars import GaussianRational, ZERO, ONE
-from .matrices import Matrix, Pencil
+from .scalars import GaussianRational, ZERO, ONE, _scalar
+from .matrices import Matrix, Pencil, _primitive_ints
 from .states import PureState, PARTIES, LocalRankProfile, compress_to_ranks
 from .operators import (
     OperatorTriple,
@@ -213,30 +216,36 @@ def extract_and_reduce(s: PureState) -> ReductionStep:
     word.extend(reversed(decompose_elementary("B", v_b)))
 
     staged = s.apply_local("C", v_c).apply_local("A", v_a).apply_local("B", v_b)
-    lead = staged.amplitude((0, m - 1, n - 1))
-    if lead != ONE:
+    ints, den = staged._ints, staged._den
+    if ints.get((0, m - 1, n - 1)) != (den, 0):
         raise AssertionError("extraction did not normalize the witness amplitude")
-    cleanup: list[ElementaryFactor] = []
-    for j in range(n - 1):
-        e = staged.amplitude((0, m - 1, j))
-        if not e.is_zero():
-            f = ElementaryFactor(party="C", kind="add", i=n - 1, j=j, alpha=-e)
-            cleanup.append(f)
-    if cleanup:
-        for f in cleanup:
-            staged = staged.apply_local("C", f.to_matrix(n))
-        word.extend(cleanup)
+    # the cleanup clears each (0, M-1, j) amplitude e_j by adding -e_j |j> to
+    # ket |N-1> of C; every factor adds to |N-1>, so they commute and act as
+    # one operator: amplitude (a, b, j) loses e_j times amplitude (a, b, N-1)
+    pulls = {j: ints[(0, m - 1, j)] for j in range(n - 1) if (0, m - 1, j) in ints}
+    if pulls:
+        word.extend(
+            ElementaryFactor(party="C", kind="add", i=n - 1, j=j, alpha=_scalar(-e, -f, den))
+            for j, (e, f) in pulls.items()
+        )
+        out = {idx: (a * den, b * den) for idx, (a, b) in ints.items()}
+        for (x, y, k), (c, d) in ints.items():
+            if k == n - 1:
+                for j, (e, f) in pulls.items():
+                    re, im = out.get((x, y, j), (0, 0))
+                    out[(x, y, j)] = (re - c * e + d * f, im - c * f - d * e)
+        ints, den = out, den * den
 
     amps = {}
-    for idx, val in staged.amps.items():
-        if idx == (0, m - 1, n - 1):
+    for idx, (a, b) in ints.items():
+        if idx == (0, m - 1, n - 1) or not (a or b):
             continue
         if idx[2] == n - 1:
             raise AssertionError("unexpected support left at C index N-1")
         if idx[0] == 0 and idx[1] == m - 1:
             raise AssertionError("cleanup left a (0, M-1, j) amplitude")
-        amps[idx] = val
-    residual = PureState((2, m, n - 1), amps)
+        amps[idx] = (a, b)
+    residual = PureState._from_ints((2, m, n - 1), amps, den)
     r = residual.local_ranks()
     if r.r_b < m - 1:
         raise AssertionError("residual B-rank dropped below M-1")
@@ -368,29 +377,50 @@ class EquivalenceVerdict:
 
 
 def _solve_bc_given_a(g: Matrix, t_slices, s_slices, m: int, n: int, rng):
-    """Solve P @ T'_i = S_i @ R linearly; return (P, R) invertible or None."""
-    tp = [
-        t_slices[0].scale(g[i, 0]) + t_slices[1].scale(g[i, 1]) for i in range(2)
-    ]
+    """Solve P @ T'_i = S_i @ R linearly, T'_i = g[i, 0] T_0 + g[i, 1] T_1;
+    return (P, R^T) invertible or None.
+
+    The system's row (i, r, c) is entry (r, c) of P T'_i - S_i R, written on
+    the Gaussian-integer rows of g and of the slices, each side over one
+    denominator, scaled by the product of the denominators and then made
+    primitive: a row's scale leaves the row space, and so the nullspace
+    basis, as it is.
+    """
+
+    def over_one(mats):
+        forms = [x._int_form() for x in mats]
+        den = lcm(*[d for _, dens in forms for d in dens])
+        return [[[(a * (den // d), b * (den // d)) for a, b in row] for row, d in zip(*f)]
+                for f in forms], den
+
+    (t0, t1), t_den = over_one(t_slices)
+    s_rows, s_den = over_one(s_slices)
+    g_rows, g_dens = g._int_form()
     n_unknowns = m * m + n * n
     rows = []
-    for i in range(2):
+    for (g0, g1), gd, s_i in zip(g_rows, g_dens, s_rows):
+        # s_den gd t_den T'_i and -gd t_den s_den S_i, on integers
+        (p, q), (u, v) = g0, g1
+        tp = [[((p * a - q * b + u * c - v * d) * s_den, (p * b + q * a + u * d + v * c) * s_den)
+               for (a, b), (c, d) in zip(r0, r1)] for r0, r1 in zip(t0, t1)]
+        f = gd * t_den
         for r in range(m):
             for c in range(n):
-                row = [ZERO] * n_unknowns
+                row = [(0, 0)] * n_unknowns
                 for k in range(m):
-                    row[r * m + k] = row[r * m + k] + tp[i][k, c]
+                    row[r * m + k] = tp[k][c]
                 for k in range(n):
-                    row[m * m + k * n + c] = row[m * m + k * n + c] - s_slices[i][r, k]
-                rows.append(row)
-    null = Matrix(rows).nullspace()
+                    a, b = s_i[r][k]
+                    row[m * m + k * n + c] = (-a * f, -b * f)
+                rows.append(_primitive_ints(row))
+    null = Matrix._from_ints(rows, [1] * len(rows), n_unknowns).nullspace()
     if not null:
         return None
 
     def build(vec):
         p = Matrix([[vec[r * m + k] for k in range(m)] for r in range(m)])
-        rr = Matrix([[vec[m * m + k * n + c] for c in range(n)] for k in range(n)])
-        return p, rr
+        r_t = Matrix([[vec[m * m + k * n + c] for k in range(n)] for c in range(n)])
+        return p, r_t
 
     tries = [v for v in null]
     for _ in range(10):
@@ -401,9 +431,9 @@ def _solve_bc_given_a(g: Matrix, t_slices, s_slices, m: int, n: int, rng):
         )
         tries.append(combo)
     for vec in tries:
-        p, rr = build(vec)
-        if not p.det().is_zero() and not rr.det().is_zero():
-            return p, rr
+        p, r_t = build(vec)
+        if not p.det().is_zero() and not r_t.det().is_zero():
+            return p, r_t
     return None
 
 
@@ -477,9 +507,8 @@ def _witness_same_dims(s1: PureState, s2: PureState, rng) -> OperatorTriple | No
         sol = _solve_bc_given_a(gm, t1, t2, m, n, rng)
         if sol is None:
             continue
-        p, rr = sol
-        v_c = rr.inverse().transpose()
-        triple = OperatorTriple(gm, p, v_c, check=False)
+        p, r_t = sol
+        triple = OperatorTriple(gm, p, r_t.inverse(), check=False)
         if triple.apply(s1).equals_up_to_scalar(s2):
             return triple
     return None

@@ -26,7 +26,6 @@ from .ranges import UnsupportedSubspaceError, Signature, bc_pencil
 from .classify import classify, decide_equivalence, _normal_form
 from .verify import THEOREM_BLOCKS, verify_theorem, verify_appendix_theta45
 from .stateio import (
-    StateFileError,
     load_state,
     dump_state,
     state_to_json,
@@ -100,13 +99,6 @@ def _emit(args, inputs: dict, result: dict, t0: float, text_lines, ok: bool = Tr
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _label_from_args(args) -> ClassLabel:
-    try:
-        return ClassLabel(args.family, args.m)
-    except ValueError as exc:
-        raise StateFileError(str(exc)) from exc
-
-
 def _write_state(args, state, inputs: dict, result: dict, t0: float, text_lines) -> int:
     """Write ``state`` where ``--out`` points, then report.  With ``--out -``,
     or with no ``--out`` in text mode, stdout carries the state file alone."""
@@ -122,7 +114,7 @@ def _write_state(args, state, inputs: dict, result: dict, t0: float, text_lines)
 
 def cmd_gen(args) -> int:
     t0 = time.monotonic()
-    label = _label_from_args(args)
+    label = ClassLabel(args.family, args.m)
     state = make_canonical(label)
     return _write_state(
         args,
@@ -242,7 +234,7 @@ def cmd_verify(args) -> int:
     which = args.theorem
     if which == "appendix":
         if args.m is None:
-            raise StateFileError("verify --theorem appendix requires --m")
+            raise ValueError("verify --theorem appendix requires --m")
         result = verify_appendix_theta45(args.m, trials=args.trials, seed=args.seed)
     else:
         result = verify_theorem(
@@ -338,9 +330,6 @@ def main(argv=None) -> int:
         # point stdout at devnull so the flush at exit writes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UnsupportedSubspaceError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_FAILED

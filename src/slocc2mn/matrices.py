@@ -315,10 +315,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_entries(rows, cols, fn) -> "Matrix":
-        return Matrix([[fn(i, j) for j in range(cols)] for i in range(rows)])
-
     def shape(self):
         return (self.rows, self.cols)
 
@@ -338,15 +334,6 @@ class Matrix:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other):
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch")
-        return Matrix.from_entries(self.rows, self.cols, lambda i, j: self[i, j] + other[i, j])
-
-    def scale(self, s) -> "Matrix":
-        s = GaussianRational.coerce(s)
-        return Matrix.from_entries(self.rows, self.cols, lambda i, j: self[i, j] * s)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
@@ -362,22 +349,6 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_entries(self.cols, self.rows, lambda i, j: self[j, i])
-
-    def apply_vector(self, v):
-        """Matrix-vector product; v is a sequence of scalars."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            for j, x in enumerate(v):
-                if not self[i, j].is_zero() and not x.is_zero():
-                    acc = acc + self[i, j] * x
-            out.append(acc)
-        return tuple(out)
 
     def is_zero(self) -> bool:
         return not any(a or b for row in self._int_form()[0] for a, b in row)

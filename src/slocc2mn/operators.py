@@ -3,7 +3,10 @@
 Every proof-style manipulation in this package is a product of three kinds of
 elementary operators per party: diagonal scalings, single off-diagonal
 additions, and basis swaps.  Arbitrary triples can be decomposed back into
-that generator set for auditable traces.
+that generator set for auditable traces.  The reduction step's A and B
+operators, which send a product witness's factors to basis kets, are written
+in closed form on the factors' Gaussian-integer form
+(:func:`mapping_vector_to_basis`), with no elimination.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .scalars import GaussianRational, ZERO, ONE
-from .matrices import Matrix
+from .scalars import GaussianRational, ZERO, ONE, _int_row
+from .matrices import Matrix, _over_pivot
 from .states import PureState
 
 
@@ -126,24 +129,29 @@ def random_ilo(dims, seed: int) -> OperatorTriple:
     return OperatorTriple(*(random_invertible(d, rng) for d in dims), check=False)
 
 
-def extend_to_invertible(vectors, dim: int) -> Matrix:
-    """Invertible matrix whose columns are the pivot columns of
-    [vectors | I]: the given independent kets, then the first unit kets
-    independent of them."""
-    n = len(vectors)
-    grid = [[v[r] for v in vectors] + [ONE if c == r else ZERO for c in range(dim)]
-            for r in range(dim)]
-    _, pivots, _ = Matrix(grid).rref(transform=False)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("vectors are dependent; cannot extend")
-    return Matrix([[row[p] for p in pivots] for row in grid])
-
-
 def mapping_vector_to_basis(v, dim: int, target: int = 0) -> Matrix:
-    """Invertible matrix sending ket `v` to the computational ket |target>."""
-    rows = list(extend_to_invertible([v], dim).inverse().entries)  # sends v -> e0
-    rows[0], rows[target] = rows[target], rows[0]  # e0 -> e_target
-    return Matrix(rows)
+    """Invertible matrix sending the nonzero ket ``v`` to the computational
+    ket |target>, in closed form.
+
+    With L the last nonzero index of v, the vectors [v, e_j (j != L)] form a
+    basis; the inverse of the matrix with those columns sends v to e0.  Its
+    row 0 is e_L / v_L and the row of e_j is e_j - (v_j / v_L) e_L.  Rows 0
+    and ``target`` are then swapped.  The rows are built on v's
+    Gaussian-integer form, no elimination run.
+    """
+    ints, den = _int_row(v)
+    last = max((j for j, (a, b) in enumerate(ints) if a or b), default=None)
+    if last is None:
+        raise ValueError("cannot map the zero vector to a basis ket")
+    p = ints[last]
+    zero = (0, 0)
+    rows = [_over_pivot([(den, 0) if c == last else zero for c in range(dim)], p)]
+    for j, (a, b) in enumerate(ints):
+        if j != last:
+            rows.append(_over_pivot(
+                [p if c == j else (-a, -b) if c == last else zero for c in range(dim)], p))
+    rows[0], rows[target] = rows[target], rows[0]
+    return Matrix._from_ints([r for r, _ in rows], [d for _, d in rows], dim)
 
 
 def decompose_elementary(party: str, m: Matrix):

@@ -52,7 +52,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterator
 from math import lcm
 
-from .scalars import GaussianRational, ZERO, ONE, _int_row
+from .scalars import GaussianRational, ZERO, ONE, _int_row, _scalar
 from .polynomials import Poly, poly_gcd_many, exact_roots_of
 from .matrices import (
     Matrix,
@@ -282,31 +282,35 @@ def exact_points(profile: PencilRankProfile):
 
 def _slope_witness(a_mat: Matrix, b_mat: Matrix, pen: Pencil, point) -> ProductWitness:
     """The witness at the projective slope (alpha, beta) of B - t*A, from
-    the first null vector there (of A at infinity)."""
+    the first null vector c there (of A at infinity): its second factor is
+    A c (B c at infinity), taken on the integer rows."""
     alpha, beta = point
-    if not alpha:
-        c = a_mat.nullspace()[0]
-        return ProductWitness(coeffs=tuple(c), u=(ZERO, ONE), v=tuple(b_mat.apply_vector(c)))
-    c = pen.at(beta).nullspace()[0]
-    return ProductWitness(coeffs=tuple(c), u=(ONE, beta), v=tuple(a_mat.apply_vector(c)))
+    kernel, image = (pen.at(beta), a_mat) if alpha else (a_mat, b_mat)
+    c = kernel.nullspace()[0]
+    ints, den = _int_row(c)
+    rows, dens = image._int_form()
+    v = tuple(_scalar(re, im, den * d)
+              for ((re, im),), d in zip(_int_matmul(rows, [[x] for x in ints]), dens))
+    return ProductWitness(coeffs=c, u=(ONE, beta) if alpha else (ZERO, ONE), v=v)
 
 
-def _slope_witnesses(sub: MatrixSubspace, points):
-    """The witness at each slope, the pencil built again from the basis."""
-    a_mat, b_mat, pen = _two_row_pencil(sub)
+def _slope_witnesses(sub: MatrixSubspace, points, built=None):
+    """The witness at each slope, off ``built``, the (A, B, B - t*A) of
+    :func:`_two_row_pencil` when the count built it, else built here from
+    the basis."""
+    a_mat, b_mat, pen = built or _two_row_pencil(sub)
     for point in points:
         yield _slope_witness(a_mat, b_mat, pen, point)
 
 
-def _rank_one_profile(sub: MatrixSubspace, pen: Pencil | None = None):
-    """The rank profile of B - t*A (built unless given as ``pen``) of a
-    two-row range, whose exceptional points are its rank-one slopes; None
-    when B - t*A has a nullvector at every slope (more basis elements than
-    columns, when the pencil is not built, or a generic rank below k)."""
+def _rank_one_profile(sub: MatrixSubspace, pen: Pencil | None):
+    """The rank profile of ``pen``, B - t*A of a two-row range or a pencil of
+    the same profile, whose exceptional points are its rank-one slopes; None
+    when B - t*A has a null vector at every slope: more basis elements than
+    columns (``pen`` is then not read), or a generic rank below k."""
     k = sub.dimension
     if k > sub.cols:
         return None
-    pen = pen or _two_row_pencil(sub)[2]
     return pen.rank_profile() if pen.generic_rank() == k else None
 
 
@@ -314,13 +318,18 @@ def _count_two_row(sub: MatrixSubspace, pen: Pencil | None = None) -> ProductCou
     """One point per rank-one slope, so per exceptional point of B - t*A (or
     of ``pen``, of the same profile), irrational ones without a witness;
     infinite when a slope has nullity >= 2.  When B - t*A has a null vector
-    at every slope the count is infinite and yields the one at t = 0."""
+    at every slope the count is infinite and yields the one at t = 0.  A
+    pencil built here for the profile is handed to the witness walk."""
     k = sub.dimension
+    built = None
+    if pen is None and k <= sub.cols:
+        built = _two_row_pencil(sub)
+        pen = built[2]
     profile = _rank_one_profile(sub, pen)
     if profile is None:
-        return ProductCount(kind="infinite", points=partial(_slope_witnesses, sub, [(ONE, ZERO)]))
+        return ProductCount(kind="infinite", points=partial(_slope_witnesses, sub, [(ONE, ZERO)], built))
     points, exact = exact_points(profile)
-    walk = partial(_slope_witnesses, sub, [p for p, _ in points])
+    walk = partial(_slope_witnesses, sub, [p for p, _ in points], built)
     if any(p.rank <= k - 2 for p in profile.exceptional):
         # a degenerate slope carries a multi-dimensional product family
         return ProductCount(kind="infinite", points=walk)

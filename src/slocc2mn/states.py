@@ -7,8 +7,7 @@ Python ints over one positive denominator, with the content removed (the gcd
 of the denominator and every part is 1), so equal amplitudes have equal
 stored forms.  Unfolding grids, slices, party permutations, local operators
 and :func:`compress_to_ranks` read and write that form; :attr:`PureState.amps`
-and :meth:`PureState.amplitude` build :class:`GaussianRational` values on
-each read and do not keep them.  The local ranks and the compression read
+builds :class:`GaussianRational` values on each read and does not keep them.  The local ranks and the compression read
 the unfoldings' integer grids, the ranks with no :class:`Matrix` built and
 the compression with no intermediate state.  The canonical families all
 have O(M) nonzero amplitudes.  Equality is up to a global nonzero scalar:
@@ -123,10 +122,6 @@ class PureState:
                 idx, coeff = tuple(item[0]), GaussianRational.coerce(item[1])
             amps[idx] = amps.get(idx, ZERO) + coeff
         return PureState(dims, amps)
-
-    def amplitude(self, idx) -> GaussianRational:
-        v = self._ints.get(tuple(idx))
-        return ZERO if v is None else _scalar(v[0], v[1], self._den)
 
     def normalized_leading(self) -> "PureState":
         """Scale so the lexicographically first nonzero amplitude is 1."""

@@ -216,7 +216,8 @@ def _discriminant_oracle(m0: Matrix, m1: Matrix):
     """
     d0 = m0.det()
     d1 = m1.det()
-    mixed = (m0 + m1).det() - d0 - d1
+    total = Matrix([[a + b for a, b in zip(r0, r1)] for r0, r1 in zip(m0.entries, m1.entries)])
+    mixed = total.det() - d0 - d1
     if d0.is_zero() and d1.is_zero() and mixed.is_zero():
         return "infinite", None
     disc = mixed * mixed - GaussianRational(4) * d0 * d1

@@ -118,8 +118,8 @@ def test_benchmark_library_labels_match_the_table(monkeypatch):
 def test_expression_structures():
     s = make_expression("I", a=1, b=2)
     assert s.dims == (2, 3, 3)
-    assert s.amplitude((0, 2, 2)) == GaussianRational(1)
-    assert s.amplitude((1, 2, 2)) == GaussianRational(2)
+    assert s.amps.get((0, 2, 2), ZERO) == GaussianRational(1)
+    assert s.amps.get((1, 2, 2), ZERO) == GaussianRational(2)
     s5 = make_expression("V")
     assert len(s5.amps) == 4
 

@@ -12,7 +12,6 @@ from slocc2mn.operators import (
     OperatorTriple,
     random_ilo,
     random_invertible,
-    extend_to_invertible,
     mapping_vector_to_basis,
     decompose_elementary,
 )
@@ -60,14 +59,29 @@ def test_random_ilo_deterministic_and_invertible():
         assert not m.det().is_zero()
 
 
-def test_extend_to_invertible():
-    v = [ONE, GaussianRational(2), GaussianRational(3)]
-    ext = extend_to_invertible([v], 3)
-    assert not ext.det().is_zero()
-    # first column is v
-    assert [ext[r, 0] for r in range(3)] == v
+def _image(g: Matrix, v) -> list:
+    """g v, for v a list of scalars."""
+    col = g @ Matrix([[x] for x in v])
+    return [col[r, 0] for r in range(g.rows)]
+
+
+def test_mapping_vector_to_basis_on_trailing_zeros():
+    # the closed form pivots on v's last nonzero entry, so vectors with zero
+    # tails, Gaussian-rational entries and every target are checked
+    rng = random.Random(49)
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        last = rng.randrange(dim)
+        v = [GaussianRational(rng.randint(-5, 5), rng.randint(-2, 2)) / rng.randint(1, 4)
+             for _ in range(last)]
+        v.append(GaussianRational(rng.choice((-3, -1, 2, 5)), rng.randint(-1, 1)) / rng.randint(1, 3))
+        v += [ZERO] * (dim - last - 1)
+        target = rng.randrange(dim)
+        g = mapping_vector_to_basis(v, dim, target)
+        assert not g.det().is_zero()
+        assert _image(g, v) == [ONE if r == target else ZERO for r in range(dim)]
     with pytest.raises(ValueError):
-        extend_to_invertible([[ZERO, ZERO]], 2)
+        mapping_vector_to_basis([ZERO, ZERO], 2)
 
 
 def test_mapping_vector_to_basis():
@@ -79,7 +93,7 @@ def test_mapping_vector_to_basis():
             continue
         target = rng.randrange(dim)
         g = mapping_vector_to_basis(v, dim, target)
-        image = g.apply_vector(v)
+        image = _image(g, v)
         assert all(
             (image[r] == ONE) == (r == target) or image[r].is_zero()
             for r in range(dim)

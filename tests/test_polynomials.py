@@ -341,9 +341,10 @@ def _fdistinct_roots(g):
 
 
 def _gmat(rng, rows, cols, span=3):
-    return Matrix.from_entries(
-        rows, cols, lambda i, j: GaussianRational(rng.randint(-span, span), rng.randint(-1, 1))
-    )
+    return Matrix([
+        [GaussianRational(rng.randint(-span, span), rng.randint(-1, 1)) for _ in range(cols)]
+        for _ in range(rows)
+    ])
 
 
 def test_pencil_span_count_matches_full_minor_gcd():
@@ -363,7 +364,7 @@ def test_pencil_span_count_matches_full_minor_gcd():
             d0 = [GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(k)]
             d1 = [GaussianRational(rng.choice([0, 1, 1, 2])) for _ in range(k)]
             m0, m1 = (
-                p @ Matrix.from_entries(rows, cols, lambda i, j: d[i] if i == j < k else ZERO) @ q
+                p @ Matrix([[d[i] if i == j < k else ZERO for j in range(cols)] for i in range(rows)]) @ q
                 for d in (d0, d1)
             )
         else:
@@ -391,6 +392,7 @@ def test_pencil_span_count_matches_full_minor_gcd():
             if w.coeffs[0] == ONE:
                 t = w.coeffs[1]
                 assert all(p.eval(t).is_zero() for p in minors)
-            assert (m0.scale(w.coeffs[0]) + m1.scale(w.coeffs[1])) == Matrix(
-                [[a * b for b in w.v] for a in w.u]
-            )
+            alpha, beta = w.coeffs
+            assert Matrix([
+                [alpha * x + beta * y for x, y in zip(r0, r1)] for r0, r1 in zip(m0.entries, m1.entries)
+            ]) == Matrix([[a * b for b in w.v] for a in w.u])

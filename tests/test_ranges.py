@@ -47,10 +47,10 @@ def subspace(*mats):
 
 def member(sub, coeffs):
     """The element sum_i coeffs[i] * basis[i] of a subspace."""
-    out = sub.basis[0].scale(coeffs[0])
-    for c, m in zip(coeffs[1:], sub.basis[1:]):
-        out = out + m.scale(c)
-    return out
+    return Matrix([
+        [sum((c * m[i, j] for c, m in zip(coeffs, sub.basis)), ZERO) for j in range(sub.cols)]
+        for i in range(sub.rows)
+    ])
 
 
 def test_rank_one_factor():
@@ -584,11 +584,16 @@ def test_independent_slices_match_greedy_choice():
                 pool.append(rng.choice(pool))
             elif kind == "combination":
                 a, b = rng.choice(pool), rng.choice(pool)
-                pool.append(a.scale(GaussianRational(rng.randint(-2, 2), 1)) + b.scale(
-                    GaussianRational(1, rng.randint(1, 3)) / rng.randint(1, 4)))
+                x = GaussianRational(rng.randint(-2, 2), 1)
+                y = GaussianRational(1, rng.randint(1, 3)) / rng.randint(1, 4)
+                pool.append(Matrix([[p * x + q * y for p, q in zip(ra, rb)]
+                                    for ra, rb in zip(a.entries, b.entries)]))
             else:
-                pool.append(Matrix.from_entries(rows, cols, lambda i, j: GaussianRational(
-                    rng.randint(-2, 2), rng.randint(-1, 1)) / rng.randint(1, 3)))
+                pool.append(Matrix([
+                    [GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)) / rng.randint(1, 3)
+                     for _ in range(cols)]
+                    for _ in range(rows)
+                ]))
         chosen, kept = [], []
         for j, m in enumerate(pool):
             trial = kept + [m]
