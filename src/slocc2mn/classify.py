@@ -266,18 +266,24 @@ def _sorted_party_order(dims) -> str:
 
 
 def _normal_form(s: PureState | StateInvariants) -> tuple[StateInvariants, str]:
-    """(invariants of the normal form, the party order that sorts it).  A
+    """(invariants of the normal form, the party order that sorts it).
+
+    The parties are sorted by local rank, ties kept in the input's order,
+    and the state is then compressed in that order, so inputs that differ
+    only in the order of parties of distinct ranks get one normal form.  A
     bare state is always compressed; a StateInvariants already in normal
-    form is returned as it stands, with the keys it has cached."""
+    form is returned as it stands, with the keys it has cached, and any
+    other is sorted by its cached ranks."""
     if isinstance(s, StateInvariants):
         ranks = s.ranks.as_tuple()
         if s.state.dims == ranks and list(ranks) == sorted(ranks):
             return s, "ABC"
         s = s.state
-    # the compressed dims are the local ranks
-    comp, _ = compress_to_ranks(s, transform=False)
-    order = _sorted_party_order(comp.dims)
-    norm = comp.permute_parties(order)
+    else:
+        ranks = s.local_ranks().as_tuple()
+    order = _sorted_party_order(ranks)
+    # the compressed dims are the local ranks, now in ascending order
+    norm, _ = compress_to_ranks(s.permute_parties(order), transform=False)
     return StateInvariants(norm, LocalRankProfile(*norm.dims)), order
 
 
@@ -527,22 +533,21 @@ def find_equivalence_witness(s1: PureState, s2: PureState) -> OperatorTriple | N
     """Explicit ILO triple carrying s1 to s2 up to a global scalar, or None.
 
     s1 and s2 have equal dims and local ranks.  The search runs on their
-    normal forms; its triple is mapped back to the input's parties."""
-    comp1, ch1 = compress_to_ranks(s1)
-    comp2, ch2 = compress_to_ranks(s2)
-    order = _sorted_party_order(comp1.dims)
-    inner = _witness_same_dims(
-        comp1.permute_parties(order), comp2.permute_parties(order), random.Random(0)
-    )
+    normal forms, built as :func:`_normal_form` builds them (parties sorted
+    by rank, then compressed); its triple is mapped back to the input's
+    parties."""
+    order = _sorted_party_order(s1.local_ranks().as_tuple())
+    comp1, ch1 = compress_to_ranks(s1.permute_parties(order))
+    comp2, ch2 = compress_to_ranks(s2.permute_parties(order))
+    inner = _witness_same_dims(comp1, comp2, random.Random(0))
     if inner is None:
         return None
-    # the search's parties A, B, C are the input's order[0], order[1], order[2]
-    inner_mats = dict(zip(order, (inner.v_a, inner.v_b, inner.v_c)))
-    mats = []
-    for q, party in enumerate(PARTIES):
-        emb = _embed_block(inner_mats[party], s1.dims[q])
-        mats.append(ch2[party].inverse() @ emb @ ch1[party])
-    triple = OperatorTriple(*mats, check=False)
+    # the search's party q is the input's party order[q]
+    mats = {}
+    for q, (party, inner_mat) in enumerate(zip(PARTIES, (inner.v_a, inner.v_b, inner.v_c))):
+        emb = _embed_block(inner_mat, s1.dims[PARTIES.index(order[q])])
+        mats[order[q]] = ch2[party].inverse() @ emb @ ch1[party]
+    triple = OperatorTriple(*(mats[p] for p in PARTIES), check=False)
     if triple.apply(s1).equals_up_to_scalar(s2):
         return triple
     return None

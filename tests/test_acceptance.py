@@ -8,7 +8,7 @@ import itertools
 import time
 from contextlib import contextmanager
 
-from slocc2mn.scalars import GaussianRational, ZERO
+from slocc2mn.scalars import GaussianRational, ZERO, ONE
 from slocc2mn.matrices import Matrix
 from slocc2mn.operators import random_ilo
 from slocc2mn.ranges import (
@@ -18,11 +18,14 @@ from slocc2mn.ranges import (
 )
 from slocc2mn.classify import (
     StateInvariants,
+    apply_ilo_word,
     classify,
     decide_equivalence,
+    _normal_form,
 )
 from slocc2mn.families import (
     ClassLabel,
+    all_labels_for_shape,
     make_canonical,
     SMALL_FAMILIES,
     PARAMETRIC_FAMILIES,
@@ -177,6 +180,32 @@ def test_ilo_invariance_sweep():
                 assert inv.ranks.as_tuple() == ref_ranks, (label.render(), seed)
                 assert inv.signature_key() == ref_sig, (label.render(), seed)
                 assert inv.bc_profile_key() == ref_profile, (label.render(), seed)
+
+
+def test_proofs_do_not_depend_on_the_party_order():
+    # the normal form sorts the parties by local rank before compressing, so
+    # every perturbed library state up to 2x5x8 gets its label and a complete
+    # proof in all six party orders, and every step's ILO word carries its
+    # input to |0, M-1, N-1> + residual
+    labels = [label for b in range(2, 6) for c in range(b, 9)
+              for label in all_labels_for_shape((2, b, c))]
+    assert len(labels) == 34
+    with budget(200):
+        for label in labels:
+            s = make_canonical(label)
+            for seed in (1, 2, 3):
+                perturbed = random_ilo(s.dims, seed).apply(s)
+                for order in itertools.permutations("ABC"):
+                    res = classify(perturbed.permute_parties("".join(order)))
+                    where = (label.render(), seed, order)
+                    assert (res.label, res.proof_complete) == (label, True), where
+                    cur = res.invariants.state
+                    for step in res.proof:
+                        norm = _normal_form(cur)[0].state
+                        m, n = norm.dims[1:]
+                        replayed = apply_ilo_word(norm, step.ilo_word)
+                        assert replayed.amps == {**step.residual.amps, (0, m - 1, n - 1): ONE}, where
+                        cur = step.residual
 
 
 def test_expression_sweep_two_hundred_per_expression():
