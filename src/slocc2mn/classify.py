@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import lcm
 
 from .scalars import GaussianRational, ZERO, ONE, _scalar
 from .matrices import Matrix, Pencil, _primitive_ints
@@ -266,14 +265,11 @@ def _sorted_party_order(dims) -> str:
 
 
 def _normal_form(s: PureState | StateInvariants) -> tuple[StateInvariants, str]:
-    """(invariants of the normal form, the party order that sorts it).
-
-    The parties are sorted by local rank, ties kept in the input's order,
-    and the state is then compressed in that order, so inputs that differ
-    only in the order of parties of distinct ranks get one normal form.  A
-    bare state is always compressed; a StateInvariants already in normal
-    form is returned as it stands, with the keys it has cached, and any
-    other is sorted by its cached ranks."""
+    """(invariants of the normal form, the party order that sorts it): the
+    parties sorted by local rank, ties in the input's order, then compressed,
+    so the order of parties of distinct ranks does not change it.  A bare
+    state is always compressed; a StateInvariants already in normal form is
+    returned as it stands, with the keys it has cached."""
     if isinstance(s, StateInvariants):
         ranks = s.ranks.as_tuple()
         if s.state.dims == ranks and list(ranks) == sorted(ranks):
@@ -384,29 +380,17 @@ class EquivalenceVerdict:
 
 def _solve_bc_given_a(g: Matrix, t_slices, s_slices, m: int, n: int, rng):
     """Solve P @ T'_i = S_i @ R linearly, T'_i = g[i, 0] T_0 + g[i, 1] T_1;
-    return (P, R^T) invertible or None.
-
-    The system's row (i, r, c) is entry (r, c) of P T'_i - S_i R, written on
-    the Gaussian-integer rows of g and of the slices, each side over one
-    denominator, scaled by the product of the denominators and then made
-    primitive: a row's scale leaves the row space, and so the nullspace
-    basis, as it is.
-    """
-
-    def over_one(mats):
-        forms = [x._int_form() for x in mats]
-        den = lcm(*[d for _, dens in forms for d in dens])
-        return [[[(a * (den // d), b * (den // d)) for a, b in row] for row, d in zip(*f)]
-                for f in forms], den
-
-    (t0, t1), t_den = over_one(t_slices)
-    s_rows, s_den = over_one(s_slices)
-    g_rows, g_dens = g._int_form()
+    return (P, R^T) invertible or None.  Row (i, r, c) of the system is entry
+    (r, c) of P T'_i - S_i R times every denominator, its integer row made
+    primitive: a row's scale leaves the row space, and the nullspace basis."""
+    # the slices of a state share its denominator
+    t0, t1 = [x._int_form()[0] for x in t_slices]
+    s_rows = [x._int_form()[0] for x in s_slices]
+    t_den, s_den = t_slices[0]._int_form()[1][0], s_slices[0]._int_form()[1][0]
     n_unknowns = m * m + n * n
     rows = []
-    for (g0, g1), gd, s_i in zip(g_rows, g_dens, s_rows):
-        # s_den gd t_den T'_i and -gd t_den s_den S_i, on integers
-        (p, q), (u, v) = g0, g1
+    for ((p, q), (u, v)), gd, s_i in zip(*g._int_form(), s_rows):
+        # s_den * gd * t_den * T'_i, and the factor that brings S_i to it
         tp = [[((p * a - q * b + u * c - v * d) * s_den, (p * b + q * a + u * d + v * c) * s_den)
                for (a, b), (c, d) in zip(r0, r1)] for r0, r1 in zip(t0, t1)]
         f = gd * t_den
@@ -537,15 +521,16 @@ def find_equivalence_witness(s1: PureState, s2: PureState) -> OperatorTriple | N
     by rank, then compressed); its triple is mapped back to the input's
     parties."""
     order = _sorted_party_order(s1.local_ranks().as_tuple())
-    comp1, ch1 = compress_to_ranks(s1.permute_parties(order))
-    comp2, ch2 = compress_to_ranks(s2.permute_parties(order))
+    p1, p2 = s1.permute_parties(order), s2.permute_parties(order)
+    comp1, ch1 = compress_to_ranks(p1)
+    comp2, ch2 = compress_to_ranks(p2)
     inner = _witness_same_dims(comp1, comp2, random.Random(0))
     if inner is None:
         return None
     # the search's party q is the input's party order[q]
     mats = {}
     for q, (party, inner_mat) in enumerate(zip(PARTIES, (inner.v_a, inner.v_b, inner.v_c))):
-        emb = _embed_block(inner_mat, s1.dims[PARTIES.index(order[q])])
+        emb = _embed_block(inner_mat, p1.dims[q])
         mats[order[q]] = ch2[party].inverse() @ emb @ ch1[party]
     triple = OperatorTriple(*(mats[p] for p in PARTIES), check=False)
     if triple.apply(s1).equals_up_to_scalar(s2):

@@ -5,8 +5,7 @@ elementary operators per party: diagonal scalings, single off-diagonal
 additions, and basis swaps.  Arbitrary triples can be decomposed back into
 that generator set for auditable traces.  The reduction step's A and B
 operators, which send a product witness's factors to basis kets, are written
-in closed form on the factors' Gaussian-integer form
-(:func:`mapping_vector_to_basis`), with no elimination.
+in closed form (:func:`mapping_vector_to_basis`), with no elimination.
 """
 
 from __future__ import annotations
@@ -130,15 +129,10 @@ def random_ilo(dims, seed: int) -> OperatorTriple:
 
 
 def mapping_vector_to_basis(v, dim: int, target: int = 0) -> Matrix:
-    """Invertible matrix sending the nonzero ket ``v`` to the computational
-    ket |target>, in closed form.
-
-    With L the last nonzero index of v, the vectors [v, e_j (j != L)] form a
-    basis; the inverse of the matrix with those columns sends v to e0.  Its
-    row 0 is e_L / v_L and the row of e_j is e_j - (v_j / v_L) e_L.  Rows 0
-    and ``target`` are then swapped.  The rows are built on v's
-    Gaussian-integer form, no elimination run.
-    """
+    """Invertible matrix sending the nonzero ket ``v`` to the ket |target>:
+    the inverse of [v, e_j (j != L)], L the last nonzero index of v, rows 0
+    and ``target`` swapped.  Its row 0 is e_L / v_L and the row of e_j is
+    e_j - (v_j / v_L) e_L, built on v's Gaussian-integer form."""
     ints, den = _int_row(v)
     last = max((j for j, (a, b) in enumerate(ints) if a or b), default=None)
     if last is None:

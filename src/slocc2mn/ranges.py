@@ -327,7 +327,8 @@ def _count_two_row(sub: MatrixSubspace, pen: Pencil | None = None) -> ProductCou
         pen = built[2]
     profile = _rank_one_profile(sub, pen)
     if profile is None:
-        return ProductCount(kind="infinite", points=partial(_slope_witnesses, sub, [(ONE, ZERO)], built))
+        walk = partial(_slope_witnesses, sub, [(ONE, ZERO)], built)
+        return ProductCount(kind="infinite", points=walk)
     points, exact = exact_points(profile)
     walk = partial(_slope_witnesses, sub, [p for p, _ in points], built)
     if any(p.rank <= k - 2 for p in profile.exceptional):

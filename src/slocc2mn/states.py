@@ -7,9 +7,10 @@ Python ints over one positive denominator, with the content removed (the gcd
 of the denominator and every part is 1), so equal amplitudes have equal
 stored forms.  Unfolding grids, slices, party permutations, local operators
 and :func:`compress_to_ranks` read and write that form; :attr:`PureState.amps`
-builds :class:`GaussianRational` values on each read and does not keep them.  The local ranks and the compression read
-the unfoldings' integer grids, the ranks with no :class:`Matrix` built and
-the compression with no intermediate state.  The canonical families all
+builds :class:`GaussianRational` values on each read and does not keep
+them.  The local ranks and the compression read the unfoldings' integer
+grids, the ranks with no :class:`Matrix` built and the compression with no
+intermediate state.  The canonical families all
 have O(M) nonzero amplitudes.  Equality is up to a global nonzero scalar:
 the first nonzero amplitude in lexicographic index order is scaled to one.
 """
