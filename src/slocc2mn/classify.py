@@ -20,8 +20,10 @@ dimension by one, producing an auditable elementary-ILO word; the step's
 normalization check, cleanup and residual read the staged state's integer
 amplitudes.  Equivalence verdicts compare local ranks on the inputs, then
 (when the smallest rank is 2) the invariant tiers on both normal forms,
-before searching the normal forms for an explicit witness, whose linear
-system for the B and C operators is written on the slices' integer rows.
+before searching the normal forms for an explicit witness: its qubit
+operator is a Möbius map pinned by three pairs of exact rank-drop points,
+and its linear system for the B and C operators is written on the slices'
+integer rows.
 """
 
 from __future__ import annotations
@@ -427,10 +429,50 @@ def _solve_bc_given_a(g: Matrix, t_slices, s_slices, m: int, n: int, rng):
     return None
 
 
+def _frame(a, b, c):
+    """The 2 x 2 matrix, as rows, whose columns are a and b scaled to sum to
+    a multiple of c: it sends 0, infinity and 1 to the points a, b and c."""
+    la, mu = c[0] * b[1] - c[1] * b[0], a[0] * c[1] - a[1] * c[0]
+    return (la * a[0], mu * b[0]), (la * a[1], mu * b[1])
+
+
+def _qubit_maps(pts1, pts2):
+    """The A operators G under which every exact rank-drop point q of
+    pencil 2 sits at a point G^T q of pencil 1 of the same rank.
+
+    A Möbius map is fixed by three point pairs.  Pencil 1's first three
+    points are pinned to each ordered choice of pencil-2 points of the same
+    ranks, so from three points on every map between the point sets is met.
+    Fewer are padded on both sides by fixed points that are no rank-drop
+    point: maps that agree on the points differ by one fixing each of them,
+    which keeps the minimal indices and Segre types, so give one verdict."""
+    head = pts1[:3]
+    # padding is needed only with at most two points a side: seven candidates leave three
+    taken = {p for p, _ in pts1 + pts2}
+    pad = [pt for pt in ((ONE, GaussianRational(k)) for k in range(7)) if pt not in taken][:3 - len(head)]
+    (a, b), (c, d) = _frame(*[p for p, _ in head], *pad)
+    for choice in itertools.permutations(pts2, len(head)):
+        if any(r1 != r2 for (_, r1), (_, r2) in zip(head, choice)):
+            continue
+        (e, f), (g, k) = _frame(*[q for q, _ in choice], *pad)
+        # G^T = frame 1 @ adj(frame 2) carries each chosen q to its p
+        (w, x), (y, z) = (a * k - b * g, b * e - a * f), (c * k - d * g, d * e - c * f)
+
+        def image(q):
+            u, v = w * q[0] + x * q[1], y * q[0] + z * q[1]
+            return (ZERO, ONE) if not u else (ONE, v / u)
+
+        if {(image(q), r) for q, r in pts2} == set(pts1):
+            scale = (w or x).inverse()  # so that the identity map reads as I
+            yield Matrix([[w * scale, y * scale], [x * scale, z * scale]])
+
+
 def _witness_same_dims(s1: PureState, s2: PureState, rng) -> OperatorTriple | None:
-    """Witness between normal forms of equal dims, pivoting on party A: its
-    candidates are Möbius maps carrying the A-pencils' exact points onto
-    each other, then the identity."""
+    """Witness between normal forms of equal dims, pivoting on party A.  When
+    every rank-drop point of both A-pencils is exact, its candidates are the
+    Möbius maps of :func:`_qubit_maps`, and a pair whose points do not match
+    has none; otherwise the identity is the one candidate.  B and C then
+    solve a linear system (:func:`_solve_bc_given_a`)."""
     dims = s1.dims
     m, n = dims[1], dims[2]
     if dims[0] == 1:
@@ -444,55 +486,12 @@ def _witness_same_dims(s1: PureState, s2: PureState, rng) -> OperatorTriple | No
     # the projective parameters of the rank drops of each A-pencil
     pts1, exact1 = exact_points(Pencil(t1[0], t1[1]).rank_profile())
     pts2, exact2 = exact_points(Pencil(t2[0], t2[1]).rank_profile())
-
-    candidates: list[Matrix] = []
-    if exact1 and exact2 and pts1 and len(pts1) == len(pts2):
-        by_rank1: dict[int, list] = {}
-        by_rank2: dict[int, list] = {}
-        for p, r in pts1:
-            by_rank1.setdefault(r, []).append(p)
-        for p, r in pts2:
-            by_rank2.setdefault(r, []).append(p)
-        if set(by_rank1) == set(by_rank2) and all(
-            len(by_rank1[r]) == len(by_rank2[r]) for r in by_rank1
-        ):
-            groups = sorted(by_rank1)
-            perms_per_group = [
-                list(itertools.permutations(range(len(by_rank1[r])))) for r in groups
-            ]
-            total = 1
-            for pg in perms_per_group:
-                total *= len(pg)
-            if total <= 24:
-                for combo in itertools.product(*perms_per_group):
-                    rows = []
-                    for gi, r in enumerate(groups):
-                        src = by_rank1[r]
-                        tgt = by_rank2[r]
-                        for a, b in enumerate(combo[gi]):
-                            # constraint cross(g^T q, p) = 0 with q in pencil-2
-                            # coordinates, p in pencil-1 coordinates
-                            p = src[a]
-                            q = tgt[b]
-                            rows.append([
-                                q[0] * p[1], q[1] * p[1], -q[0] * p[0], -q[1] * p[0]
-                            ])  # unknowns (g00, g10, g01, g11)
-                    nl = Matrix(rows).nullspace()
-                    for vec in nl:
-                        gm = Matrix([[vec[0], vec[2]], [vec[1], vec[3]]])
-                        if not gm.det().is_zero():
-                            candidates.append(gm)
-                    for _ in range(4 if len(nl) > 1 else 0):
-                        cs = [GaussianRational(rng.randint(-3, 3)) for _ in nl]
-                        vec = tuple(
-                            sum((cs[i] * nl[i][j] for i in range(len(nl))), ZERO)
-                            for j in range(4)
-                        )
-                        gm = Matrix([[vec[0], vec[2]], [vec[1], vec[3]]])
-                        if not gm.det().is_zero():
-                            candidates.append(gm)
-    candidates.append(Matrix.identity(2))
-
+    if not (exact1 and exact2):
+        candidates = [Matrix.identity(2)]
+    elif sorted(r for _, r in pts1) == sorted(r for _, r in pts2):
+        candidates = _qubit_maps(pts1, pts2)
+    else:
+        candidates = []
     for gm in candidates:
         sol = _solve_bc_given_a(gm, t1, t2, m, n, rng)
         if sol is None:

@@ -4,6 +4,7 @@ import importlib
 import random
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from slocc2mn.scalars import GaussianRational, ONE
 from slocc2mn.matrices import Matrix, Pencil
@@ -372,23 +373,75 @@ def test_states_without_a_qubit_are_unknown_and_undecided():
 
 def test_pairs_without_an_exact_witness_are_undecided():
     # the witness search carries one A-pencil's exact rank-drop points onto
-    # the other's by Moebius maps, then tries the identity.  Points at the
-    # roots of t^3 - 2 are irrational, so no map is tried: the pair shares
-    # the label Psi1 and stays Undecided
+    # the other's by Moebius maps; when a point is irrational it tries the
+    # identity alone.  Points at the roots of t^3 - 2 are irrational: the
+    # pair shares the label Psi1 and stays Undecided
     s = _cube_root_psi1()
     for seed in (1, 2):
         verdict = decide_equivalence(s, random_ilo(s.dims, seed).apply(s))
         assert (verdict.kind, verdict.witness) == ("Undecided", None)
         assert verdict.detail == "same class label but no exact witness found"
-    # T0 = I, T1 = diag(1..5): five exact points of equal rank are 120
-    # bijections, more than the search tries, and no shape 2 x 5 x 5
-    # family is covered
-    amps = {(0, j, j): 1 for j in range(5)}
-    amps.update({(1, j, j): j + 1 for j in range(5)})
-    s = PureState((2, 5, 5), amps)
-    verdict = decide_equivalence(s, random_ilo(s.dims, 1).apply(s))
+
+
+def _diagonal_pencil_state(values):
+    """The 2 x n x n state with A-slices I and diag(values): its A-pencil
+    I + t diag(values) drops rank at -1/v for each distinct nonzero v, and
+    at infinity when some v is 0."""
+    amps = {(0, j, j): 1 for j in range(len(values))}
+    amps.update({(1, j, j): v for j, v in enumerate(values)})
+    return PureState((2, len(values), len(values)), amps)
+
+
+def _assert_replaying_witness(s, moved):
+    verdict = decide_equivalence(s, moved)
+    assert verdict.kind == "Equivalent", verdict.detail
+    assert verdict.witness.apply(s).equals_up_to_scalar(moved)
+    return verdict
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_diagonal_pencils_of_exact_points_have_a_witness(n):
+    # T0 = I, T1 = diag(1..n): n exact points of equal rank.  Three point
+    # pairs fix a Moebius map, so the search tries n (n-1) (n-2) triples at
+    # most; the 2 x 5 x 5 pair of seed 1 was Undecided while the search
+    # permuted the points under a cap of 24 bijections
+    s = _diagonal_pencil_state(range(1, n + 1))
+    for seed in (1, 2, 3):
+        verdict = _assert_replaying_witness(s, random_ilo(s.dims, seed).apply(s))
+        if n >= 4:  # 2 x 2 x 2 and 2 x 3 x 3 are covered shapes
+            assert verdict.detail == "exact witness found outside the covered families"
+
+
+def test_witness_maps_points_at_infinity_and_off_the_real_line():
+    i = GaussianRational(0, 1)
+    # a point at infinity (v = 0) and a rank-2 drop at t = -1; then
+    # non-real points -1/v, v = i, 1 + i, 2 - i
+    for values in ((0, 1, 1, 2), (1, i, 1 + i, 2 - i)):
+        s = _diagonal_pencil_state(values)
+        for seed in (1, 2):
+            _assert_replaying_witness(s, random_ilo(s.dims, seed).apply(s))
+
+
+def test_points_of_different_cross_ratio_have_no_witness():
+    # both A-pencils drop rank at infinity, -1 and -1/2, and at -1/3 against
+    # -1/5: no Moebius map carries one set of four points onto the other
+    s = _diagonal_pencil_state((0, 1, 2, 3))
+    moved = random_ilo(s.dims, 1).apply(_diagonal_pencil_state((0, 1, 2, 5)))
+    verdict = decide_equivalence(s, moved)
     assert (verdict.kind, verdict.witness) == ("Undecided", None)
     assert verdict.detail == "outside covered families and no exact witness found"
+
+
+# no explain phase: it reruns a failing example so often that a red run
+# takes some twenty times longer
+@settings(max_examples=25, deadline=None, phases=(Phase.reuse, Phase.generate, Phase.shrink))
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5, unique=True),
+    st.integers(0, 2**16),
+)
+def test_diagonal_pencils_of_gaussian_integer_points_have_a_witness(values, seed):
+    s = _diagonal_pencil_state([GaussianRational(a, b) for a, b in values])
+    _assert_replaying_witness(s, random_ilo(s.dims, seed).apply(s))
 
 
 def test_canonical_invariants_cached_and_complete():
