@@ -35,12 +35,14 @@ its B range has the same rank-one points, through the left null vectors of
 the A points' first factors (:func:`_shared_count`), and its C range is
 counted on its own.
 
-:func:`quadric_profile` is the one sampled quantity here: exact and seeded,
-but read off a sample that depends on the basis, so it is not ILO-invariant
-in general.  The classifier reads it only as its last tier, where it has to
-tell Theta4(m) from Theta5(m), the only canonical pairs that tie on every
-other tier (checked up to m = 5); on those two it is stable, (1, 4) and
-(1, 3), under every ILO tried.
+:func:`quadric_profile` is the one sampled quantity here: exact and seeded
+(``Random(4099)``), read off second factors at sixteen fixed slopes,
+infinity and the exact rank-one slopes until it holds 4 n(n+1)/2 distinct
+samples, which depend on the basis, so it is not ILO-invariant in general.
+The classifier reads it only as its last tier, where it has to tell
+Theta4(m) from Theta5(m), the only canonical pairs that tie on every other
+tier (checked up to m = 5); on those two it is stable, (1, 4) and (1, 3),
+under every ILO tried.  The qubit pencil's Kronecker form is to replace it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain, combinations
 from typing import Callable, Iterator
 from math import lcm
 
@@ -547,12 +550,17 @@ def quadric_profile(s: PureState, qubit: Pencil | None = None):
     """Projective invariant of the closure of product directions in the AB
     range (party C absent), as sampled.
 
-    Samples the second factors (column-space vectors) of rank-one elements of
-    the range subspace over sixteen fixed pencil slopes, slope infinity and
-    the exceptional Gaussian-rational ones, computes the exact linear space
-    of quadratic forms vanishing on all samples, and returns (dimension of
-    that space, maximal rank among random members).  Exact and seeded, but
-    the samples depend on the basis, so the pair is not ILO-invariant in
+    The samples are second factors (column-space vectors) of rank-one
+    elements of the range subspace.  At sixteen fixed pencil slopes, then
+    slope infinity, then the exceptional Gaussian-rational slopes, the null
+    basis of B - t*A (of A at infinity) is mapped to second factors once;
+    the images, their pairwise sums and two combinations with coefficients
+    drawn from ``Random(4099)`` are kept when nonzero and new.  Sampling
+    stops at 4 n(n+1)/2 distinct samples, n the column count; each slope
+    after that only takes its 2 x nullity draws.  Returns (dimension of the
+    exact linear space of quadratic forms vanishing on all samples, maximal
+    rank among three random members of it).  Exact and seeded, but the
+    samples depend on the basis, so the pair is not ILO-invariant in
     general (the module docstring says where it is read).  All arithmetic is
     on Gaussian integers: the rows of A and B share one denominator
     (:func:`_two_row_pencil`), which a sample's primitive form drops.
@@ -568,24 +576,6 @@ def quadric_profile(s: PureState, qubit: Pencil | None = None):
     cap = 4 * len(pairs)
     samples: list[tuple] = []
     seen: set = set()
-
-    def add_samples(basis, rows):
-        # the basis vectors, their pairwise sums and two random combinations
-        combos = list(basis)
-        combos += [
-            _int_combination((1, 1), (u, w)) for i, u in enumerate(basis) for w in basis[i + 1:]
-        ]
-        combos += [_int_combination([rng.randint(1, 5) for _ in basis], basis) for _ in range(2)]
-        # their images under the rows, one per column
-        for vec in zip(*_int_matmul(rows, list(zip(*combos)))):
-            if len(samples) >= cap:
-                return
-            if any(a or b for a, b in vec):
-                key = tuple(_primitive_ints(vec))
-                if key not in seen:
-                    seen.add(key)
-                    samples.append(key)
-
     slopes = [0, 1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2),
               Fraction(3, 2), 5, -5, 7, Fraction(2, 3), -7, 11]
     # (null basis, rows mapping it to second factors): B - tA at each slope,
@@ -597,9 +587,28 @@ def quadric_profile(s: PureState, qubit: Pencil | None = None):
         points, _ = exact_points(profile)
         sources += [(pen.at(beta), a_rows) for (alpha, beta), _ in points if alpha]
     for m, rows in sources:
+        if len(samples) >= cap:
+            # past the cap: no samples, but the same draws, as the members' draws follow
+            for _ in range(2 * (m.cols - m.rank())):
+                rng.randint(1, 5)
+            continue
         basis = [_primitive_ints(ints) for ints, _ in m._null_ints()]
-        if basis:
-            add_samples(basis, rows)
+        if not basis:
+            continue
+        draws = [[rng.randint(1, 5) for _ in basis] for _ in range(2)]
+        # the basis vectors' images, their pairwise sums and two random
+        # combinations: a combination's image is that combination of images
+        images = [list(v) for v in zip(*_int_matmul(rows, list(zip(*basis))))]
+        sums = ([(a + c, b + d) for (a, b), (c, d) in zip(u, w)]
+                for u, w in combinations(images, 2))
+        for vec in chain(images, sums, (_int_combination(c, images) for c in draws)):
+            if len(samples) >= cap:
+                break
+            if any(a or b for a, b in vec):
+                key = tuple(_primitive_ints(vec))
+                if key not in seen:
+                    seen.add(key)
+                    samples.append(key)
     if not samples:
         return (len(pairs), n)
     # one row per sample x: the coefficients x_p x_q of the quadric's

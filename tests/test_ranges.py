@@ -1,7 +1,9 @@
 """Range subspaces, product-state counting, and derived invariants."""
 
+import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -671,6 +673,43 @@ def test_quadric_profile_pinned_values():
         if got != want:
             wrong[text] = got
     assert wrong == {}
+
+
+# sha256 digests of quadric_profile over a fixed stream, taken before its
+# sampling loop mapped each null basis through the rows once: random
+# full-rank states of four shapes, then random_ilo seed 4-6 images of
+# Theta4(2..3) and Theta5(1..3), each read as it stands and through its
+# normal form's qubit pencil.  The first digest is of the readings, the
+# second of every sample system and every Random(4099) draw, which the
+# readings alone do not show: a slip in the draws past the sample cap
+# leaves every reading as it was.
+QUADRIC_STREAM_DIGESTS = (
+    "f525cd2f2e36aef5d4a7c1bcce7d595e4c992e98ef71676e67998b8a4d587689",
+    "0a867d295f678280a89cc53b73feca0b50724671d065fe9d79918fa0b75c469b",
+)
+
+
+def test_quadric_profile_stream_digests(monkeypatch):
+    record = []
+
+    class Recorded(random.Random):
+        def randint(self, a, b):
+            record.append(super().randint(a, b))
+            return record[-1]
+
+    certified = ranges.certified_nullspace
+    monkeypatch.setattr(ranges, "random", SimpleNamespace(Random=Recorded))
+    monkeypatch.setattr(ranges, "certified_nullspace",
+                        lambda m: record.append(repr(m)) or certified(m))
+    rng = random.Random(37)
+    stream = [random_full_rank_state(dims, rng)
+              for dims in ((2, 3, 4), (2, 4, 6), (2, 5, 8), (2, 4, 4)) for _ in range(3)]
+    for text in ("Theta4(2)", "Theta4(3)", "Theta5(1)", "Theta5(2)", "Theta5(3)"):
+        base = make_canonical(ClassLabel.parse(text))
+        stream += [random_ilo(base.dims, seed).apply(base) for seed in (4, 5, 6)]
+    readings = [(quadric_profile(s), _normal_form(s)[0].quadric_key()) for s in stream]
+    digests = tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (readings, record))
+    assert digests == QUADRIC_STREAM_DIGESTS
 
 
 def test_quadric_profile_does_no_gaussian_rational_arithmetic(monkeypatch):
